@@ -22,7 +22,7 @@ import pytest
 sys.path.insert(0, "benchmarks")
 from _cases import BUDGET, TRIGGER_COUNT  # noqa: E402
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.designs.risc import OPCODE_NAMES
 from repro.designs.trojans import risc_figure1
 
@@ -30,12 +30,11 @@ from repro.designs.trojans import risc_figure1
 def run_algorithm1(engine="bmc"):
     netlist, spec = risc_figure1(trigger_count=TRIGGER_COUNT)
     detector = TrojanDetector(
-        netlist,
-        spec,
-        max_cycles=8 + 4 * (TRIGGER_COUNT + 3),
-        engine=engine,
-        functional=True,
-        time_budget=BUDGET,
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=8 + 4 * (TRIGGER_COUNT + 3), engine=engine,
+            functional=True, time_budget=BUDGET,
+        ),
     )
     return detector.run(registers=["stack_pointer"])
 

@@ -387,14 +387,13 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
                 ift=False, diff=False):
     """Run Algorithm 1 over many designs, scored against ground truth.
 
-    ``designs`` is a list of ``(label, netlist, spec)`` triples.  With
-    ``jobs`` set, every design's checks land on **one**
-    :class:`~repro.sched.AuditScheduler` pool — cross-design
+    ``designs`` is a list of ``(label, netlist, spec)`` triples, all
+    audited by **one** :class:`~repro.sched.AuditScheduler`.  With
+    ``jobs`` set, every design's checks land on one pool — cross-design
     parallelism, not a pool per design — so a sweep's wall clock is
     bounded by total work over N workers rather than by the slowest
     design times the design count.  Without ``jobs`` the designs run
-    serially through the classic detector loop (the baseline the
-    speedup acceptance criterion compares against).
+    one after another, inline.
 
     With ``ift=True``, the static IFT screen runs first per design, its
     report is fused into that design's audit (register prioritization,
@@ -447,13 +446,14 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
         TrojanDetector(netlist, spec, config=cfg, runner=runner)
         for (_label, netlist, spec), cfg in zip(designs, configs)
     ]
-    if jobs:
-        from repro.sched import AuditRequest, AuditScheduler
+    if not detectors:
+        return []
+    from repro.sched import AuditRequest, AuditScheduler
 
-        requests = [AuditRequest(detector) for detector in detectors]
-        reports = AuditScheduler(requests, jobs=jobs).run()
-    else:
-        reports = [detector.run() for detector in detectors]
+    requests = [AuditRequest(detector) for detector in detectors]
+    reports = AuditScheduler(
+        requests, jobs=detectors[0].scheduler_jobs
+    ).run()
     rows = []
     for (label, _netlist, spec), report in zip(designs, reports):
         rows.append(AuditRow(

@@ -22,7 +22,7 @@ Commands
 
     ``--jobs N`` runs the audit's independent property checks on a
     persistent pool of N worker processes (see README "Parallel
-    audits"); the report is byte-identical to the serial one::
+    audits"); the report is byte-identical to the inline one::
 
         python -m repro audit --design mc8051-t800 --jobs 4
 
@@ -787,7 +787,7 @@ def cmd_bench(args, out=sys.stdout):
         print(
             "{} design(s) in {:.2f}s wall ({} mismatch(es), jobs={})".format(
                 len(rows), wall, sum(1 for r in rows if not r.match),
-                args.jobs or "serial",
+                args.jobs or "inline",
             ),
             file=out,
         )
@@ -1218,7 +1218,7 @@ def build_parser():
     p_audit.add_argument("--share-cones", action="store_true",
                          help="batch each register's pseudo-critical "
                               "tracking checks onto one shared unrolling "
-                              "(BMC only, runs inline)")
+                              "(BMC only, bypasses the outcome cache)")
     p_audit.add_argument("--profile", action="store_true",
                          help="wrap every check attempt in cProfile and "
                               "store pstats dumps next to the trace "

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.errors import NetlistError
 from repro.sat.solver import SAT, UNSAT, Solver
-from repro.sat.tseitin import CombEncoder, encode_xor2
 
 
 @dataclass
@@ -64,6 +63,9 @@ def check_equivalence(golden, revised, time_budget=None):
             raise NetlistError("flop init mismatch")
     if sorted(golden.outputs) != sorted(revised.outputs):
         raise NetlistError("output port mismatch")
+
+    # imported here: repro.sat.tseitin imports this package's cells
+    from repro.sat.tseitin import CombEncoder, encode_xor2
 
     solver = Solver()
     enc_a = CombEncoder(golden, solver)

@@ -20,17 +20,11 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Sequence
 
-from repro.lint.findings import ERROR, INFO, SUSPICIOUS, WARN
-
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
-
-# SARIF defines note/warning/error; the Trojan-shaped ``suspicious``
-# severity maps to error so scanning UIs surface it as blocking.
-_LEVEL = {INFO: "note", WARN: "warning", SUSPICIOUS: "error", ERROR: "error"}
 
 _INFORMATION_URI = "https://github.com/paper-repro/conf-dac-trojan"
 _TOOL_VERSION = "0.2.0"
@@ -38,7 +32,14 @@ _TOOL_VERSION = "0.2.0"
 
 def severity_level(severity: str) -> str:
     """Map a repro severity name to a SARIF result level."""
-    return _LEVEL[severity]
+    # imported here: repro.lint's package init imports this module
+    from repro.lint.findings import ERROR, INFO, SUSPICIOUS, WARN
+
+    # SARIF defines note/warning/error; the Trojan-shaped ``suspicious``
+    # severity maps to error so scanning UIs surface it as blocking.
+    levels = {INFO: "note", WARN: "warning", SUSPICIOUS: "error",
+              ERROR: "error"}
+    return levels[severity]
 
 
 def driver_rule(

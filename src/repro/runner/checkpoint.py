@@ -172,7 +172,7 @@ def finding_from_dict(data):
 
 
 def warn_checkpoint_lost(exc, tracer=None):
-    """Shared "checkpointing disabled" warning for detector + scheduler.
+    """The scheduler's "checkpointing disabled" warning.
 
     Emits a Python :class:`RuntimeWarning` (visible in logs/pytest) and,
     when tracing, a ``checkpoint.write_failed`` telemetry point — the

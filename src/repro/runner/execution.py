@@ -1,4 +1,4 @@
-"""The per-check supervision state machine, shared by serial and pool.
+"""The per-check supervision state machine, shared by runner and pool.
 
 :class:`CheckExecution` owns everything one supervised check decides
 *between* attempts: the outcome-cache consult (full hit / partial-hit
@@ -12,7 +12,7 @@ CheckRunner` synchronously (inline or one worker per attempt), the
 parallel scheduler (:mod:`repro.sched`) by dispatching to a persistent
 worker pool — and feeds the resulting :class:`AttemptRecord` back in.
 Keeping the state machine in one place is what makes a check behave
-identically whether it ran serially or on a pool: same cache
+identically whether it ran inline or on a pool: same cache
 disposition, same retry ladder, same final :class:`CheckOutcome`.
 
 The drive protocol::
@@ -86,7 +86,7 @@ class CheckExecution:
                     status="violated",
                     bound=entry.violation_bound,
                     witness=Witness.from_dict(entry.witness),
-                    property_name=outcome.name,
+                    property_name=task.property_name,
                     saved_elapsed=entry.elapsed,
                 )
                 self._done = True
@@ -100,7 +100,7 @@ class CheckExecution:
                 outcome.result = CachedResult(
                     status="proved",
                     bound=entry.proved_bound,
-                    property_name=outcome.name,
+                    property_name=task.property_name,
                     saved_elapsed=entry.elapsed,
                 )
                 self._done = True

@@ -13,13 +13,14 @@ blow-up can no longer abort a whole audit.
 
 The per-check decision logic (cache consult, retry ladder, partial-
 result folding) lives in :class:`~repro.runner.execution.CheckExecution`
-so the parallel scheduler (:mod:`repro.sched`) runs the *same* state
-machine on its persistent worker pool. ``CheckRunner`` itself is the
-serial driver: it executes attempts one at a time, in this thread.
+so the scheduler's pool mode (:mod:`repro.sched`) runs the *same* state
+machine on its persistent worker pool. ``CheckRunner`` itself executes
+attempts one at a time, in this thread; the scheduler's inline mode
+runs every check through it.
 
 A runner configured for parallelism (``configure(workers=N)`` with
-``N >= 2``) sets :attr:`jobs` and refuses the serial :meth:`run` — it
-must be handed to :class:`~repro.core.detector.TrojanDetector` (or
+``N >= 2``) sets :attr:`jobs` and refuses :meth:`run` — it must be
+handed to :class:`~repro.core.detector.TrojanDetector` (or
 :mod:`repro.sched` directly), which drives the pool. Before the
 scheduler existed, ``workers=4`` silently behaved exactly like
 ``workers=1``; it now either parallelizes or raises, never lies.
@@ -55,6 +56,11 @@ _CONCLUSIVE = CONCLUSIVE
 def absorb_result(record, result):
     """Write an engine result object onto an :class:`AttemptRecord`."""
     record._result = result
+    if isinstance(result, list):
+        # a shared-cone group answers with one engine result per member;
+        # the members' verdicts are read off the list, not the record
+        record.status = OK
+        return
     record.bound_reached = getattr(result, "bound", 0)
     record.peak_memory = getattr(result, "peak_memory", 0)
     status = getattr(result, "status", None)
@@ -128,7 +134,7 @@ class CheckRunner:
         consulted inside the execution context before each attempt.
     jobs:
         Degree of check-level parallelism this runner *requests*. The
-        runner itself stays a serial executor; ``jobs >= 2`` marks it
+        runner itself runs one check at a time; ``jobs >= 2`` marks it
         as pool-backed, and the detector routes such a runner through
         :class:`~repro.sched.AuditScheduler` (N persistent workers
         honouring this runner's ``limits``/``retry``). Calling
@@ -229,7 +235,7 @@ class CheckRunner:
                 "cannot be parallelized by run(); pass the runner to "
                 "TrojanDetector (or repro.sched.AuditScheduler), which "
                 "drives the worker pool — or configure(workers=1) for "
-                "serial supervised execution".format(self.jobs)
+                "supervised execution without a pool".format(self.jobs)
             )
         if name is None:
             name = getattr(task, "property_name", "") or "check"

@@ -147,7 +147,7 @@ class GroupObjectiveTask:
 
     Grouped checks do not participate in the outcome cache (member
     verdicts are entangled with the group's shared encoding budget),
-    matching the serial ``share_cones`` path.
+    in either executor mode.
     """
 
     netlist: object

@@ -1,4 +1,4 @@
-"""Parallel audit scheduling on a persistent worker pool.
+"""Algorithm 1's executor: inline, or on a persistent worker pool.
 
 Two layers:
 
@@ -7,15 +7,17 @@ Two layers:
   crash-isolation guarantees of the fork-per-attempt runner (hard
   timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash).
 * :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: Algorithm 1
-  as a dynamic task DAG, scheduled across registers and designs, with
-  serial-replay assembly so the parallel report is identical to the
-  serial one, claim-locked cache coordination, early cancellation, and
-  per-design telemetry subtrees.
+  as a dynamic task DAG with one replay assembly for both of its modes.
+  Inline (``jobs=None``), it runs each check Algorithm 1 needs next in
+  this process; on a pool (``jobs=N``), it schedules checks across
+  registers and designs, with claim-locked cache coordination, early
+  cancellation, and per-design telemetry subtrees.
 
-Entry points: ``TrojanDetector(..., config=AuditConfig(jobs=N))`` (or
-``CheckRunner.configure(workers=N)``) routes a single audit through the
-scheduler; :class:`AuditScheduler` directly schedules many designs on
-one pool (the ``repro bench`` path).
+Entry points: ``TrojanDetector.run()`` hands every audit to the
+scheduler — inline by default, on a pool with
+``config=AuditConfig(jobs=N)`` (or ``CheckRunner.configure(workers=N)``);
+:class:`AuditScheduler` directly schedules many designs at once (the
+``repro bench`` path).
 """
 
 from repro.sched.pool import PersistentWorkerPool, PoolEvent

@@ -1,45 +1,53 @@
-"""Dependency-aware parallel scheduling of Algorithm 1 audits.
+"""Algorithm 1's one executor: a dynamic task DAG, run inline or on a pool.
 
 :class:`AuditScheduler` runs the paper's per-register check sequence —
 Eq. (3) pseudo-critical tracking, Eq. (2) corruption, Eq. (4) bypass —
-concurrently across registers *and* across designs on one
-:class:`~repro.sched.pool.PersistentWorkerPool`, and still produces
-reports **identical** to the serial
-:class:`~repro.core.detector.TrojanDetector` loop. Two ideas make that
-possible:
+as a DAG of check nodes, in one of two modes.
 
-**Dynamic task DAG.** Every check is a node. Within a register,
-``tracking(after)`` nodes are ready immediately; each ``tracking(before)``
-node is gated on its ``after`` sibling finishing *without* a proof
-(serial never runs ``before`` once ``after`` promoted the candidate). A
-candidate promoted to pseudo-critical dynamically enqueues its own
-shadow-corruption audit — new nodes appear as verdicts arrive. The
-corruption and bypass nodes are ready immediately and run
-*speculatively*: serial may never have reached them (``stop_on_first``),
-so whether their results are *used* is decided later.
+**Inline** (``jobs=None``). No pool and no ready heap: the commit loop
+asks the frontier register for the first check Algorithm 1 still lacks
+and runs exactly that node in this process, through the detector's
+:class:`~repro.runner.supervisor.CheckRunner` (retries, outcome cache,
+inline or process isolation, spans). Execution therefore follows
+Algorithm 1's order and never runs a check whose result would be
+dropped. A register is set up when the frontier first reaches it, and
+its :class:`~repro.bmc.session.SolverSession` (BMC, ``sessions=True``,
+inline runner) serves its checks until it commits.
 
-**Serial-replay assembly.** A register's finding is assembled only when
-every check the serial loop *would have run* has completed, consuming
-outcomes in exactly the serial order and discarding speculative results
-serial would not have produced (a bypass solved in parallel with a
-corruption check that found the Trojan is simply dropped). Registers
-commit strictly in the serial (lint-prioritized) order, so
-``report.findings``, each finding's ``check_outcomes`` insertion order,
-promotion lists and stop-on-first truncation are byte-for-byte the
-serial result. Early-cancel is the converse: the moment an outcome
-proves a node's result can never be consumed — a committed Trojan at an
-earlier register, a detected corruption ahead of its speculative bypass
-— the node's worker is killed and the node dropped, *without* waiting.
+**Pool** (``jobs=N``). Checks run concurrently across registers *and*
+across designs on one :class:`~repro.sched.pool.PersistentWorkerPool`.
+Within a register, ``tracking(after)`` nodes are ready immediately;
+each ``tracking(before)`` node is gated on its ``after`` sibling
+finishing *without* a proof (Algorithm 1 never runs ``before`` once
+``after`` promoted the candidate). A candidate promoted to
+pseudo-critical dynamically enqueues its own shadow-corruption audit —
+new nodes appear as verdicts arrive. The corruption and bypass nodes
+are ready immediately and run *speculatively*: Algorithm 1 may never
+reach them (``stop_on_first``), so whether their results are *used* is
+decided later. The moment an outcome proves a node's result can never
+be consumed — a committed Trojan at an earlier register, a detected
+corruption ahead of its speculative bypass — the node's worker is
+killed and the node dropped, *without* waiting.
 
-Cross-pool coordination: cache-participating nodes claim their
+**Replay assembly.** In both modes a register's finding is assembled
+in one place, :meth:`AuditScheduler._try_assemble`, which walks
+Algorithm 1's order over completed nodes and returns the first node it
+still lacks. Registers commit strictly in Algorithm 1's
+(screen-prioritized) order, so ``report.findings``, each finding's
+``check_outcomes`` insertion order, promotion lists and stop-on-first
+truncation are the same whichever mode or worker count ran them.
+
+Cross-pool coordination: cache-participating pool nodes claim their
 fingerprint in a :class:`~repro.cache.ClaimRegistry` before solving;
 losing the claim defers the node, which re-consults the cache while it
 waits — two pools sharing a ``--cache-dir`` never solve the same check
-twice. Telemetry: each node records its check/attempt spans (plus the
-worker-shipped engine spans) in a private buffer; committed registers
-replay their kept nodes' buffers, in serial order, into a per-design
-``audit`` subtree that lands in the main trace when the design finishes
-— N workers, one coherent tree.
+twice. Telemetry: inline, the ``audit`` and ``audit.register`` spans
+are open on the live tracer while their checks run. On a pool, each
+node records its check/attempt spans (plus the worker-shipped engine
+spans) in a private buffer; committed registers replay their kept
+nodes' buffers, in Algorithm 1 order, into a per-design ``audit``
+subtree that lands in the main trace when the design finishes — N
+workers, one coherent tree.
 """
 
 from __future__ import annotations
@@ -58,10 +66,10 @@ from repro.errors import CheckpointWriteError, ReproError
 from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
-from repro.runner.execution import CheckExecution
-from repro.runner.outcome import AttemptRecord
-from repro.runner.policy import CRASHED, OK, RetryPolicy
-from repro.runner.supervisor import PROCESS, absorb_message
+from repro.runner.execution import CONCLUSIVE, CheckExecution
+from repro.runner.outcome import AttemptRecord, CheckOutcome
+from repro.runner.policy import CRASHED, EXHAUSTED, OK
+from repro.runner.supervisor import INLINE, PROCESS, absorb_message
 from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
 
@@ -93,7 +101,7 @@ class _Node:
 
     __slots__ = (
         "audit", "reg", "kind", "name", "seq", "priority", "factory",
-        "task", "state", "execution", "retry", "candidate", "direction",
+        "task", "state", "execution", "candidate", "direction",
         "group_members", "claim_key", "claim_registry", "claim_held",
         "delay_served", "tracer", "check_span", "attempt_span",
         "attempt_task", "attempt_started", "outcome", "events",
@@ -111,7 +119,6 @@ class _Node:
         self.task = task
         self.state = "waiting"
         self.execution = None
-        self.retry = None
         self.candidate = None
         self.direction = None
         self.group_members = None
@@ -145,17 +152,19 @@ class _RegisterState:
         self.register = register
         # fused lint + IFT + diff priority score (fused_register_scores)
         self.static_score = static_score
-        self.spec = None
+        self.spec = None  # set by _init_register
         self.started = 0.0
-        self.error = None  # raised when the serial replay reaches it
+        self.error = None  # raised when the commit loop reaches it
+        self.session = None  # inline: live SolverSession, until commit
+        self.span = None  # inline: the open audit.register span
         self.candidates = []
         self.tracking = {}  # (candidate, direction) -> node
         self.grouped = False
-        self.builds = []  # (candidate, direction, MonitorBuild), serial order
+        self.members = []  # (candidate, direction) per group member
         self.group_nodes = []
         self.group_pending = 0
-        self.group_results = {}  # build index -> engine result
-        self.group_failures = {}  # build index -> group node CheckOutcome
+        self.group_results = {}  # member index -> engine result
+        self.group_failures = {}  # member index -> group node CheckOutcome
         self.decisions = {}  # candidate -> (promoted, direction|None)
         self.promoted = None  # [(candidate, direction)] once fully decided
         self.corruption = None
@@ -185,19 +194,23 @@ class _AuditState:
     def __init__(self, index, detector, names, report, store):
         self.index = index
         self.detector = detector
-        self.names = names  # serial (lint-prioritized) register order
+        self.names = names  # Algorithm 1 (screen-prioritized) order
         self.report = report
         self.store = store  # AuditCheckpoint or None
         self.regs = {}  # register -> _RegisterState (non-restored only)
         self.frontier = 0  # index into names of next commit
         self.started = time.perf_counter()
         self.done = False
-        self.buf = None  # per-design BufferTracer
+        # where the audit's spans go: the live tracer inline, a
+        # per-design BufferTracer on a pool (None when tracing is off)
+        self.buf = None
         self.audit_span = None
 
 
 class AuditScheduler:
-    """Runs one or more audits on a persistent pool of ``jobs`` workers.
+    """Runs one or more audits, inline (``jobs=None``) or on a
+    persistent pool of ``jobs`` workers. The :attr:`jobs` attribute is
+    the pool size, ``0`` when running inline.
 
     Pool-wide settings (memory cap, fault injector, profile dir,
     multiprocessing context) come from the **first** request's runner;
@@ -205,13 +218,15 @@ class AuditScheduler:
     honour each request's own runner and detector.
     """
 
-    def __init__(self, requests, jobs, mp_context=None):
+    def __init__(self, requests, jobs=None, mp_context=None):
         if not requests:
             raise ReproError("no audits to schedule")
-        if jobs < 1:
-            raise ReproError("jobs must be >= 1, got {}".format(jobs))
+        if jobs is not None and jobs < 1:
+            raise ReproError(
+                "jobs must be None (inline) or >= 1, got {}".format(jobs)
+            )
         self.requests = list(requests)
-        self.jobs = jobs
+        self.jobs = 0 if jobs is None else jobs  # pool size; 0 = inline
         self.mp_context = mp_context
         self.audits = []
         self.pool = None
@@ -224,12 +239,28 @@ class AuditScheduler:
         self.stats = {"checks": 0, "cache_completed": 0, "discarded": 0,
                       "canceled": 0}
 
+    @property
+    def inline(self):
+        return self.jobs == 0
+
     # ------------------------------------------------------------------ API
 
     def run(self):
         """Run every audit to completion; returns reports in request
-        order. Reports are identical to each detector's serial output."""
+        order. Reports do not depend on the mode or the worker count."""
         self.tracer = get_tracer()
+        if self.inline:
+            for index, request in enumerate(self.requests):
+                audit = self._setup_audit(index, request)
+                self.audits.append(audit)
+                try:
+                    self._advance(audit)
+                except BaseException:
+                    if audit.buf is not None:
+                        # closes the open register span with it
+                        audit.buf.end(audit.audit_span, error=True)
+                    raise
+            return [audit.report for audit in self.audits]
         for index, request in enumerate(self.requests):
             self.audits.append(self._setup_audit(index, request))
         for audit in self.audits:
@@ -254,7 +285,7 @@ class AuditScheduler:
                 registry.release_all()
         return [audit.report for audit in self.audits]
 
-    # ------------------------------------------------------------ main loop
+    # ------------------------------------------------------------ pool loop
 
     def _incomplete(self):
         return any(not audit.done for audit in self.audits)
@@ -298,8 +329,7 @@ class AuditScheduler:
                 continue
             if wake == "backoff":
                 node.delay_served = True
-            node.state = "ready"
-            heapq.heappush(self._ready, (node.priority, node))
+            self._make_ready(node)
 
     def _defer(self, node, until, wake):
         node.state = "deferred"
@@ -373,15 +403,10 @@ class AuditScheduler:
                 telemetry.get("counters") or {}
             )
             message = message[:-1]
-        if node.kind == GROUP and message[0] == "ok":
-            # a group's result is a per-member list, not an engine result
-            record.status = OK
-            record._result = message[1]
-        else:
-            absorb_message(
-                record, message, node.name,
-                node.tracer if node.tracer is not None else NULL_TRACER,
-            )
+        absorb_message(
+            record, message, node.name,
+            node.tracer if node.tracer is not None else NULL_TRACER,
+        )
         record.elapsed = time.perf_counter() - node.attempt_started
         if node.tracer is not None:
             node.tracer.end(
@@ -392,7 +417,7 @@ class AuditScheduler:
         if execution.record_attempt(record):
             self._complete(node)
             return
-        retry = node.retry
+        retry = execution.retry
         if node.tracer is not None:
             node.tracer.point(
                 "runner.retry",
@@ -407,8 +432,7 @@ class AuditScheduler:
             self._defer(node, time.perf_counter() + delay, "backoff")
             node.delay_served = True
         else:
-            node.state = "ready"
-            heapq.heappush(self._ready, (node.priority, node))
+            self._make_ready(node)
 
     # --------------------------------------------------------- node plumbing
 
@@ -417,14 +441,47 @@ class AuditScheduler:
         self._seq += 1
         node = _Node(reg.audit, reg, kind, name, self._seq,
                      factory=factory, task=task)
-        node.retry = (
-            RetryPolicy() if kind == GROUP
-            else reg.audit.detector.runner.retry
-        )
         if ready:
-            node.state = "ready"
-            heapq.heappush(self._ready, (node.priority, node))
+            self._make_ready(node)
         return node
+
+    def _make_ready(self, node):
+        node.state = "ready"
+        if not self.inline:  # inline execution pulls nodes on demand
+            heapq.heappush(self._ready, (node.priority, node))
+
+    def _session(self, reg):
+        """The register's :class:`~repro.bmc.session.SolverSession`,
+        built on first use, or ``None``.
+
+        Sessions only pay off where a live solver can actually be
+        reused: inline execution with the BMC engine and an inline
+        runner. A pool worker or a process-isolated attempt would drop
+        the hint at the process boundary, so no session is built there.
+        """
+        det = reg.audit.detector
+        if reg.session is None and (
+            self.inline
+            and det.config.sessions
+            and det.config.engine == "bmc"
+            and getattr(det.runner, "isolation", INLINE) == INLINE
+        ):
+            from repro.bmc.session import SolverSession
+
+            reg.session = SolverSession(
+                det.netlist.clone(), pinned_inputs=det.spec.pinned_inputs
+            )
+        return reg.session
+
+    def _run_inline(self, node):
+        """Run one demanded node in this process, through the runner."""
+        task = node.task if node.task is not None else node.factory()
+        # the verdict is all assembly needs: drop the monitor netlists
+        node.task = node.factory = None
+        node.outcome = node.audit.detector.runner.run(task, name=node.name)
+        node.state = "done"
+        self.stats["checks"] += 1
+        self._node_finished(node)
 
     def _init_execution(self, node):
         """Build the task and its state machine; consult the cache.
@@ -437,7 +494,7 @@ class AuditScheduler:
             node.task = node.factory()
         cache = runner.cache_for(getattr(node.task, "cache_dir", None))
         node.execution = CheckExecution(
-            node.task, node.name, node.retry, cache=cache
+            node.task, node.name, runner.retry, cache=cache
         )
         if self.tracer.enabled:
             node.tracer = BufferTracer()
@@ -469,6 +526,9 @@ class AuditScheduler:
         outcome = node.execution.finish()
         node.outcome = outcome
         node.state = "done"
+        # the verdict is all assembly needs: drop the monitor netlists
+        node.task = node.factory = node.execution = None
+        node.attempt_task = None
         self.stats["checks"] += 1
         if node.claim_held:
             # the worker stored its verdict before sending the result,
@@ -495,6 +555,7 @@ class AuditScheduler:
             )
             node.tracer = None
         self._node_finished(node)
+        self._advance(node.audit)
 
     def _cancel_node(self, node):
         if node is None or node.state in ("done", "canceled"):
@@ -517,29 +578,27 @@ class AuditScheduler:
         reg = node.reg
         if reg.discarded or node.audit.done:
             return
-        det = node.audit.detector
-        stop = det.stop_on_first
+        stop = node.audit.detector.config.stop_on_first
         if node.kind == TRACKING:
             self._tracking_done(node)
         elif node.kind == GROUP:
             self._group_done(node)
+        elif self.inline or not (stop and node.verdict.detected):
+            return  # nothing speculative in flight to cancel
         elif node.kind == CORRUPTION:
-            if stop and node.verdict.detected:
-                # serial would never reach this register's shadows/bypass
-                reg.suppress_shadows = True
-                for shadow in reg.shadows.values():
-                    self._cancel_node(shadow)
-                self._cancel_node(reg.bypass)
+            # Algorithm 1 never reaches this register's shadows/bypass
+            reg.suppress_shadows = True
+            for shadow in reg.shadows.values():
+                self._cancel_node(shadow)
+            self._cancel_node(reg.bypass)
         elif node.kind == SHADOW:
-            if stop and node.verdict.detected:
-                order = reg.candidates.index(node.candidate)
-                if reg.shadow_stop is None or order < reg.shadow_stop:
-                    reg.shadow_stop = order
-                for candidate, shadow in reg.shadows.items():
-                    if reg.candidates.index(candidate) > order:
-                        self._cancel_node(shadow)
-                self._cancel_node(reg.bypass)
-        self._advance(node.audit)
+            order = reg.candidates.index(node.candidate)
+            if reg.shadow_stop is None or order < reg.shadow_stop:
+                reg.shadow_stop = order
+            for candidate, shadow in reg.shadows.items():
+                if reg.candidates.index(candidate) > order:
+                    self._cancel_node(shadow)
+            self._cancel_node(reg.bypass)
 
     def _tracking_done(self, node):
         reg = node.reg
@@ -547,15 +606,14 @@ class AuditScheduler:
         if node.direction == "after":
             if node.verdict.status == "proved":
                 self._decide(reg, candidate, True, "after")
-                # serial short-circuits: "before" is never checked
+                # Algorithm 1 short-circuits: "before" is never checked
                 before = reg.tracking.get((candidate, "before"))
                 if before is not None:
                     before.state = "canceled"
             else:
                 before = reg.tracking[(candidate, "before")]
                 if before.state == "waiting":
-                    before.state = "ready"
-                    heapq.heappush(self._ready, (before.priority, before))
+                    self._make_ready(before)
         else:
             if node.verdict.status == "proved":
                 self._decide(reg, candidate, True, "before")
@@ -577,19 +635,19 @@ class AuditScheduler:
         reg = node.reg
         result = node.outcome.result if node.outcome.ok else None
         if isinstance(result, list):
-            for build_index, member in zip(node.group_members, result):
-                reg.group_results[build_index] = member
+            for member, member_result in zip(node.group_members, result):
+                reg.group_results[member] = member_result
         else:
-            for build_index in node.group_members:
-                reg.group_failures[build_index] = node.outcome
+            for member in node.group_members:
+                reg.group_failures[member] = node.outcome
         reg.group_pending -= 1
         if reg.group_pending > 0:
             return
-        # all groups answered: replay the serial promotion scan, where
-        # "after" beats "before" because it comes first in build order
+        # all groups answered: replay the promotion scan, where "after"
+        # beats "before" because it comes first in member order
         found = []
         seen = set()
-        for index, (candidate, direction, _build) in enumerate(reg.builds):
+        for index, (candidate, direction) in enumerate(reg.members):
             member = reg.group_results.get(index)
             if member is not None and member.status == "proved" and (
                 candidate not in seen
@@ -602,23 +660,31 @@ class AuditScheduler:
 
     def _spawn_shadow(self, reg, candidate, direction):
         """Dynamic DAG growth: a promoted register enqueues its own
-        shadow-corruption audit (Eq. 2, non-functional, shifted window)."""
+        shadow-corruption audit.
+
+        Its update authorization mirrors the critical register's, but
+        the documented *values* do not transfer (a tracking register
+        may hold the bitwise complement), so it runs non-functionally —
+        and the valid-way window shifts by the copy's delay relative to
+        the critical register (way_delay 2 for "after" copies, 0 for
+        "before" ones). Its cone overlaps the critical register's
+        heavily, so inline it rides the register's session.
+        """
         det = reg.audit.detector
         if reg.suppress_shadows or candidate in reg.shadows:
             return
         if reg.shadow_stop is not None and (
             reg.candidates.index(candidate) > reg.shadow_stop
         ):
-            return  # an earlier shadow already stopped the serial scan
+            return  # an earlier shadow already stopped the scan
         shadow_spec = det.shadow_spec(reg.spec, candidate, direction)
         way_delay = 2 if direction == "after" else 0
         node = self._add_node(
             reg, SHADOW, "corruption({})".format(candidate),
-            factory=lambda det=det, spec=shadow_spec, wd=way_delay: (
-                det.corruption_task(
-                    spec, functional=False, way_delay=wd, session=None
-                )[0]
-            ),
+            factory=lambda: det.corruption_task(
+                shadow_spec, functional=False, way_delay=way_delay,
+                session=self._session(reg),
+            )[0],
             ready=True,
         )
         node.candidate = candidate
@@ -629,15 +695,16 @@ class AuditScheduler:
 
     def _setup_audit(self, index, request):
         det = request.detector
+        config = det.config
         report = DetectionReport(
             design=det.netlist.name,
-            engine=det.engine,
-            max_cycles=det.max_cycles,
+            engine=config.engine,
+            max_cycles=config.max_cycles,
             trojan_info=det.spec.trojan,
         )
         names = request.registers or list(det.spec.critical)
         names = prioritize_registers(
-            names, det.lint_report, det.ift_report, det.diff_report
+            names, config.lint_report, config.ift_report, config.diff_report
         )
         store = None
         if request.checkpoint is not None:
@@ -647,22 +714,22 @@ class AuditScheduler:
                 else AuditCheckpoint(request.checkpoint)
             )
             restored = store.begin(
-                det.netlist.name, det.engine, det.max_cycles
+                det.netlist.name, config.engine, config.max_cycles
             )
             for register in names:
                 if register in restored:
                     report.findings[register] = restored[register]
         audit = _AuditState(index, det, names, report, store)
         if self.tracer.enabled:
-            audit.buf = BufferTracer()
+            audit.buf = self.tracer if self.inline else BufferTracer()
             audit.audit_span = audit.buf.begin(
                 "audit",
                 design=det.netlist.name,
-                engine=det.engine,
-                max_cycles=det.max_cycles,
+                engine=config.engine,
+                max_cycles=config.max_cycles,
             )
         scores = fused_register_scores(
-            det.lint_report, det.ift_report, det.diff_report
+            config.lint_report, config.ift_report, config.diff_report
         )
         for reg_index, register in enumerate(names):
             if register in report.findings:
@@ -671,34 +738,35 @@ class AuditScheduler:
                 audit, reg_index, register, scores.get(register, 0)
             )
             audit.regs[register] = reg
+            if self.inline:
+                continue  # set up when the commit loop reaches it
             try:
                 self._init_register(reg)
-            except Exception as exc:  # noqa: BLE001 - replay serial timing
-                # serial raises only when its loop *reaches* the broken
-                # register; stash the error and re-raise at the frontier
+            except Exception as exc:  # noqa: BLE001 - raised in order
+                # Algorithm 1 fails only when its loop *reaches* the
+                # broken register; stash the error, re-raise at the frontier
                 reg.error = exc
         return audit
 
     def _init_register(self, reg):
         det = reg.audit.detector
+        config = det.config
         reg.spec = det.spec.spec_for(reg.register)
         reg.started = time.perf_counter()
-        # session=None throughout: scheduler tasks execute in worker
-        # processes, which cannot share the supervisor's live solver —
-        # pickling would drop the session hint anyway, so the scheduler
-        # never builds one.
         reg.corruption = self._add_node(
             reg, CORRUPTION, "corruption({})".format(reg.register),
-            factory=lambda det=det, spec=reg.spec: (
-                det.corruption_task(spec, session=None)[0]
-            ),
+            factory=lambda: det.corruption_task(
+                reg.spec, session=self._session(reg)
+            )[0],
             ready=True,
         )
-        if det.check_pseudo_critical:
+        if config.check_pseudo_critical:
             reg.candidates = list(pseudo_critical_candidates(
                 det.netlist, det.spec, reg.register
             ))
-            if det.share_cones and det.engine == "bmc" and reg.candidates:
+            if config.share_cones and config.engine == "bmc" and (
+                reg.candidates
+            ):
                 self._init_grouped_tracking(reg)
             else:
                 for candidate in reg.candidates:
@@ -708,9 +776,11 @@ class AuditScheduler:
                             "tracking({}->{},{})".format(
                                 reg.register, candidate, direction
                             ),
-                            factory=lambda det=det, spec=reg.spec,
-                            c=candidate, d=direction: (
-                                det.tracking_task(spec, c, d, session=None)[0]
+                            factory=lambda c=candidate, d=direction: (
+                                det.tracking_task(
+                                    reg.spec, c, d,
+                                    session=self._session(reg),
+                                )[0]
                             ),
                             ready=(direction == "after"),
                         )
@@ -721,22 +791,26 @@ class AuditScheduler:
                 reg.promoted = []
         else:
             reg.promoted = []
-        if det.check_bypass:
+        if config.check_bypass:
             reg.bypass = self._add_node(
                 reg, BYPASS, "bypass({})".format(reg.register),
-                factory=lambda det=det, spec=reg.spec: (
-                    det.bypass_task(spec)[0]
-                ),
+                factory=lambda: det.bypass_task(reg.spec)[0],
                 ready=True,
             )
 
     def _init_grouped_tracking(self, reg):
+        """Shared-cone Eq. (3) sweep (BMC only): every candidate/direction
+        tracking monitor on *one* clone, one GROUP node per set of
+        objectives whose cones overlap (a single
+        :class:`~repro.bmc.group.MultiObjectiveBmc` unrolling each).
+        ``time_budget`` covers each group, not each objective."""
         from repro.bmc.group import group_objectives_by_cone
 
         det = reg.audit.detector
         reg.grouped = True
         base, builds = det.tracking_group_builds(reg.spec, reg.candidates)
-        reg.builds = builds
+        reg.members = [(candidate, direction)
+                       for candidate, direction, _build in builds]
         nets = [build.objective_net for _, _, build in builds]
         names = [build.property_name for _, _, build in builds]
         for group in group_objectives_by_cone(base, nets):
@@ -746,7 +820,7 @@ class AuditScheduler:
                 max_cycles=det.pseudo_critical_cycles,
                 property_names=tuple(names[i] for i in group),
                 pinned_inputs=det.spec.pinned_inputs,
-                time_budget=det.time_budget,
+                time_budget=det.config.time_budget,
             )
             node = self._add_node(
                 reg, GROUP, task.property_name, task=task, ready=True
@@ -756,130 +830,130 @@ class AuditScheduler:
         reg.group_pending = len(reg.group_nodes)
 
     def _advance(self, audit):
-        """Serial-replay commit loop: commit frontier registers whose
-        serial check set is fully known, in serial order."""
+        """Commit loop: commit frontier registers whose Algorithm 1
+        check set is complete, in Algorithm 1 order. Inline, it runs
+        each check the frontier still lacks; on a pool it returns and
+        waits for that check's worker."""
         if audit.done:
             return
-        det = audit.detector
+        stop = audit.detector.config.stop_on_first
         report = audit.report
         while audit.frontier < len(audit.names):
             name = audit.names[audit.frontier]
             if name in report.findings:
                 audit.frontier += 1
                 continue  # restored from the checkpoint
-            if det.stop_on_first and report.trojan_found:
+            if stop and report.trojan_found:
                 self._discard_rest(audit, audit.frontier)
                 break
             reg = audit.regs[name]
             if reg.error is not None:
                 raise reg.error
+            if reg.spec is None:  # inline: the first visit sets it up
+                if audit.buf is not None:
+                    reg.span = audit.buf.begin(
+                        "audit.register", register=name
+                    )
+                self._init_register(reg)
             assembled = self._try_assemble(reg)
-            if assembled is None:
-                return  # frontier register still has checks in flight
+            if isinstance(assembled, _Node):
+                if not self.inline:
+                    return  # the missing check is still in flight
+                self._run_inline(assembled)
+                continue
             finding, kept = assembled
             self._commit(audit, reg, finding, kept)
             audit.frontier += 1
-            if det.stop_on_first and finding.trojan_found:
+            if stop and finding.trojan_found:
                 self._discard_rest(audit, audit.frontier)
                 break
         self._finalize(audit)
 
     def _try_assemble(self, reg):
-        """Replay the serial per-register flow against completed nodes.
+        """Replay Algorithm 1's per-register flow against completed nodes.
 
-        Returns ``(finding, kept_nodes)`` when every check the serial
-        loop would run has completed, else ``None``. ``kept_nodes`` are
-        the consumed nodes in serial execution order — speculative
-        results serial would not have produced are *not* consumed.
+        Returns ``(finding, kept_nodes)`` when every check Algorithm 1
+        runs for this register has completed, else the first node it
+        still lacks. ``kept_nodes`` are the consumed nodes in Algorithm
+        1 order — speculative pool results Algorithm 1 would not have
+        produced are *not* consumed.
         """
         det = reg.audit.detector
-        stop = det.stop_on_first
+        config = det.config
+        stop = config.stop_on_first
         kept = []
-        outcomes = []  # (check name, CheckOutcome), serial insertion order
         promoted = []
-        if det.check_pseudo_critical and reg.candidates:
-            if reg.promoted is None:
-                return None
+        if reg.grouped:
+            for node in reg.group_nodes:
+                if not node.done:
+                    return node
+            kept.extend(reg.group_nodes)
             promoted = reg.promoted
-            if reg.grouped:
-                from repro.core.detector import grouped_check_outcome
-
-                kept.extend(reg.group_nodes)
-                for index, (candidate, direction, _build) in enumerate(
-                    reg.builds
-                ):
-                    name = "tracking({}->{},{})".format(
-                        reg.register, candidate, direction
-                    )
-                    member = reg.group_results.get(index)
-                    if member is not None:
-                        outcomes.append(
-                            (name, grouped_check_outcome(name, member))
-                        )
-                    else:
-                        outcomes.append((name, _group_failure_outcome(
-                            name, reg.group_failures.get(index)
-                        )))
-            else:
-                for candidate in reg.candidates:
-                    after = reg.tracking[(candidate, "after")]
-                    if not after.done:
-                        return None
-                    kept.append(after)
-                    outcomes.append((after.name, after.outcome))
-                    if after.verdict.status != "proved":
-                        before = reg.tracking[(candidate, "before")]
-                        if not before.done:
-                            return None
-                        kept.append(before)
-                        outcomes.append((before.name, before.outcome))
+        elif reg.candidates:
+            for candidate in reg.candidates:
+                after = reg.tracking[(candidate, "after")]
+                if not after.done:
+                    return after
+                kept.append(after)
+                if after.verdict.status != "proved":
+                    before = reg.tracking[(candidate, "before")]
+                    if not before.done:
+                        return before
+                    kept.append(before)
+            promoted = reg.promoted
         corruption = reg.corruption
         if not corruption.done:
-            return None
+            return corruption
         kept.append(corruption)
-        outcomes.append((corruption.name, corruption.outcome))
         corruption_verdict = corruption.verdict
         shadows_used = []
         if not (stop and corruption_verdict.detected):
             for candidate, _direction in promoted:
-                shadow = reg.shadows.get(candidate)
-                if shadow is None or not shadow.done:
-                    return None
+                shadow = reg.shadows[candidate]
+                if not shadow.done:
+                    return shadow
                 shadows_used.append((candidate, shadow))
                 kept.append(shadow)
-                outcomes.append((shadow.name, shadow.outcome))
                 if stop and shadow.verdict.detected:
                     break
         trojan_so_far = corruption_verdict.detected or any(
             shadow.verdict.detected for _, shadow in shadows_used
         )
         bypass = None
-        if det.check_bypass and not (stop and trojan_so_far):
+        if config.check_bypass and not (stop and trojan_so_far):
             bypass = reg.bypass
-            if bypass is None or not bypass.done:
-                return None
+            if not bypass.done:
+                return bypass
             kept.append(bypass)
-            outcomes.append((bypass.name, bypass.outcome))
 
         finding = RegisterFinding(register=reg.register)
-        if det.lint_report is not None:
+        if config.lint_report is not None:
             finding.lint_evidence = [
                 f.to_dict()
-                for f in det.lint_report.findings_for(reg.register)
+                for f in config.lint_report.findings_for(reg.register)
             ]
-        if det.ift_report is not None:
+        if config.ift_report is not None:
             finding.ift_evidence = [
                 f.to_dict()
-                for f in det.ift_report.findings_for(reg.register)
+                for f in config.ift_report.findings_for(reg.register)
             ]
-        if det.diff_report is not None:
+        if config.diff_report is not None:
             finding.diff_evidence = [
                 f.to_dict()
-                for f in det.diff_report.findings_for(reg.register)
+                for f in config.diff_report.findings_for(reg.register)
             ]
         finding.pseudo_criticals = list(promoted)
-        for name, outcome in outcomes:
-            finding.check_outcomes[name] = outcome
+        for index, (candidate, direction) in enumerate(reg.members):
+            name = "tracking({}->{},{})".format(
+                reg.register, candidate, direction
+            )
+            finding.check_outcomes[name] = _member_outcome(
+                name, reg.group_results.get(index),
+                reg.group_failures.get(index),
+            )
+        for node in kept:
+            if node.kind != GROUP:
+                finding.check_outcomes[node.name] = node.outcome
         finding.corruption = corruption_verdict
         if corruption_verdict.detected:
             monitor = det._monitor_for(reg.spec)
@@ -896,7 +970,10 @@ class AuditScheduler:
         return finding, kept
 
     def _commit(self, audit, reg, finding, kept):
-        if audit.buf is not None:
+        if reg.span is not None:
+            # inline: the span has been open since the register's setup
+            audit.buf.end(reg.span, trojan_found=finding.trojan_found)
+        elif audit.buf is not None:
             with audit.buf.span(
                 "audit.register", register=reg.register
             ) as extra:
@@ -912,8 +989,11 @@ class AuditScheduler:
                 audit.store = None  # keep auditing, uncheckpointed
                 warn_checkpoint_lost(exc, self.tracer)
         reg.committed = True
-        # anything this register solved speculatively but serial never
-        # consumed (canceled or still running) is now provably unwanted
+        reg.session = None  # free the register's live solver
+        if self.inline:
+            return  # inline ran nothing Algorithm 1 did not consume
+        # anything this register solved speculatively but Algorithm 1
+        # never consumed (canceled or still running) is now unwanted
         for node in reg.nodes():
             if not (node.done and node in kept) and node.state != (
                 "canceled"
@@ -924,7 +1004,7 @@ class AuditScheduler:
                     self._cancel_node(node)
 
     def _discard_rest(self, audit, from_index):
-        """A committed Trojan ends the design's serial loop: every
+        """A committed Trojan ends the design's Algorithm 1 loop: every
         not-yet-committed register after it is dropped, its workers
         killed."""
         for name in audit.names[from_index:]:
@@ -947,20 +1027,32 @@ class AuditScheduler:
                 trojan_found=audit.report.trojan_found,
                 registers=len(audit.report.findings),
             )
-            self.tracer.absorb(audit.buf.drain())
+            if not self.inline:
+                self.tracer.absorb(audit.buf.drain())
             audit.buf = None
 
 
-def _group_failure_outcome(name, group_outcome):
-    """Member outcome for a group that died without per-member verdicts.
+def _member_outcome(name, member, group_outcome):
+    """The :class:`CheckOutcome` of one shared-cone group member.
 
-    Serial has no analogue (grouped solves run inline, so a crash there
-    aborts the whole audit); the pool degrades it to an unconcluded
-    outcome so the rest of the audit survives, exactly like any other
-    supervised check failure.
+    Synthesized from the member's engine result when the group answered;
+    otherwise the group died without per-member verdicts, and the member
+    takes the group's failure as an unconcluded outcome so the rest of
+    the audit survives, like any other supervised check failure.
     """
-    from repro.runner.outcome import CheckOutcome
-
+    if member is not None:
+        outcome = CheckOutcome(
+            name=name,
+            status=OK if member.status in CONCLUSIVE else EXHAUSTED,
+            result=member,
+            bound_reached=member.bound,
+            elapsed=member.elapsed,
+        )
+        if outcome.status != OK:
+            outcome.error = "engine returned {!r} at bound {}".format(
+                member.status, member.bound
+            )
+        return outcome
     if group_outcome is None:
         return CheckOutcome(name=name, status=CRASHED,
                             error="group check produced no result")

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from repro.bmc import confirms_violation
 from repro.cache import FILENAME, OutcomeCache
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.netlist import Circuit
 from repro.properties.monitors import build_corruption_monitor
 from repro.properties.valid_ways import DesignSpec
@@ -49,8 +49,10 @@ def secret_detector(tmp_path, trojan, **kwargs):
     netlist = build_secret_design(trojan=trojan)
     spec = DesignSpec(name="t", critical={"secret": secret_spec()})
     return TrojanDetector(
-        netlist, spec, max_cycles=10, cache_dir=str(tmp_path / "cache"),
-        **kwargs,
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=10, cache_dir=str(tmp_path / "cache"), **kwargs,
+        ),
     )
 
 
@@ -238,6 +240,31 @@ def test_warm_reaudit_of_clean_design_is_all_hits(tmp_path, monkeypatch):
     warm_detector = secret_detector(tmp_path, trojan=False)
     assert not warm_detector.run().trojan_found
     assert warm_detector.runner.cache_counters["misses"] == 0
+
+
+def test_warm_reaudit_reports_the_same_property_names(tmp_path):
+    # a hit must name the property the cold solve checked (e.g.
+    # "no-corruption(secret)"), not the runner's check label
+    def property_names(report):
+        return {
+            check: outcome.result.property_name
+            for finding in report.findings.values()
+            for check, outcome in finding.check_outcomes.items()
+        }
+
+    for trojan in (True, False):
+        cold = secret_detector(
+            tmp_path, trojan=trojan, check_pseudo_critical=True
+        ).run()
+        warm = secret_detector(
+            tmp_path, trojan=trojan, check_pseudo_critical=True
+        ).run()
+        assert {
+            outcome.cache
+            for finding in warm.findings.values()
+            for outcome in finding.check_outcomes.values()
+        } == {"hit"}
+        assert property_names(warm) == property_names(cold)
 
 
 def test_trojan_and_clean_designs_do_not_share_entries(tmp_path):

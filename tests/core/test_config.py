@@ -1,6 +1,4 @@
-"""AuditConfig and the legacy-kwarg deprecation shims."""
-
-import warnings
+"""AuditConfig, and the removed per-field keyword arguments."""
 
 import pytest
 
@@ -35,54 +33,18 @@ class TestAuditConfig:
     def test_config_object_drives_the_detector(self):
         nl, spec = design()
         config = AuditConfig(max_cycles=10, time_budget=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            detector = TrojanDetector(nl, spec, config=config)
-        assert detector.max_cycles == 10
+        detector = TrojanDetector(nl, spec, config=config)
         assert detector.config is config
         assert detector.run().trojan_found
 
 
 class TestDeprecationShims:
-    def test_legacy_kwargs_warn_and_still_work(self):
-        nl, spec = design()
-        with pytest.warns(DeprecationWarning, match="max_cycles"):
-            legacy = TrojanDetector(nl, spec, max_cycles=10, time_budget=60)
-        modern = TrojanDetector(
-            nl, spec, config=AuditConfig(max_cycles=10, time_budget=60)
-        )
-        assert legacy.max_cycles == modern.max_cycles == 10
-        assert legacy.config == modern.config
-        assert legacy.run().trojan_found == modern.run().trojan_found
-
-    def test_positional_max_cycles_still_works(self):
-        # the oldest call shape: TrojanDetector(nl, spec, 12)
-        nl, spec = design()
-        with pytest.warns(DeprecationWarning):
-            detector = TrojanDetector(nl, spec, 12)
-        assert detector.max_cycles == 12
-        assert detector.config.max_cycles == 12
-
-    def test_legacy_kwargs_override_config(self):
-        nl, spec = design()
-        with pytest.warns(DeprecationWarning):
-            detector = TrojanDetector(
-                nl, spec, config=AuditConfig(max_cycles=30), engine="atpg"
-            )
-        assert detector.config.max_cycles == 30
-        assert detector.config.engine == "atpg"
-
     def test_unknown_kwarg_is_a_type_error(self):
+        # the per-field keyword shims are gone: every former spelling,
+        # like any other unknown keyword, is rejected outright
         nl, spec = design()
-        with pytest.raises(TypeError, match="definitely_not_a_flag"):
-            TrojanDetector(nl, spec, definitely_not_a_flag=1)
-
-    def test_every_config_field_is_accepted_as_legacy_kwarg(self):
-        from repro.core.detector import _CONFIG_FIELDS
-
-        nl, spec = design()
-        for name in _CONFIG_FIELDS:
-            value = AuditConfig().__dict__.get(name, None)
-            with pytest.warns(DeprecationWarning):
-                detector = TrojanDetector(nl, spec, **{name: value})
-            assert getattr(detector.config, name) == value
+        for name in ("max_cycles", "time_budget", "definitely_not_a_flag"):
+            with pytest.raises(TypeError, match=name):
+                TrojanDetector(nl, spec, **{name: 10})
+        with pytest.raises(TypeError, match="AuditConfig"):
+            TrojanDetector(nl, spec, 12)  # the old positional max_cycles

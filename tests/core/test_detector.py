@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.properties import DesignSpec
 
 from tests.conftest import build_secret_design, secret_spec
@@ -25,7 +25,8 @@ class TestCorruptionPath:
     def test_trojan_detected(self, engine):
         nl, spec = design_spec_for("trojan")
         report = TrojanDetector(
-            nl, spec, max_cycles=15, engine=engine, time_budget=60
+            nl, spec,
+            config=AuditConfig(max_cycles=15, engine=engine, time_budget=60),
         ).run()
         assert report.trojan_found
         finding = report.findings["secret"]
@@ -37,7 +38,8 @@ class TestCorruptionPath:
     def test_clean_design_certified(self, engine):
         nl, spec = design_spec_for("clean")
         report = TrojanDetector(
-            nl, spec, max_cycles=10, engine=engine, time_budget=60
+            nl, spec,
+            config=AuditConfig(max_cycles=10, engine=engine, time_budget=60),
         ).run()
         assert not report.trojan_found
         assert report.trusted_for() == 10
@@ -48,8 +50,10 @@ class TestPseudoCriticalPath:
     def test_pseudo_critical_promoted_and_checked(self):
         nl, spec = design_spec_for("pseudo")
         detector = TrojanDetector(
-            nl, spec, max_cycles=10, check_pseudo_critical=True,
-            time_budget=60,
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=10, check_pseudo_critical=True, time_budget=60,
+            ),
         )
         report = detector.run()
         finding = report.findings["secret"]
@@ -78,8 +82,10 @@ class TestPseudoCriticalPath:
         nl = c.finalize()
         spec = DesignSpec(name="attack1", critical={"secret": secret_spec()})
         report = TrojanDetector(
-            nl, spec, max_cycles=10, check_pseudo_critical=True,
-            time_budget=60,
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=10, check_pseudo_critical=True, time_budget=60,
+            ),
         ).run()
         finding = report.findings["secret"]
         # Eq. 3 rejects the tracking claim OR Eq. 2 on the promoted copy
@@ -95,7 +101,10 @@ class TestBypassPath:
     def test_bypass_register_found(self):
         nl, spec = design_spec_for("bypass")
         report = TrojanDetector(
-            nl, spec, max_cycles=6, check_bypass=True, time_budget=60
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=6, check_bypass=True, time_budget=60,
+            ),
         ).run()
         finding = report.findings["secret"]
         assert finding.bypassed
@@ -105,7 +114,10 @@ class TestBypassPath:
     def test_no_bypass_in_clean_design(self):
         nl, spec = design_spec_for("clean")
         report = TrojanDetector(
-            nl, spec, max_cycles=4, check_bypass=True, time_budget=60
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=4, check_bypass=True, time_budget=60,
+            ),
         ).run()
         assert not report.findings["secret"].bypassed
 
@@ -119,11 +131,11 @@ class TestReportShape:
             name="TOY-T1", trigger="5x load 0xA5", payload="flip LSB",
             target_register="secret",
         )
-        report = TrojanDetector(nl, spec, max_cycles=15).run()
+        report = TrojanDetector(nl, spec, config=AuditConfig(max_cycles=15)).run()
         assert "TOY-T1" in report.summary()
 
     def test_elapsed_recorded(self):
         nl, spec = design_spec_for("clean")
-        report = TrojanDetector(nl, spec, max_cycles=5).run()
+        report = TrojanDetector(nl, spec, config=AuditConfig(max_cycles=5)).run()
         assert report.elapsed > 0
         assert report.findings["secret"].elapsed > 0

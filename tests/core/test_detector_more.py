@@ -1,8 +1,9 @@
 """Additional Algorithm 1 behaviours: engine variants, stop_on_first,
 direct tracking checks, pseudo-critical audit timing windows."""
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.properties import DesignSpec, RegisterSpec
+from repro.runner import CheckRunner
 
 from tests.conftest import build_secret_design, secret_spec
 
@@ -21,7 +22,10 @@ def make(kind="trojan", **kwargs):
 def test_backward_engine_detects():
     netlist, spec = make("trojan")
     report = TrojanDetector(
-        netlist, spec, max_cycles=15, engine="atpg-backward", time_budget=60
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=15, engine="atpg-backward", time_budget=60,
+        ),
     ).run()
     assert report.trojan_found
 
@@ -31,7 +35,8 @@ def test_podem_engine_never_wrong():
     counter-trigger toy it may abort, but must not mis-certify."""
     netlist, spec = make("trojan")
     report = TrojanDetector(
-        netlist, spec, max_cycles=15, engine="atpg-podem", time_budget=10
+        netlist, spec,
+        config=AuditConfig(max_cycles=15, engine="atpg-podem", time_budget=10),
     ).run()
     finding = report.findings["secret"]
     assert finding.corruption.status in ("violated", "unknown")
@@ -46,8 +51,11 @@ def test_stop_on_first_false_audits_everything():
         ways=secret_spec().ways,
     )
     detector = TrojanDetector(
-        netlist, spec, max_cycles=8, stop_on_first=False, time_budget=60,
-        functional=False,
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=8, stop_on_first=False, time_budget=60,
+            functional=False,
+        ),
     )
     report = detector.run()
     assert set(report.findings) == {"secret", "pseudo_secret"}
@@ -55,23 +63,26 @@ def test_stop_on_first_false_audits_everything():
 
 def test_check_tracking_direct():
     netlist, spec = make("pseudo", invert_pseudo=False)
-    detector = TrojanDetector(netlist, spec, max_cycles=10, time_budget=60)
-    tracked = detector.check_tracking(
+    detector = TrojanDetector(
+        netlist, spec, config=AuditConfig(max_cycles=10, time_budget=60)
+    )
+    task, name = detector.tracking_task(
         spec.critical["secret"], "pseudo_secret", "after"
     )
-    assert tracked.status == "proved"
-    diverged = detector.check_tracking(
-        spec.critical["secret"], "troj_counter", "after"
-    ) if "troj_counter" in netlist.registers else None
-    assert diverged is None  # clean design has no counter
+    assert name == "tracking(secret->pseudo_secret,after)"
+    outcome = CheckRunner().run(task, name)
+    assert outcome.ok
+    assert outcome.verdict.status == "proved"
+    assert "troj_counter" not in netlist.registers  # clean: no counter
 
 
 def test_pseudo_critical_cycles_default():
     netlist, spec = make("clean")
-    detector = TrojanDetector(netlist, spec, max_cycles=30)
+    detector = TrojanDetector(netlist, spec, config=AuditConfig(max_cycles=30))
     assert detector.pseudo_critical_cycles == 15
     detector = TrojanDetector(
-        netlist, spec, max_cycles=30, pseudo_critical_cycles=5
+        netlist, spec,
+        config=AuditConfig(max_cycles=30, pseudo_critical_cycles=5),
     )
     assert detector.pseudo_critical_cycles == 5
 
@@ -93,10 +104,12 @@ def test_functional_flag_controls_detection():
     netlist = c.finalize()
     spec = DesignSpec(name="valbug", critical={"secret": secret_spec()})
     strict = TrojanDetector(
-        netlist, spec, max_cycles=8, functional=True, time_budget=60
+        netlist, spec,
+        config=AuditConfig(max_cycles=8, functional=True, time_budget=60),
     ).run()
     assert strict.trojan_found
     lax = TrojanDetector(
-        netlist, spec, max_cycles=8, functional=False, time_budget=60
+        netlist, spec,
+        config=AuditConfig(max_cycles=8, functional=False, time_budget=60),
     ).run()
     assert not lax.trojan_found

@@ -7,7 +7,7 @@ the sequential path exactly.
 
 from __future__ import annotations
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.properties.valid_ways import DesignSpec
 from tests.conftest import build_secret_design, secret_spec
 
@@ -15,8 +15,11 @@ from tests.conftest import build_secret_design, secret_spec
 def detector(netlist, **kwargs):
     spec = DesignSpec(name="t", critical={"secret": secret_spec()})
     return TrojanDetector(
-        netlist, spec, max_cycles=8, check_pseudo_critical=True,
-        stop_on_first=False, **kwargs,
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=8, check_pseudo_critical=True, stop_on_first=False,
+            **kwargs,
+        ),
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.designs.router import (
     body_flit,
     build_router,
@@ -42,7 +42,8 @@ class TestCleanRouter:
     def test_clean_router_certified(self):
         nl, spec = build_router()
         report = TrojanDetector(
-            nl, spec, max_cycles=10, engine="bmc", time_budget=60
+            nl, spec,
+            config=AuditConfig(max_cycles=10, engine="bmc", time_budget=60),
         ).run()
         assert not report.trojan_found
 
@@ -84,7 +85,8 @@ class TestRedirectTrojan:
     def test_detected_by_algorithm1(self, engine):
         nl, spec = router_redirect_trojan()
         report = TrojanDetector(
-            nl, spec, max_cycles=10, engine=engine, time_budget=90
+            nl, spec,
+            config=AuditConfig(max_cycles=10, engine=engine, time_budget=90),
         ).run(registers=["dest_register"])
         finding = report.findings["dest_register"]
         assert finding.corrupted

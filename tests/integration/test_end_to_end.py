@@ -8,7 +8,7 @@ minutes-scale; the benchmarks cover all nine.
 
 import pytest
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.designs.trojans import mc8051_t700, mc8051_t800, risc_t400
 from repro.designs import build_mc8051
 
@@ -17,7 +17,8 @@ from repro.designs import build_mc8051
 def test_mc8051_t700_full_pipeline(engine):
     netlist, spec = mc8051_t700()
     report = TrojanDetector(
-        netlist, spec, max_cycles=10, engine=engine, time_budget=90
+        netlist, spec,
+        config=AuditConfig(max_cycles=10, engine=engine, time_budget=90),
     ).run(registers=["acc"])
     finding = report.findings["acc"]
     assert finding.corrupted
@@ -34,7 +35,8 @@ def test_mc8051_t700_full_pipeline(engine):
 def test_mc8051_t800_full_pipeline(engine):
     netlist, spec = mc8051_t800()
     report = TrojanDetector(
-        netlist, spec, max_cycles=10, engine=engine, time_budget=90
+        netlist, spec,
+        config=AuditConfig(max_cycles=10, engine=engine, time_budget=90),
     ).run(registers=["stack_pointer"])
     finding = report.findings["stack_pointer"]
     assert finding.corrupted and finding.witness_confirmed
@@ -49,7 +51,8 @@ def test_mc8051_t800_full_pipeline(engine):
 def test_risc_t400_full_pipeline_bmc():
     netlist, spec = risc_t400(trigger_count=2)
     report = TrojanDetector(
-        netlist, spec, max_cycles=28, engine="bmc", time_budget=120
+        netlist, spec,
+        config=AuditConfig(max_cycles=28, engine="bmc", time_budget=120),
     ).run(registers=["eeprom_address"])
     finding = report.findings["eeprom_address"]
     assert finding.corrupted and finding.witness_confirmed
@@ -58,8 +61,10 @@ def test_risc_t400_full_pipeline_bmc():
 def test_clean_mc8051_all_registers_certified():
     netlist, spec = build_mc8051()
     report = TrojanDetector(
-        netlist, spec, max_cycles=8, engine="bmc", time_budget=120,
-        stop_on_first=False,
+        netlist, spec,
+        config=AuditConfig(
+            max_cycles=8, engine="bmc", time_budget=120, stop_on_first=False,
+        ),
     ).run()
     assert not report.trojan_found
     assert report.trusted_for() == 8
@@ -69,7 +74,8 @@ def test_clean_mc8051_all_registers_certified():
 def test_detector_audits_only_requested_registers():
     netlist, spec = mc8051_t700()
     report = TrojanDetector(
-        netlist, spec, max_cycles=6, engine="bmc", time_budget=60
+        netlist, spec,
+        config=AuditConfig(max_cycles=6, engine="bmc", time_budget=60),
     ).run(registers=["uart_data"])
     # the Trojan targets acc; auditing only uart_data finds nothing
     assert not report.trojan_found

@@ -1,7 +1,7 @@
 """Lint ↔ Algorithm 1 integration: ordering, evidence, checkpoints, bench."""
 
 from repro.bench import LintRow, lint_run
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.lint import LintFinding, LintReport, lint_design
 from repro.properties.valid_ways import DesignSpec
 from repro.runner import AuditCheckpoint
@@ -43,27 +43,29 @@ class TestDetectorOrdering:
     def test_flagged_register_is_audited_first(self):
         netlist = build_dual_register_design()
         detector = TrojanDetector(
-            netlist,
-            dual_spec(),
-            max_cycles=4,
-            lint_report=report_flagging("regb"),
+            netlist, dual_spec(),
+            config=AuditConfig(
+                max_cycles=4, lint_report=report_flagging("regb"),
+            ),
         )
         report = detector.run()
         assert list(report.findings) == ["regb", "rega"]
 
     def test_without_lint_report_spec_order_is_kept(self):
         netlist = build_dual_register_design()
-        detector = TrojanDetector(netlist, dual_spec(), max_cycles=4)
+        detector = TrojanDetector(
+            netlist, dual_spec(), config=AuditConfig(max_cycles=4)
+        )
         report = detector.run()
         assert list(report.findings) == ["rega", "regb"]
 
     def test_explicit_register_list_is_still_prioritized(self):
         netlist = build_dual_register_design()
         detector = TrojanDetector(
-            netlist,
-            dual_spec(),
-            max_cycles=4,
-            lint_report=report_flagging("regb"),
+            netlist, dual_spec(),
+            config=AuditConfig(
+                max_cycles=4, lint_report=report_flagging("regb"),
+            ),
         )
         report = detector.run(registers=["rega", "regb"])
         assert list(report.findings) == ["regb", "rega"]
@@ -73,10 +75,10 @@ class TestLintEvidence:
     def test_evidence_attached_to_flagged_register_only(self):
         netlist = build_dual_register_design()
         detector = TrojanDetector(
-            netlist,
-            dual_spec(),
-            max_cycles=4,
-            lint_report=report_flagging("regb"),
+            netlist, dual_spec(),
+            config=AuditConfig(
+                max_cycles=4, lint_report=report_flagging("regb"),
+            ),
         )
         report = detector.run()
         assert report.findings["regb"].lint_flagged
@@ -93,7 +95,7 @@ class TestLintEvidence:
         )
         lint = lint_design(netlist, spec)
         detector = TrojanDetector(
-            netlist, spec, max_cycles=10, lint_report=lint
+            netlist, spec, config=AuditConfig(max_cycles=10, lint_report=lint)
         )
         report = detector.run()
         finding = report.findings["secret"]
@@ -105,10 +107,10 @@ class TestLintEvidence:
     def test_evidence_survives_checkpoint_round_trip(self):
         netlist = build_dual_register_design()
         detector = TrojanDetector(
-            netlist,
-            dual_spec(),
-            max_cycles=4,
-            lint_report=report_flagging("regb"),
+            netlist, dual_spec(),
+            config=AuditConfig(
+                max_cycles=4, lint_report=report_flagging("regb"),
+            ),
         )
         finding = detector.run().findings["regb"]
         restored = finding_from_dict(finding_to_dict(finding))
@@ -120,11 +122,13 @@ class TestLintEvidence:
         path = tmp_path / "ckpt.json"
         lint = report_flagging("regb")
         first = TrojanDetector(
-            netlist, dual_spec(), max_cycles=4, lint_report=lint
+            netlist, dual_spec(),
+            config=AuditConfig(max_cycles=4, lint_report=lint),
         )
         first.run(checkpoint=AuditCheckpoint(path))
         second = TrojanDetector(
-            netlist, dual_spec(), max_cycles=4, lint_report=lint
+            netlist, dual_spec(),
+            config=AuditConfig(max_cycles=4, lint_report=lint),
         )
         report = second.run(checkpoint=AuditCheckpoint(path))
         assert report.findings["regb"].restored

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.errors import CheckpointError, CheckpointWriteError
 from repro.properties import DesignSpec
 from repro.runner import AuditCheckpoint
@@ -98,7 +98,7 @@ class TestAuditContinues:
         monkeypatch.setattr(checkpoint_mod.os, "fsync", enospc)
         path = tmp_path / "ckpt.json"
         with pytest.warns(RuntimeWarning, match="WITHOUT checkpointing"):
-            report = TrojanDetector(nl, spec, max_cycles=6).run(
+            report = TrojanDetector(nl, spec, config=AuditConfig(max_cycles=6)).run(
                 checkpoint=str(path)
             )
         # every register still got its verdict
@@ -113,7 +113,7 @@ class TestAuditContinues:
         nl, spec = dual
         monkeypatch.setattr(checkpoint_mod.os, "fsync", enospc)
         with pytest.warns(RuntimeWarning) as caught:
-            TrojanDetector(nl, spec, max_cycles=6).run(
+            TrojanDetector(nl, spec, config=AuditConfig(max_cycles=6)).run(
                 checkpoint=str(tmp_path / "ckpt.json")
             )
         lost = [

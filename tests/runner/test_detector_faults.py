@@ -7,7 +7,7 @@ uncaught exception — and an interrupted multi-register audit must resume
 from its checkpoint without re-running completed registers.
 """
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.properties import DesignSpec
 from repro.runner import (
     CheckRunner,
@@ -49,7 +49,9 @@ class TestCrashIsolation:
             fault_injector=FaultInjector.crash_on("corruption(secret)"),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=15, time_budget=60),
+            runner=runner,
         ).run()
         finding = report.findings["secret"]
         assert finding.status == "degraded"
@@ -67,7 +69,9 @@ class TestCrashIsolation:
             fault_injector=FaultInjector.crash_on("corruption(rega)"),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=6, time_budget=30),
+            runner=runner,
         ).run()
         assert report.findings["rega"].status == "degraded"
         assert report.findings["regb"].status == "ok"
@@ -79,7 +83,9 @@ class TestCrashIsolation:
             fault_injector=FaultInjector.raise_on("corruption(secret)"),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=8, time_budget=30, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=8, time_budget=30),
+            runner=runner,
         ).run()
         assert report.findings["secret"].status == "degraded"
 
@@ -95,7 +101,9 @@ class TestHardTimeout:
             ),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=15, time_budget=60),
+            runner=runner,
         ).run()
         outcome = report.findings["secret"].check_outcomes[
             "corruption(secret)"
@@ -113,7 +121,9 @@ class TestBudgetExhaustion:
             ),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=20, time_budget=60, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=20, time_budget=60),
+            runner=runner,
         ).run()
         finding = report.findings["secret"]
         assert finding.status == "degraded"
@@ -128,7 +138,10 @@ class TestBudgetExhaustion:
             fault_injector=FaultInjector.budget_on("bypass(secret)"),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=60, check_bypass=True,
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=6, time_budget=60, check_bypass=True,
+            ),
             runner=runner,
         ).run()
         finding = report.findings["secret"]
@@ -146,7 +159,9 @@ class TestRetriesEndToEnd:
             ),
         )
         report = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=15, time_budget=60),
+            runner=runner,
         ).run()
         finding = report.findings["secret"]
         assert finding.trojan_found
@@ -162,7 +177,7 @@ class TestCheckpointResume:
         path = tmp_path / "audit.json"
         # first run "dies" after rega: simulate by auditing only rega
         report1 = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30
+            nl, spec, config=AuditConfig(max_cycles=6, time_budget=30)
         ).run(registers=["rega"], checkpoint=path)
         assert report1.findings["rega"].status == "ok"
 
@@ -172,7 +187,9 @@ class TestCheckpointResume:
             fault_injector=FaultInjector.crash_on("corruption(rega)"),
         )
         report2 = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=6, time_budget=30),
+            runner=runner,
         ).run(checkpoint=path)
         assert set(report2.findings) == {"rega", "regb"}
         assert report2.findings["rega"].restored
@@ -186,12 +203,13 @@ class TestCheckpointResume:
         nl, spec = secret_setup(trojan=True)
         path = tmp_path / "audit.json"
         report1 = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60
+            nl, spec, config=AuditConfig(max_cycles=15, time_budget=60)
         ).run(checkpoint=path)
         assert report1.trojan_found
 
         report2 = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60,
+            nl, spec,
+            config=AuditConfig(max_cycles=15, time_budget=60),
             runner=CheckRunner(
                 fault_injector=FaultInjector.crash_on("*"),
             ),
@@ -211,10 +229,12 @@ class TestCheckpointResume:
             ),
         )
         TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30, runner=runner
+            nl, spec,
+            config=AuditConfig(max_cycles=6, time_budget=30),
+            runner=runner,
         ).run(checkpoint=path)
         report = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30
+            nl, spec, config=AuditConfig(max_cycles=6, time_budget=30)
         ).run(checkpoint=path)
         finding = report.findings["rega"]
         assert finding.restored
@@ -239,7 +259,7 @@ class TestStopOnFirstWithResume:
         store.save_finding("rega", finding)
 
         report = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30
+            nl, spec, config=AuditConfig(max_cycles=6, time_budget=30)
         ).run(checkpoint=path)
         assert report.trojan_found
         # stop_on_first: regb never audited

@@ -1,4 +1,4 @@
-"""Worker count must not leak into the report: jobs=4 == jobs=1, bytes."""
+"""Worker count must not leak into the report: jobs=4 == jobs=1 == inline."""
 
 import pytest
 
@@ -37,6 +37,12 @@ def test_jobs_count_is_invisible_in_the_report(variant_kwargs):
     one = run_audit(1, variant_kwargs, **kwargs)
     four = run_audit(4, variant_kwargs, **kwargs)
     assert one.to_json(scrub=True) == four.to_json(scrub=True)
+    # inline execution differs only in the attempts' execution-mode tag
+    inline = run_audit(None, variant_kwargs, **kwargs).to_json(scrub=True)
+    assert '"mode": "process"' not in inline
+    assert inline.replace('"mode": "inline"', '"mode": "process"') == (
+        one.to_json(scrub=True)
+    )
 
 
 def test_scrub_keeps_witnesses_and_statuses():

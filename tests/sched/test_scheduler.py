@@ -1,4 +1,4 @@
-"""AuditScheduler vs the serial detector: same report, any worker count."""
+"""AuditScheduler: the same report inline and on any number of workers."""
 
 import pytest
 
@@ -17,8 +17,8 @@ VARIANTS = {
     "bypass": dict(trojan=True, bypass=True),
 }
 
-# "mode" differs between an inline serial check and a pool worker;
-# everything else must match the serial loop field-for-field
+# "mode" differs between an inline check and a pool worker; everything
+# else must match field-for-field
 SERIAL_VS_PARALLEL_SCRUB = {"elapsed", "peak_memory", "saved_elapsed",
                             "ts", "mode"}
 
@@ -56,25 +56,29 @@ def comparable(report):
     }
 
 
+def assert_modes_agree(variant, **kwargs):
+    """Inline (``jobs=None``) against one and three pool workers."""
+    inline = comparable(audit(variant, jobs=None, **kwargs))
+    for jobs in (1, 3):
+        assert comparable(audit(variant, jobs=jobs, **kwargs)) == inline, jobs
+
+
 class TestSerialParity:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_full_feature_parity(self, variant):
-        kwargs = dict(check_pseudo_critical=True, check_bypass=True)
-        serial = audit(variant, jobs=None, **kwargs)
-        parallel = audit(variant, jobs=3, **kwargs)
-        assert comparable(serial) == comparable(parallel)
+        assert_modes_agree(
+            variant, check_pseudo_critical=True, check_bypass=True
+        )
 
     def test_share_cones_parity(self):
-        kwargs = dict(check_pseudo_critical=True, share_cones=True)
-        serial = audit("pseudo", jobs=None, **kwargs)
-        parallel = audit("pseudo", jobs=2, **kwargs)
-        assert comparable(serial) == comparable(parallel)
+        assert_modes_agree(
+            "pseudo", check_pseudo_critical=True, share_cones=True
+        )
 
     def test_no_stop_on_first_parity(self):
-        kwargs = dict(check_pseudo_critical=True, stop_on_first=False)
-        serial = audit("trojan", jobs=None, **kwargs)
-        parallel = audit("trojan", jobs=2, **kwargs)
-        assert comparable(serial) == comparable(parallel)
+        assert_modes_agree(
+            "trojan", check_pseudo_critical=True, stop_on_first=False
+        )
 
     def test_runner_workers_n_routes_through_scheduler(self):
         # the PR 1 bugfix: workers=N>1 must drive the pool, never be a lie
@@ -109,8 +113,8 @@ class TestCheckpointMidPool:
         assert second.findings["secret"].restored
 
     def test_restored_trojan_skips_all_new_audits(self, tmp_path):
-        # serial quirk preserved: a restored trojan_found finding plus
-        # stop_on_first means zero new checks are scheduled
+        # a restored trojan_found finding plus stop_on_first means
+        # zero new checks are scheduled
         path = tmp_path / "audit.ckpt.json"
         config = dict(max_cycles=10, time_budget=60)
         nl, spec = design_for("trojan")
@@ -174,3 +178,43 @@ class TestMultiDesign:
         # says "clean": the trojan row must be flagged as a mismatch
         assert not rows[0].match
         assert rows[1].match
+
+
+class TestInlineExecutor:
+    def test_no_speculative_check_runs_inline(self):
+        # on a pool the bypass check runs speculatively next to the
+        # corruption check that finds the Trojan; inline runs only what
+        # Algorithm 1 consumes, so every check run is in the report
+        from repro.obs.tracer import BufferTracer, tracing
+
+        buffer = BufferTracer()
+        with tracing(buffer):
+            report = audit("bypass", jobs=None, check_pseudo_critical=True,
+                           check_bypass=True)
+        assert report.trojan_found
+        recorded = sum(len(finding.check_outcomes)
+                       for finding in report.findings.values())
+        counters = buffer.metrics.snapshot()["counters"]
+        assert counters["runner.checks"] == recorded
+
+    def test_sessions_serve_inline_checks_only(self, monkeypatch):
+        import repro.bmc.session
+
+        built = []
+
+        class SpySession(repro.bmc.session.SolverSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.bmc.session, "SolverSession", SpySession)
+        kwargs = dict(check_pseudo_critical=True, stop_on_first=False)
+        inline = audit("pseudo", jobs=None, **kwargs)
+        assert built
+        assert sum(session.checks_served for session in built) >= len(
+            inline.findings["secret"].check_outcomes
+        )
+        del built[:]
+        pooled = audit("pseudo", jobs=2, **kwargs)
+        assert built == []
+        assert comparable(pooled) == comparable(inline)
