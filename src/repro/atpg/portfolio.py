@@ -13,11 +13,14 @@ the nine Trust-Hub Trojans):
 Industrial ATPG is itself a staged portfolio of engines with per-fault
 abort limits; :class:`PortfolioJustifier` reproduces that discipline:
 
-1. backward ramp      (35% of the budget)
-2. PODEM ramp         (35%)
+1. backward ramp      (30% of the budget)
+2. PODEM ramp         (45%)
 3. backward single-shot at the full bound (15%) — sticky monitors make a
    single deep search complete for "violated within T"
-4. PODEM single-shot  (remainder)
+4. PODEM single-shot  (10%)
+
+Each stage gets its share of the whole budget (``STAGES``), capped by what
+is left of it; time an earlier stage leaves unused is not passed on.
 
 The first conclusive stage (violated with a witness, or proved through the
 full bound) wins; otherwise the result is ``unknown`` at the deepest bound

@@ -151,13 +151,15 @@ def analyze_design(
             for name, model in models.items()
         }
         divergences: dict = {}  # (register, rule) -> _Divergence
+        # one simulator for every phase: it levelizes the augmented netlist
+        # once, and its evaluator sees enough passes to tier up once
+        sim = SequentialSimulator(augmented, lanes=config.lanes)
         for phase in phases:
             with tracer.span("diff.phase", phase=phase.name) as pspan:
                 cycles = _run_phase(
-                    augmented,
+                    sim,
                     compiled,
                     phase,
-                    config,
                     snap_nets,
                     divergences,
                     report.register_stats,
@@ -207,16 +209,16 @@ def _snapshot_plan(models: dict) -> "tuple[list, dict]":
 
 
 def _run_phase(
-    augmented: Any,
+    sim: Any,
     compiled: dict,
     phase: Any,
-    config: Any,
     snap_nets: list,
     divergences: dict,
     stats: dict,
 ) -> int:
-    """Simulate one phase, recording divergences for checked registers."""
-    sim = SequentialSimulator(augmented, lanes=config.lanes)
+    """Simulate one phase from power-on, recording divergences for
+    checked registers."""
+    sim.reset()
     values = sim.values
     evaluator = sim.evaluator
     mask = evaluator.mask
@@ -229,7 +231,7 @@ def _run_phase(
     ]
     for name in (c.register for c in checked):
         stats[name].cycles += len(phase.cycles)
-    input_nets = augmented.inputs
+    input_nets = sim.netlist.inputs
     for cycle, inputs in enumerate(phase.cycles):
         for name, words in inputs.items():
             evaluator.set_word_lanes(values, input_nets[name], words)

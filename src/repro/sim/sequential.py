@@ -53,6 +53,8 @@ class SequentialSimulator:
     def __init__(self, netlist, lanes=1):
         self.netlist = netlist
         self.evaluator = CombEvaluator(netlist, lanes=lanes)
+        self._flop_q = [flop.q for flop in netlist.flops]
+        self._flop_d = [flop.d for flop in netlist.flops]
         self.values = self.evaluator.fresh_values()
         self.cycle = 0
         self.reset()
@@ -97,8 +99,9 @@ class SequentialSimulator:
     def clock(self):
         """Advance all flops: Q <= D. Call after :meth:`propagate`."""
         values = self.values
-        updates = [(flop.q, values[flop.d]) for flop in self.netlist.flops]
-        for q, v in updates:
+        # sample every D before writing any Q: a D may be another flop's Q
+        sampled = [values[d] for d in self._flop_d]
+        for q, v in zip(self._flop_q, sampled):
             values[q] = v
         self.cycle += 1
 

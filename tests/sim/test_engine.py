@@ -7,8 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.netlist import Circuit
+from repro.netlist import Circuit, Netlist
 from repro.sim import CombEvaluator
+
+
+def bit_loop_set_word_lanes(values, nets, words):
+    """``set_word_lanes`` as a per-bit, per-lane loop: the reference."""
+    for i, net in enumerate(nets):
+        acc = 0
+        for lane, word in enumerate(words):
+            if (word >> i) & 1:
+                acc |= 1 << lane
+        values[net] = acc
+
+
+def lane_words(width):
+    """In-range words, negative words and words wider than the port."""
+    return st.one_of(
+        st.integers(0, (1 << width) - 1),
+        st.integers(-(1 << 200), -1),
+        st.integers(1 << width, 1 << 200),
+    )
 
 
 def build_alu():
@@ -99,3 +118,23 @@ class TestMultiLane:
         ev.propagate(values)
         for lane in range(8):
             assert ev.get_word(values, nl.outputs["eq"], lane) == int(x == y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 130), lanes=st.integers(1, 130))
+    def test_set_word_lanes_matches_bit_loop(self, data, width, lanes):
+        nl = Netlist()
+        nets = nl.add_input("a", width)
+        ev = CombEvaluator(nl, lanes=lanes)
+        words = data.draw(st.lists(lane_words(width), max_size=lanes + 2))
+        stale = data.draw(st.integers(0, ev.mask))
+        expected = ev.fresh_values()
+        for net in nets:
+            expected[net] = stale
+        actual = list(expected)
+        if len(words) > lanes:
+            with pytest.raises(SimulationError):
+                ev.set_word_lanes(actual, nets, words)
+            return
+        bit_loop_set_word_lanes(expected, nets, words)
+        ev.set_word_lanes(actual, nets, words)
+        assert actual == expected
