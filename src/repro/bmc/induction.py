@@ -26,12 +26,10 @@ import time
 from dataclasses import dataclass
 
 from repro.bmc.engine import BmcEngine
-from repro.netlist.cells import Kind
-from repro.netlist.traversal import cone_of_influence
+from repro.bmc.unroll import Unroller
 from repro.obs.tracer import get_tracer
 from repro.sat.factory import default_solver
 from repro.sat.solver import UNKNOWN, UNSAT
-from repro.sat.tseitin import encode_cell
 
 PROVED_UNBOUNDED = "proved-unbounded"
 VIOLATED = "violated"
@@ -58,67 +56,6 @@ class InductionResult:
             self.property_name or "k-induction", self.status, self.k,
             self.elapsed,
         )
-
-
-class _FreeStateUnroller:
-    """Unrolls the COI like :class:`~repro.bmc.unroll.Unroller`, but frame
-    0's flops are *free variables* (arbitrary state) — the inductive-step
-    formula."""
-
-    def __init__(self, netlist, solver, target_nets, pinned_inputs=None):
-        cone, cell_idxs, flop_idxs = cone_of_influence(netlist, target_nets)
-        self.netlist = netlist
-        self.solver = solver
-        self._cells = [netlist.cells[i] for i in cell_idxs]
-        self._flops = [netlist.flops[i] for i in flop_idxs]
-        pinned = {}
-        for name, word in (pinned_inputs or {}).items():
-            for bit, net in enumerate(netlist.inputs[name]):
-                pinned[net] = (word >> bit) & 1
-        self._input_nets = [
-            (net, pinned.get(net))
-            for name, nets in netlist.inputs.items()
-            for net in nets
-            if net in cone
-        ]
-        self.frames = 0
-        self._lit = {}
-        self.true_lit = solver.new_var()
-        solver.add_clause([self.true_lit])
-
-    def extend_to(self, count):
-        while self.frames < count:
-            self._build(self.frames)
-            self.frames += 1
-
-    def _build(self, t):
-        solver = self.solver
-        lit = self._lit
-        lit[(0, t)] = -self.true_lit
-        lit[(1, t)] = self.true_lit
-        for net, pinned in self._input_nets:
-            if pinned is None:
-                lit[(net, t)] = solver.new_var()
-            else:
-                lit[(net, t)] = self.true_lit if pinned else -self.true_lit
-        for flop in self._flops:
-            if t == 0:
-                lit[(flop.q, 0)] = solver.new_var()  # arbitrary state
-            else:
-                lit[(flop.q, t)] = lit[(flop.d, t - 1)]
-        for cell in self._cells:
-            ins = [lit[(n, t)] for n in cell.inputs]
-            if cell.kind is Kind.BUF:
-                lit[(cell.output, t)] = ins[0]
-            elif cell.kind is Kind.NOT:
-                lit[(cell.output, t)] = -ins[0]
-            else:
-                out = solver.new_var()
-                lit[(cell.output, t)] = out
-                encode_cell(solver, cell.kind, out, ins)
-
-    def lit(self, net, frame):
-        return self._lit[(net, frame)]
 
 
 def prove_by_induction(netlist, objective_net, max_k=8, time_budget=None,
@@ -172,8 +109,10 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
         pinned_inputs=pinned_inputs,
     )
     step_solver = default_solver()
-    step = _FreeStateUnroller(
-        netlist, step_solver, [objective_net], pinned_inputs=pinned_inputs
+    # the step formula: frame 0 is an arbitrary state, not reset
+    step = Unroller(
+        netlist, step_solver, [objective_net], pinned_inputs=pinned_inputs,
+        free_initial_state=True,
     )
 
     step_frames_constrained = 0

@@ -9,12 +9,15 @@ viable:
   precisely because the key cone excludes the round datapath).
 * **Literal aliasing** — NOT/BUF outputs reuse (negated) input literals,
   and a flop's Q at frame ``t`` *is* its D literal from frame ``t-1``;
-  frame 0 Qs are the reset constants. Only gate outputs and per-frame
-  inputs allocate variables.
+  frame 0 Qs are the reset constants (or, for k-induction's step formula,
+  fresh variables: an arbitrary state). Only gate outputs, per-frame
+  inputs and free frame-0 state allocate variables.
 
 The paper notes BMC "makes multiple copies of the design for the number of
 clock cycles unrolled" and burns GBs; this class is that copying machinery,
-with its growth measurable per frame (see :attr:`vars_per_frame`).
+with its growth measurable per frame (see :attr:`vars_per_frame`). Each
+copy is staged in a :class:`~repro.sat.tseitin.ClauseBuffer` and crosses
+into the solver in one batch, not one call per variable and per clause.
 """
 
 from __future__ import annotations
@@ -22,17 +25,23 @@ from __future__ import annotations
 from repro.errors import EncodingError
 from repro.netlist.cells import Kind
 from repro.netlist.traversal import cone_of_influence, topological_cells
-from repro.sat.tseitin import encode_cell
+from repro.sat.tseitin import ClauseBuffer, encode_cell
 
 
 class Unroller:
-    """Incrementally unrolls a netlist's COI into a :class:`Solver`."""
+    """Incrementally unrolls a netlist's COI into a :class:`Solver`.
+
+    ``free_initial_state=True`` gives every frame-0 flop Q a fresh
+    variable instead of its reset constant — the arbitrary start state
+    of k-induction's step formula.
+    """
 
     def __init__(self, netlist, solver, target_nets, use_coi=True,
-                 pinned_inputs=None):
+                 pinned_inputs=None, free_initial_state=False):
         self.netlist = netlist
         self.solver = solver
         self.use_coi = use_coi
+        self.free_initial_state = free_initial_state
         self.targets = list(target_nets)
         # port name -> pinned constant word (e.g. {"reset": 0}: the initial
         # state already models reset, so the run holds it inactive)
@@ -137,7 +146,7 @@ class Unroller:
         :meth:`add_targets` computes (a cone is fan-in closed, so a new
         cell only reads new nets or nets the old cone already encoded).
         """
-        solver = self.solver
+        buf = ClauseBuffer(self.solver)
         lit = self._lit
         for name, bit, net in input_nets:
             pinned = self.pinned_inputs.get(name)
@@ -146,14 +155,16 @@ class Unroller:
                     self.true_lit if (pinned >> bit) & 1 else -self.true_lit
                 )
             else:
-                lit[(net, t)] = solver.new_var()
+                lit[(net, t)] = buf.new_var()
         for flop in flops:
-            if t == 0:
+            if t > 0:
+                lit[(flop.q, t)] = lit[(flop.d, t - 1)]
+            elif self.free_initial_state:
+                lit[(flop.q, 0)] = buf.new_var()
+            else:
                 lit[(flop.q, 0)] = (
                     self.true_lit if flop.init else -self.true_lit
                 )
-            else:
-                lit[(flop.q, t)] = lit[(flop.d, t - 1)]
         for cell in cells:
             ins = [lit[(net, t)] for net in cell.inputs]
             if cell.kind is Kind.BUF:
@@ -161,9 +172,10 @@ class Unroller:
             elif cell.kind is Kind.NOT:
                 lit[(cell.output, t)] = -ins[0]
             else:
-                out = solver.new_var()
+                out = buf.new_var()
                 lit[(cell.output, t)] = out
-                encode_cell(solver, cell.kind, out, ins)
+                encode_cell(buf, cell.kind, out, ins)
+        buf.flush(self.solver)
 
     # --------------------------------------------------------------- access
 

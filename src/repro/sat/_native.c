@@ -2,7 +2,8 @@
  *
  * A compact MiniSat-family solver with exactly the feature set the
  * Python solver (repro/sat/solver.py) exposes to the BMC layer:
- * incremental add_clause/new_var between solves, assumptions placed as
+ * incremental add_clause/new_var between solves (one at a time, or a
+ * batch per call for whole unrolled frames), assumptions placed as
  * decision levels with failed-assumption cores, VSIDS + phase saving,
  * Luby restarts, LBD-tagged learnt clauses with a glue-protected
  * reduce, and cooperative conflict/time budgets. External literals are
@@ -243,6 +244,13 @@ int32_t rsat_new_var(CSolver *s) {
     s->seen[v] = 0;
     heap_insert(s, v);
     return s->nvars; /* external 1-based index of the new variable */
+}
+
+/* count new variables in one call; returns the last one's external
+ * index (the unchanged variable count when count <= 0) */
+int32_t rsat_new_vars(CSolver *s, int32_t count) {
+    for (int32_t i = 0; i < count; i++) rsat_new_var(s);
+    return s->nvars;
 }
 
 static inline int8_t lit_value(const CSolver *s, int32_t l) {
@@ -521,6 +529,30 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
     s->clauses[s->n_clauses++] = cref;
     watch_clause(s, cref);
     return 1;
+}
+
+/* A batch of length-prefixed clauses: lits = [k, l_1 .. l_k, k, ...], n
+ * ints in all. Length prefixes (not 0 terminators) keep a zero literal
+ * an error. The whole buffer is validated before anything is added:
+ * on a negative or overrunning length, or a literal that is zero or
+ * names an unallocated variable, nothing is added and the result is
+ * -1 - (offset of the bad int). Otherwise the clauses go through
+ * rsat_add_clause in order, so simplification, unit propagation and
+ * watch order are those of n single adds; returns 0 when the formula
+ * is root-UNSAT afterwards, else 1. */
+int32_t rsat_add_clauses(CSolver *s, const int32_t *lits, int32_t n) {
+    for (int32_t i = 0; i < n;) {
+        int32_t k = lits[i];
+        if (k < 0 || k > n - i - 1) return -1 - i;
+        for (int32_t j = i + 1; j <= i + k; j++) {
+            int32_t l = lits[j];
+            if (l == 0 || l > s->nvars || l < -s->nvars) return -1 - j;
+        }
+        i += k + 1;
+    }
+    for (int32_t i = 0; i < n; i += lits[i] + 1)
+        rsat_add_clause(s, lits + i + 1, lits[i]);
+    return !s->root_unsat;
 }
 
 static int64_t luby(int64_t i) {

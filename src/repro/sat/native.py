@@ -12,13 +12,26 @@ nothing in the pipeline requires it.
 
 :class:`NativeSolver` mirrors the subset of the Python ``Solver``
 surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
-``add_cnf``, ``solve(assumptions=, conflict_budget=, time_budget=)``
-returning a :class:`~repro.sat.solver.SolveResult`, cumulative ``stats``
-snapshots, ``num_vars``, ``len(clauses)``/``len(learnts)``, writable
-``phase`` (used by canonical witness extraction), and ``root_unsat``.
-Models are snapshotted into an immutable byte buffer at SAT exit, so —
-like the Python solver's dict models — they stay valid across later
-solves that disturb the C solver's assignment.
+``add_packed_clauses``/``add_cnf``, ``solve(assumptions=,
+conflict_budget=, time_budget=)`` returning a
+:class:`~repro.sat.solver.SolveResult`, cumulative ``stats`` snapshots,
+``num_vars``, ``len(clauses)``/``len(learnts)``, writable ``phase``
+(used by canonical witness extraction), and ``root_unsat``. Models are
+snapshotted into an immutable byte buffer at SAT exit, so — like the
+Python solver's dict models — they stay valid across later solves that
+disturb the C solver's assignment.
+
+Every ctypes call costs about a microsecond before any work is done,
+so bulk ingestion crosses in batches: ``new_vars(k)`` is one
+``rsat_new_vars`` call, and ``add_packed_clauses`` passes a whole
+length-prefixed clause list (``[k, lit_1 .. lit_k, k, ...]``, built by
+:class:`~repro.sat.tseitin.ClauseBuffer` one unrolled frame at a time)
+to ``rsat_add_clauses`` as one ``array("i")`` buffer. The kernel
+validates the whole batch before adding any of it — a zero, unallocated
+or wider-than-int32 literal raises :class:`~repro.sat.solver.SolverError`
+and adds nothing — and then adds the clauses one by one through
+``rsat_add_clause``, so the solver state is exactly that of single adds.
+``add_clause`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 from repro.obs.tracer import get_tracer
@@ -100,7 +114,8 @@ def _bind(lib):
         "rsat_new": ([], P),
         "rsat_free": ([P], None),
         "rsat_new_var": ([P], i32),
-        "rsat_add_clause": ([P, ctypes.POINTER(i32), i32], i32),
+        "rsat_new_vars": ([P, i32], i32),
+        "rsat_add_clauses": ([P, ctypes.POINTER(i32), i32], i32),
         "rsat_solve": ([P, ctypes.POINTER(i32), i32, i64, ctypes.c_double],
                        i32),
         "rsat_model": ([P, ctypes.POINTER(ctypes.c_uint8)], None),
@@ -128,7 +143,8 @@ def _bind(lib):
 def _load_library():
     global _LIB
     if _LIB is None:
-        path = _compile_library()
+        # batches cross as array("i") buffers read as int32_t
+        path = _compile_library() if array("i").itemsize == 4 else None
         if path is None:
             _LIB = False
         else:
@@ -256,16 +272,31 @@ class NativeSolver:
         return int(self._lib.rsat_new_var(self._handle))
 
     def new_vars(self, count):
-        return [self.new_var() for _ in range(count)]
+        last = int(self._lib.rsat_new_vars(self._handle, count))
+        return list(range(last - count + 1, last + 1))
 
     def add_clause(self, literals):
         lits = list(literals)
-        n = self.num_vars
-        for lit in lits:
-            if lit == 0 or abs(lit) > n:
-                raise SolverError("bad literal {!r}".format(lit))
-        arr = (ctypes.c_int32 * len(lits))(*lits)
-        return bool(self._lib.rsat_add_clause(self._handle, arr, len(lits)))
+        return self.add_packed_clauses([len(lits)] + lits)
+
+    def add_packed_clauses(self, packed):
+        """Add length-prefixed clauses ``[k, lit_1 .. lit_k, k, ...]`` in
+        one call; see :meth:`repro.sat.solver.Solver.add_packed_clauses`.
+        """
+        try:
+            buf = array("i", packed)
+        except (OverflowError, TypeError) as exc:
+            raise SolverError("bad literal: {}".format(exc)) from None
+        n = len(buf)
+        if not n:
+            return not self.root_unsat
+        code = self._lib.rsat_add_clauses(
+            self._handle, (ctypes.c_int32 * n).from_buffer(buf), n
+        )
+        if code < 0:
+            raise SolverError("bad literal or clause length {!r} at offset "
+                              "{}".format(buf[-1 - code], -1 - code))
+        return bool(code)
 
     def add_cnf(self, cnf):
         while self.num_vars < cnf.num_vars:

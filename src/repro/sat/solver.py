@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 
 from repro.errors import SolverError
 from repro.obs.tracer import get_tracer
@@ -228,6 +229,38 @@ class Solver:
         self.clauses.append(cref)
         self._watch(cref, final)
         return True
+
+    def add_packed_clauses(self, packed):
+        """Add length-prefixed clauses ``[k, lit_1 .. lit_k, k, ...]``.
+
+        The flat form is how :class:`~repro.sat.tseitin.ClauseBuffer`
+        hands a whole unrolled frame to a solver. The whole batch is
+        validated first — a negative or overrunning length, or a
+        literal that is zero or names an unallocated variable, raises
+        :class:`SolverError` and adds nothing — and then every clause
+        goes through :meth:`add_clause` in order, exactly as single adds
+        would. Returns False when the formula is root-UNSAT afterwards.
+        """
+        n = len(packed)
+        clauses = []
+        i = 0
+        while i < n:
+            k = packed[i]
+            end = i + 1 + k
+            if k < 0 or end > n:
+                raise SolverError("packed clauses: bad length {!r} at "
+                                  "offset {}".format(k, i))
+            clauses.append(packed[i + 1:end])
+            i = end
+        lits = list(chain.from_iterable(clauses))
+        nv = self.num_vars
+        if lits and (0 in lits or min(lits) < -nv or max(lits) > nv):
+            raise SolverError("bad literal {!r}".format(next(
+                lit for lit in lits if lit == 0 or abs(lit) > nv
+            )))
+        for clause in clauses:
+            self.add_clause(clause)
+        return not self.root_unsat
 
     def add_cnf(self, cnf):
         """Import a :class:`~repro.sat.cnf.Cnf` (allocating variables)."""

@@ -1,8 +1,8 @@
 """Tseitin encoding of netlist cells into CNF clauses.
 
 Gates become clause groups over a sink (``add_clause``/``new_var``
-interface — both :class:`~repro.sat.cnf.Cnf` and
-:class:`~repro.sat.solver.Solver` qualify). Inverters and buffers are *not*
+interface — :class:`~repro.sat.cnf.Cnf`, both solver backends and
+:class:`ClauseBuffer` qualify). Inverters and buffers are *not*
 encoded: callers alias the output literal to (the negation of) the input
 literal, which roughly halves variable counts on typical netlists. The same
 applies to NAND/NOR/XNOR: they are encoded as their base gate with an
@@ -11,7 +11,7 @@ inverted output literal by :func:`encode_cell`.
 
 from __future__ import annotations
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, SolverError
 from repro.netlist.cells import Kind
 
 
@@ -131,3 +131,58 @@ class CombEncoder:
             raise EncodingError(
                 "net {} not in encoded cone".format(net)
             ) from None
+
+
+class ClauseBuffer:
+    """A sink that stages a batch of variables and clauses for a solver.
+
+    Variables come from a local counter starting at ``solver.num_vars +
+    1``; clauses are appended to one flat, length-prefixed list
+    (``[k, lit_1 .. lit_k, k, ...]``). :meth:`flush` then hands the
+    batch over in a few calls instead of one per variable and one per
+    clause — the unroller stages one time frame per buffer. The
+    solver receives the same variables and the same clause sequence as
+    if the encoder had written to it directly. ``add_clause`` takes a
+    sequence (it needs ``len``) and does no checking of its own; the
+    solver validates the whole batch at :meth:`flush`.
+    """
+
+    __slots__ = ("base", "num_vars", "packed", "_lead")
+
+    def __init__(self, solver):
+        self.base = self.num_vars = solver.num_vars
+        self.packed = []
+        self._lead = 0  # variables staged before the first clause
+
+    def new_var(self):
+        self.num_vars += 1
+        if not self.packed:
+            self._lead += 1
+        return self.num_vars
+
+    def add_clause(self, literals):
+        packed = self.packed
+        packed.append(len(literals))
+        packed.extend(literals)
+
+    def flush(self, solver):
+        """Allocate the staged variables in ``solver``, then add the
+        staged clauses; raises :class:`SolverError` if the solver
+        allocated a variable since this buffer was created."""
+        if solver.num_vars != self.base:
+            raise SolverError(
+                "clause buffer staged variables from {} but the solver "
+                "now has {}".format(self.base + 1, solver.num_vars)
+            )
+        # The first clause add after a SAT answer backtracks, putting
+        # the trail's variables back into the native kernel's VSIDS
+        # heap, and that heap breaks activity ties by position. So the
+        # variables staged before the first clause must enter the heap
+        # before that backtrack and the rest after it, exactly as when
+        # every call crossed on its own.
+        packed = self.packed
+        head = packed[0] + 1 if packed else 0
+        solver.new_vars(self._lead)
+        solver.add_packed_clauses(packed[:head])
+        solver.new_vars(self.num_vars - self.base - self._lead)
+        solver.add_packed_clauses(packed[head:])
