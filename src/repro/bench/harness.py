@@ -216,150 +216,54 @@ def tracking_objective(netlist, spec, register, candidate, direction="after"):
 
 
 @dataclass
-class LintRow:
-    """Static lint pre-pass figures for one design.
+class ScreenRow:
+    """One solver-free screen's figures for one design.
 
-    The per-rule hit counts and lint runtime sit next to the formal
-    engines' numbers in the experiment tables: the pre-pass costs
-    milliseconds and the hit pattern shows *which* structural signature
-    each Trojan family trips.
+    The row puts a screen's cost next to the formal engines' columns:
+    ``solver_calls`` is identically zero (every screen is graph
+    traversal or simulation), the screen costs milliseconds to about a
+    second, and the rule hits show *which* signature each Trojan family
+    trips. Screen-specific accounting (fixpoint rounds, simulated
+    cycles) stays on ``report``.
     """
 
     label: str
+    screen: str  # registry name
     elapsed: float
     findings: int
-    rule_hits: dict = field(default_factory=dict)  # rule -> hit count
-    flagged_registers: dict = field(default_factory=dict)  # name -> score
+    suspicious: int
     max_severity: str | None = None
+    rule_hits: dict = field(default_factory=dict)  # rule -> hit count
+    scores: dict = field(default_factory=dict)  # register -> priority
+    solver_calls: int = 0  # by construction; kept explicit for tables
+    report: object = None  # the full ScreenReport
 
     @property
     def flagged(self):
-        """True when lint implicated at least one register."""
-        return bool(self.flagged_registers)
+        """True when the screen implicated at least one register."""
+        return bool(self.scores)
 
 
-def lint_run(label, netlist, spec=None, config=None):
-    """Run the static lint pre-pass on one design; returns a LintRow.
+def screen_run(screen, label, netlist, spec):
+    """Run one registered screen on one design; returns a ScreenRow.
 
-    Mirrors :func:`detection_run`'s shape so a bench sweep can record a
-    lint column per (design) row without re-deriving anything: the
-    engine's own per-rule timing lands in ``rule_hits`` companions via
-    the report, and the row keeps only the table-facing numbers.
+    Mirrors :func:`detection_run`'s shape so a bench sweep records a
+    column per screen without re-deriving anything.
     """
-    from repro.lint import lint_design
+    from repro.report.screen import SCREENS
 
-    report = lint_design(netlist, spec, config=config, design=label)
-    return LintRow(
+    report = SCREENS[screen].run(netlist, spec, design=label)
+    return ScreenRow(
         label=label,
+        screen=screen,
         elapsed=report.elapsed,
         findings=len(report.findings),
-        rule_hits=dict(report.rule_hits),
-        flagged_registers=report.register_scores(),
+        suspicious=report.severity_counts["suspicious"],
         max_severity=report.max_severity,
+        rule_hits=report.rule_hits,
+        scores=report.register_scores(),
+        report=report,
     )
-
-
-@dataclass
-class IftRow:
-    """Static IFT screen figures for one design.
-
-    The row exists to make the modality's cost visible next to the
-    solver columns: ``solver_calls`` is identically zero (the screen is
-    pure graph traversal) and ``elapsed`` is expected to stay well
-    under a second per design.
-    """
-
-    label: str
-    elapsed: float
-    findings: int
-    suspicious: int
-    flagged_registers: dict = field(default_factory=dict)  # name -> score
-    tainted_registers: list = field(default_factory=list)
-    max_rounds: int = 0  # deepest fixpoint any register needed
-    solver_calls: int = 0  # by construction; kept explicit for tables
-
-    @property
-    def flagged(self):
-        """True when IFT implicated at least one register."""
-        return bool(self.flagged_registers)
-
-
-def ift_row(label, report):
-    """Condense an :class:`~repro.ift.findings.IftReport` to an IftRow."""
-    return IftRow(
-        label=label,
-        elapsed=report.elapsed,
-        findings=len(report.findings),
-        suspicious=report.severity_counts.get("suspicious", 0),
-        flagged_registers=report.register_scores(),
-        tainted_registers=report.tainted_registers,
-        max_rounds=max(
-            (st.rounds for st in report.register_stats.values()),
-            default=0,
-        ),
-    )
-
-
-def ift_run(label, netlist, spec):
-    """Run the static IFT screen on one design; returns an IftRow.
-
-    Mirrors :func:`lint_run`'s shape so bench sweeps can record the
-    screen's timing/verdict without re-deriving anything.
-    """
-    from repro.ift import analyze_design
-
-    return ift_row(label, analyze_design(netlist, spec, design=label))
-
-
-@dataclass
-class DiffRow:
-    """Golden-model differential screen figures for one design.
-
-    Like :class:`IftRow`, the row makes the modality's cost visible
-    next to the solver columns: ``solver_calls`` is identically zero
-    (the screen is pure bit-parallel simulation) and ``cycles`` /
-    ``lanes`` record how much stimulus bought the verdict.
-    """
-
-    label: str
-    elapsed: float
-    findings: int
-    suspicious: int
-    flagged_registers: dict = field(default_factory=dict)  # name -> score
-    divergent_registers: list = field(default_factory=list)
-    cycles: int = 0  # total stimulus cycles driven across phases
-    lanes: int = 0  # bit-parallel lanes per cycle
-    solver_calls: int = 0  # by construction; kept explicit for tables
-
-    @property
-    def flagged(self):
-        """True when the diff screen implicated at least one register."""
-        return bool(self.flagged_registers)
-
-
-def diff_row(label, report):
-    """Condense a :class:`~repro.diff.findings.DiffReport` to a DiffRow."""
-    return DiffRow(
-        label=label,
-        elapsed=report.elapsed,
-        findings=len(report.findings),
-        suspicious=report.severity_counts.get("suspicious", 0),
-        flagged_registers=report.register_scores(),
-        divergent_registers=report.divergent_registers,
-        cycles=report.cycles,
-        lanes=report.lanes,
-    )
-
-
-def diff_run(label, netlist, spec):
-    """Run the differential screen on one design; returns a DiffRow.
-
-    Mirrors :func:`ift_run`'s shape so bench sweeps can record the
-    screen's timing/verdict without re-deriving anything.
-    """
-    from repro.diff import analyze_design
-
-    return diff_row(label, analyze_design(netlist, spec, design=label))
 
 
 @dataclass
@@ -373,8 +277,7 @@ class AuditRow:
     status: str  # "ok" or "degraded"
     registers: int
     report: object = None  # the full DetectionReport
-    ift: object = None  # IftRow when the sweep ran with ift=True
-    diff: object = None  # DiffRow when the sweep ran with diff=True
+    screens: dict = field(default_factory=dict)  # screen -> ScreenRow
 
     @property
     def match(self):
@@ -384,7 +287,7 @@ class AuditRow:
 def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
                 time_budget=None, check_pseudo_critical=False,
                 check_bypass=False, cache_dir=None, runner=None,
-                ift=False, diff=False):
+                screens=()):
     """Run Algorithm 1 over many designs, scored against ground truth.
 
     ``designs`` is a list of ``(label, netlist, spec)`` triples, all
@@ -395,16 +298,11 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     design times the design count.  Without ``jobs`` the designs run
     one after another, inline.
 
-    With ``ift=True``, the static IFT screen runs first per design, its
-    report is fused into that design's audit (register prioritization,
-    ``ift_evidence``, ``leakage_suspect`` statuses) and each
-    :class:`AuditRow` carries the screen's timing/verdict figures as
-    ``row.ift`` (an :class:`IftRow`).
-
-    With ``diff=True``, the golden-model differential screen runs the
-    same way: its report is fused into the audit (``diff_evidence``,
-    ``differential_suspect`` statuses, prioritization) and each row
-    carries ``row.diff`` (a :class:`DiffRow`).
+    ``screens`` names registered screens to run first per design, in
+    registry order. Their reports are fused into that design's audit
+    (register prioritization, per-register evidence, suspect statuses)
+    and each :class:`AuditRow` carries their timing/verdict figures as
+    ``row.screens[name]`` (a :class:`ScreenRow`).
 
     Returns a list of :class:`AuditRow` in input order; ``row.match``
     is False where the verdict disagrees with the design's bundled
@@ -413,6 +311,7 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     from dataclasses import replace
 
     from repro.core.detector import AuditConfig, TrojanDetector
+    from repro.report.screen import select_screens
 
     config = AuditConfig(
         max_cycles=max_cycles,
@@ -423,25 +322,17 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
         cache_dir=cache_dir,
         jobs=jobs,
     )
-    ift_rows = {}
-    diff_rows = {}
+    screens = select_screens(screens)
+    screen_rows = []
     configs = []
     for label, netlist, spec in designs:
-        overrides = {}
-        if ift:
-            from repro.ift import analyze_design
-
-            ift_report = analyze_design(netlist, spec, design=label)
-            ift_rows[label] = ift_row(label, ift_report)
-            overrides["ift_report"] = ift_report
-        if diff:
-            from repro.diff import analyze_design as diff_analyze
-
-            diff_report = diff_analyze(netlist, spec, design=label)
-            diff_rows[label] = diff_row(label, diff_report)
-            overrides["diff_report"] = diff_report
-        configs.append(replace(config, **overrides) if overrides
-                       else config)
+        screened = {
+            name: screen_run(name, label, netlist, spec) for name in screens
+        }
+        screen_rows.append(screened)
+        configs.append(replace(
+            config, screens=tuple(row.report for row in screened.values())
+        ) if screened else config)
     detectors = [
         TrojanDetector(netlist, spec, config=cfg, runner=runner)
         for (_label, netlist, spec), cfg in zip(designs, configs)
@@ -455,7 +346,9 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
         requests, jobs=detectors[0].scheduler_jobs
     ).run()
     rows = []
-    for (label, _netlist, spec), report in zip(designs, reports):
+    for (label, _netlist, spec), report, screened in zip(
+        designs, reports, screen_rows
+    ):
         rows.append(AuditRow(
             label=label,
             trojan_found=report.trojan_found,
@@ -464,8 +357,7 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
             status="degraded" if report.degraded else "ok",
             registers=len(report.findings),
             report=report,
-            ift=ift_rows.get(label),
-            diff=diff_rows.get(label),
+            screens=screened,
         ))
     return rows
 

@@ -36,58 +36,33 @@ Commands
             --jobs 4 --max-cycles 12
 
     ``--jobs``, ``--cache-dir`` and ``--trace`` are spelled the same
-    on ``audit``, ``bench`` and ``lint`` (one shared parent parser).
+    on ``audit``, ``bench`` and ``screen`` (one shared parent parser).
 
-``lint``
-    Run the static lint pre-pass (see README "Static lint pre-pass")::
+``screen``
+    Run the solver-free screens of the screen registry (see README
+    "Screens") over one or more designs::
 
-        python -m repro lint --design mc8051-t800
-        python -m repro lint --design aes --json report.json \\
-            --sarif report.sarif --disable unread-net
+        python -m repro screen --design mc8051-t800
+        python -m repro screen --screens lint --design aes \
+            --json report.json --sarif report.sarif --disable unread-net
+        python -m repro screen --sarif all.sarif --jobs 4
 
-    Exits 1 when any finding reaches ``--fail-on`` (default
-    ``suspicious``) — same convention as ``audit``, so a Trojan-shaped
-    structure is a nonzero exit. ``--lint-prioritize`` on ``audit``
-    runs this pass first and audits flagged registers before clean
-    ones, attaching the static evidence to each finding.
+    ``--screens`` picks any of them (default: all, always reported in
+    registry order) and ``--design`` is repeatable (default: every
+    bundled design). ``--json`` writes ``{design: {screen: report}}``;
+    ``--sarif`` writes one log with a run per (screen, design), grouped
+    by screen. Exits 1 when any finding of any selected screen reaches
+    ``--fail-on`` (default ``suspicious``) — same convention as
+    ``audit``, so Trojan-shaped evidence is a nonzero exit.
+    ``--disable``/``--suppress`` tune the lint rules.
 
-``ift``
-    Run the static information-flow taint screen (see README
-    "Information-flow screening")::
-
-        python -m repro ift --design mc8051-t800
-        python -m repro ift --sarif all.sarif --json -
-
-    Zero solver calls: taint sources are the write-port nets a
-    register's ValidWays spec does not document, and findings mean
-    taint reached the critical register, a primary output, or another
-    register's write enable. ``--sarif`` writes one merged multi-run
-    SARIF document holding the lint *and* IFT runs of the selected
-    designs (``--no-lint`` for IFT runs only). ``--ift`` on ``audit``
-    fuses the screen into Algorithm 1: flagged registers are audited
-    first, taint findings attach as ``ift_evidence``, and an IFT hit
-    the dynamic checks cannot reproduce becomes a ``leakage_suspect``
-    status.
-
-``diff``
-    Run the golden-model differential screen (see README "Differential
-    screening")::
-
-        python -m repro diff --design risc-t100
-        python -m repro diff --sarif all.sarif --json -
-
-    Zero solver calls: each critical register's ValidWays spec is
-    compiled into an executable reference next-state function, the
-    implementation is driven with seeded lane-parallel stimulus, and a
-    finding means the register departed from *every* documented way's
-    prediction on some cycle (with a replayable VCD witness attached).
-    ``--sarif`` writes one merged multi-run SARIF document holding the
-    lint, IFT *and* diff runs of the selected designs (``--no-lint`` /
-    ``--no-ift`` to drop the companion passes). ``--diff`` on ``audit``
-    fuses the screen into Algorithm 1: divergence findings attach as
-    ``diff_evidence``, flagged registers are audited first, and a
-    divergence the dynamic checks cannot corroborate becomes a
-    ``differential_suspect`` status.
+    ``--screens`` on ``audit`` runs the chosen screens first and fuses
+    them into Algorithm 1: flagged registers are audited first, each
+    register's findings attach to its report entry as evidence, and a
+    screen hit the dynamic checks cannot reproduce becomes a suspect
+    status (``leakage_suspect``, ``differential_suspect``).
+    ``--screens`` on ``bench`` and ``corpus run`` picks the screens
+    those commands run.
 
 ``cache``
     Inspect or maintain a check-outcome cache directory (see README
@@ -134,7 +109,7 @@ Commands
 
         python -m repro list-designs
         python -m repro audit --design out/risc.v
-        python -m repro lint --design corpus/risc-comb-trigger-00000.design.json
+        python -m repro screen --design corpus/risc-comb-trigger-00000.design.json
 
 ``corpus``
     Generate and screen seeded Trojan-mutant corpora (see README
@@ -142,8 +117,8 @@ Commands
     from the base designs — Trojan injections with in-band ground
     truth, DeTrust-style restructurings, and clean structural growth —
     as ``*.design.json`` bundles; ``run`` fans them through the
-    lint+IFT+diff portfolio and scores per-mutator recall against the
-    carried ground truth (exit 1 on any trojaned miss or clean false
+    screens and scores per-mutator recall against the carried ground
+    truth (exit 1 on any trojaned miss or clean false
     positive)::
 
         python -m repro corpus generate --seed 7 -n 40 --out corpus/
@@ -214,6 +189,17 @@ def cmd_stats(args, out=sys.stdout):
     return 0
 
 
+def _screen_list(text):
+    """``--screens`` value: comma-separated registry names, returned in
+    registry order."""
+    from repro.report.screen import select_screens
+
+    try:
+        return select_screens([name for name in text.split(",") if name])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _lint_config_from_args(args):
     from repro.lint import LintConfig
 
@@ -228,184 +214,92 @@ def _lint_config_from_args(args):
             )
         suppressions.append((rule_glob, subject_glob))
     return LintConfig(
-        wide_comparator_width=args.wide_comparator_width,
-        counter_influence_limit=args.counter_influence_limit,
-        max_depth=args.max_depth_lint,
         disabled=args.disable or [],
         suppressions=suppressions,
     )
 
 
-def _lint_one(design, config):
-    """Lint one bundled design; returns plain data (fork-Pool friendly)."""
-    from repro.lint import Linter
+def _screen_one(design, screens, lint_config):
+    """Run the selected screens on one design; returns their reports in
+    registry order (fork-Pool friendly). Each run is one ``screen``
+    span when a tracer is installed."""
+    from repro.obs.tracer import get_tracer
+    from repro.report.screen import SCREENS
 
     netlist, spec = _load(design)
-    report = Linter(config=config).run(netlist, spec, design=design)
-    return {
-        "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
-        "report": report,
-    }
-
-
-def cmd_lint(args, out=sys.stdout):
-    from repro.lint import LintConfigError, severity_rank, write_sarif
-
-    designs = args.design
-    if args.cache_dir:
-        raise SystemExit(
-            "lint runs no property checks, so it has no outcome cache; "
-            "--cache-dir applies to audit/bench"
-        )
-    try:
-        config = _lint_config_from_args(args)
-    except LintConfigError as exc:
-        raise SystemExit(str(exc))
-    if args.sarif and len(designs) > 1:
-        raise SystemExit("--sarif writes one log; pass a single --design")
-    jobs = args.jobs or 1
-    try:
-        if jobs > 1 and len(designs) > 1:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(jobs, len(designs))) as pool:
-                results = pool.starmap(
-                    _lint_one, [(d, config) for d in designs]
-                )
-        else:
-            results = [_lint_one(d, config) for d in designs]
-    except LintConfigError as exc:
-        raise SystemExit(str(exc))
-    if args.trace:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer(args.trace)
-        try:
-            for res in results:
-                tracer.end(tracer.begin(
-                    "lint", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
-        finally:
-            tracer.close()
-    if args.json:
-        if len(designs) == 1:
-            payload = results[0]["json"]
-        else:
-            import json as json_mod
-
-            payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
-                indent=2,
+    options = {"lint": {"config": lint_config}}
+    tracer = get_tracer()
+    reports = []
+    for name in screens:
+        with tracer.span("screen", screen=name, design=design) as span:
+            report = SCREENS[name].run(
+                netlist, spec, design, **options.get(name, {})
             )
-        if args.json == "-":
-            print(payload, file=out)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-            print("wrote", args.json, file=out)
-    if args.sarif:
-        write_sarif(args.sarif, results[0]["report"])
-        print("wrote", args.sarif, file=out)
-    if not args.json or args.json != "-":
-        for res in results:
-            print(res["summary"], file=out)
-    floor = severity_rank(args.fail_on)
-    failing = [
-        sev
-        for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
-    ]
-    return 1 if failing else 0
+            span["findings"] = len(report.findings)
+        reports.append(report)
+    return reports
 
 
-def _ift_one(design, with_lint):
-    """IFT-screen one bundled design; returns plain data (fork-Pool
-    friendly). With ``with_lint``, the default-config lint pass runs too
-    so the SARIF export can merge both modalities' runs."""
-    from repro.ift import analyze_design
+def cmd_screen(args, out=sys.stdout):
+    import contextlib
+    import json
 
-    netlist, spec = _load(design)
-    lint_report = None
-    if with_lint:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=design)
-    report = analyze_design(netlist, spec, design=design)
-    return {
-        "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
-        "report": report,
-        "lint_report": lint_report,
-    }
-
-
-def cmd_ift(args, out=sys.stdout):
-    from repro.lint import severity_rank
+    from repro.lint import LintConfigError
+    from repro.obs.tracer import Tracer, tracing
+    from repro.report.sarif import write_sarif
+    from repro.report.screen import severity_rank
 
     designs = args.design or design_names()
+    if not args.screens:
+        raise SystemExit("--screens selects no screen")
     if args.cache_dir:
         raise SystemExit(
-            "ift runs no property checks, so it has no outcome cache; "
+            "screen runs no property checks, so it has no outcome cache; "
             "--cache-dir applies to audit/bench"
         )
-    with_lint = bool(args.sarif) and not args.no_lint
+    try:
+        lint_config = _lint_config_from_args(args)
+    except LintConfigError as exc:
+        raise SystemExit(str(exc))
+    work = [(design, args.screens, lint_config) for design in designs]
     jobs = args.jobs or 1
     if jobs > 1 and len(designs) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, len(designs))) as pool:
-            results = pool.starmap(
-                _ift_one, [(d, with_lint) for d in designs]
-            )
-    elif args.trace:
-        # serial + traced: install a real tracer so the screen's own
-        # ift / ift.register spans land in the trace tree
-        from repro.obs.tracer import Tracer, tracing
-
-        tracer = Tracer(args.trace)
-        try:
-            with tracing(tracer):
-                results = [_ift_one(d, with_lint) for d in designs]
-        finally:
-            tracer.close()
+            results = pool.starmap(_screen_one, work)
+        if args.trace:
+            # the workers ran untraced: record each run after the fact
+            tracer = Tracer(args.trace)
+            try:
+                for design, reports in zip(designs, results):
+                    for report in reports:
+                        tracer.end(tracer.begin(
+                            "screen", screen=report.screen, design=design,
+                            findings=len(report.findings),
+                            elapsed=report.elapsed,
+                        ))
+            finally:
+                tracer.close()
     else:
-        results = [_ift_one(d, with_lint) for d in designs]
-    if args.trace and jobs > 1 and len(designs) > 1:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer(args.trace)
-        try:
-            for res in results:
-                tracer.end(tracer.begin(
-                    "ift", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
-        finally:
-            tracer.close()
+        with contextlib.ExitStack() as stack:
+            if args.trace:
+                tracer = Tracer(args.trace)
+                stack.callback(tracer.close)
+                stack.enter_context(tracing(tracer))
+            results = [_screen_one(*item) for item in work]
+    reports = [report for design_reports in results
+               for report in design_reports]
     if args.json:
-        if len(designs) == 1:
-            payload = results[0]["json"]
-        else:
-            import json as json_mod
-
-            payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
-                indent=2,
-            )
+        payload = json.dumps(
+            {
+                design: {r.screen: r.to_dict() for r in design_reports}
+                for design, design_reports in zip(designs, results)
+            },
+            indent=1,
+            sort_keys=True,
+        )
         if args.json == "-":
             print(payload, file=out)
         else:
@@ -414,159 +308,23 @@ def cmd_ift(args, out=sys.stdout):
                 handle.write("\n")
             print("wrote", args.json, file=out)
     if args.sarif:
-        from repro.ift.sarif import merged_sarif
-        from repro.report.sarif import write_log
-
-        lint_reports = [
-            r["lint_report"] for r in results if r["lint_report"] is not None
-        ]
-        write_log(
-            args.sarif,
-            merged_sarif([r["report"] for r in results], lint_reports),
-        )
+        write_sarif(args.sarif, reports)
         print("wrote", args.sarif, file=out)
-    if not args.json or args.json != "-":
-        for res in results:
-            print(res["summary"], file=out)
+    if args.json != "-":
+        for report in reports:
+            print(report.summary(), file=out)
     floor = severity_rank(args.fail_on)
-    failing = [
-        sev
-        for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
-    ]
-    return 1 if failing else 0
-
-
-def _diff_one(design, with_lint, with_ift):
-    """Diff-screen one bundled design; returns plain data (fork-Pool
-    friendly). With ``with_lint``/``with_ift``, the companion screens
-    run too so the SARIF export can merge all three modalities' runs."""
-    from repro.diff import analyze_design
-
-    netlist, spec = _load(design)
-    lint_report = None
-    if with_lint:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=design)
-    ift_report = None
-    if with_ift:
-        from repro.ift import analyze_design as ift_analyze
-
-        ift_report = ift_analyze(netlist, spec, design=design)
-    report = analyze_design(netlist, spec, design=design)
-    return {
-        "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
-        "report": report,
-        "lint_report": lint_report,
-        "ift_report": ift_report,
-    }
-
-
-def cmd_diff(args, out=sys.stdout):
-    from repro.lint import severity_rank
-
-    designs = args.design or design_names()
-    if args.cache_dir:
-        raise SystemExit(
-            "diff runs no property checks, so it has no outcome cache; "
-            "--cache-dir applies to audit/bench"
-        )
-    with_lint = bool(args.sarif) and not args.no_lint
-    with_ift = bool(args.sarif) and not args.no_ift
-    jobs = args.jobs or 1
-    if jobs > 1 and len(designs) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(designs))) as pool:
-            results = pool.starmap(
-                _diff_one, [(d, with_lint, with_ift) for d in designs]
-            )
-    elif args.trace:
-        # serial + traced: install a real tracer so the screen's own
-        # diff / diff.phase spans land in the trace tree
-        from repro.obs.tracer import Tracer, tracing
-
-        tracer = Tracer(args.trace)
-        try:
-            with tracing(tracer):
-                results = [
-                    _diff_one(d, with_lint, with_ift) for d in designs
-                ]
-        finally:
-            tracer.close()
-    else:
-        results = [_diff_one(d, with_lint, with_ift) for d in designs]
-    if args.trace and jobs > 1 and len(designs) > 1:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer(args.trace)
-        try:
-            for res in results:
-                tracer.end(tracer.begin(
-                    "diff", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
-        finally:
-            tracer.close()
-    if args.json:
-        if len(designs) == 1:
-            payload = results[0]["json"]
-        else:
-            import json as json_mod
-
-            payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
-                indent=2,
-            )
-        if args.json == "-":
-            print(payload, file=out)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-            print("wrote", args.json, file=out)
-    if args.sarif:
-        from repro.diff.sarif import merged_sarif
-        from repro.report.sarif import write_log
-
-        lint_reports = [
-            r["lint_report"] for r in results if r["lint_report"] is not None
-        ]
-        ift_reports = [
-            r["ift_report"] for r in results if r["ift_report"] is not None
-        ]
-        write_log(
-            args.sarif,
-            merged_sarif(
-                [r["report"] for r in results],
-                ift_reports=ift_reports,
-                lint_reports=lint_reports,
-            ),
-        )
-        print("wrote", args.sarif, file=out)
-    if not args.json or args.json != "-":
-        for res in results:
-            print(res["summary"], file=out)
-    floor = severity_rank(args.fail_on)
-    failing = [
-        sev
-        for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
-    ]
+    failing = any(
+        severity_rank(finding.severity) >= floor
+        for report in reports
+        for finding in report.findings
+    )
     return 1 if failing else 0
 
 
 def cmd_audit(args, out=sys.stdout):
     from repro.errors import CheckpointError
+    from repro.report.screen import SCREENS
     from repro.runner import CheckRunner
 
     netlist, spec = _load(args.design)
@@ -588,56 +346,25 @@ def cmd_audit(args, out=sys.stdout):
         retries=args.retries,
         profile_dir=profile_dir,
     )
-    lint_report = None
-    if args.lint_prioritize:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=args.design)
+    screens = []
+    for name in args.screens:
+        screen_report = SCREENS[name].run(netlist, spec, args.design)
+        found = len(screen_report.findings)
+        flagged = screen_report.flagged_registers
         print(
-            "lint pre-pass: {} finding{} in {:.2f}s; priority: {}".format(
-                len(lint_report.findings),
-                "" if len(lint_report.findings) == 1 else "s",
-                lint_report.elapsed,
-                ", ".join(
-                    lint_report.prioritize(registers or list(spec.critical))
-                ),
-            ),
-            file=out,
-        )
-    ift_report = None
-    if args.ift:
-        from repro.ift import analyze_design
-
-        ift_report = analyze_design(netlist, spec, design=args.design)
-        flagged = ift_report.tainted_registers
-        print(
-            "ift pre-pass: {} taint finding{} in {:.2f}s{}".format(
-                len(ift_report.findings),
-                "" if len(ift_report.findings) == 1 else "s",
-                ift_report.elapsed,
+            "{} pre-pass: {} {} finding{} in {:.2f}s{}".format(
+                name,
+                found,
+                SCREENS[name].noun,
+                "" if found == 1 else "s",
+                screen_report.elapsed,
                 "; flagged: {}".format(", ".join(flagged))
                 if flagged
                 else "",
             ),
             file=out,
         )
-    diff_report = None
-    if args.diff:
-        from repro.diff import analyze_design as diff_analyze
-
-        diff_report = diff_analyze(netlist, spec, design=args.design)
-        divergent = diff_report.divergent_registers
-        print(
-            "diff pre-pass: {} divergence finding{} in {:.2f}s{}".format(
-                len(diff_report.findings),
-                "" if len(diff_report.findings) == 1 else "s",
-                diff_report.elapsed,
-                "; divergent: {}".format(", ".join(divergent))
-                if divergent
-                else "",
-            ),
-            file=out,
-        )
+        screens.append(screen_report)
     cache_dir = None if args.no_cache else args.cache_dir
     config = AuditConfig(
         max_cycles=args.max_cycles,
@@ -646,9 +373,7 @@ def cmd_audit(args, out=sys.stdout):
         check_pseudo_critical=args.check_pseudo_critical,
         check_bypass=args.check_bypass,
         time_budget=args.budget,
-        lint_report=lint_report,
-        ift_report=ift_report,
-        diff_report=diff_report,
+        screens=tuple(screens),
         cache_dir=cache_dir,
         share_cones=args.share_cones,
         trace=args.trace,
@@ -714,8 +439,7 @@ def cmd_bench(args, out=sys.stdout):
             check_bypass=args.check_bypass,
             cache_dir=args.cache_dir,
             runner=runner,
-            ift=args.ift,
-            diff=args.diff,
+            screens=args.screens,
         )
     wall = time_mod.perf_counter() - start
     if args.json:
@@ -733,23 +457,16 @@ def cmd_bench(args, out=sys.stdout):
                     "status": row.status,
                     "elapsed": row.elapsed,
                     "registers": row.registers,
-                    "ift": {
-                        "elapsed": row.ift.elapsed,
-                        "findings": row.ift.findings,
-                        "suspicious": row.ift.suspicious,
-                        "tainted_registers": row.ift.tainted_registers,
-                        "max_rounds": row.ift.max_rounds,
-                        "solver_calls": row.ift.solver_calls,
-                    } if row.ift is not None else None,
-                    "diff": {
-                        "elapsed": row.diff.elapsed,
-                        "findings": row.diff.findings,
-                        "suspicious": row.diff.suspicious,
-                        "divergent_registers": row.diff.divergent_registers,
-                        "cycles": row.diff.cycles,
-                        "lanes": row.diff.lanes,
-                        "solver_calls": row.diff.solver_calls,
-                    } if row.diff is not None else None,
+                    "screens": {
+                        name: {
+                            "elapsed": screen.elapsed,
+                            "findings": screen.findings,
+                            "suspicious": screen.suspicious,
+                            "flagged_registers": sorted(screen.scores),
+                            "solver_calls": screen.solver_calls,
+                        }
+                        for name, screen in row.screens.items()
+                    },
                 }
                 for row in rows
             ],
@@ -759,28 +476,18 @@ def cmd_bench(args, out=sys.stdout):
             verdict = "TROJAN" if row.trojan_found else "clean"
             expected = "TROJAN" if row.expected else "clean"
             marker = "ok" if row.match else "MISMATCH"
-            ift_extra = ""
-            if row.ift is not None:
-                ift_extra = (
-                    " ift[{} finding(s), {:.3f}s, {} solver call(s)]"
-                ).format(
-                    row.ift.findings, row.ift.elapsed,
-                    row.ift.solver_calls,
+            screen_extra = "".join(
+                " {}[{} finding(s), {:.3f}s, {} flagged register(s)]".format(
+                    name, screen.findings, screen.elapsed,
+                    len(screen.scores),
                 )
-            diff_extra = ""
-            if row.diff is not None:
-                diff_extra = (
-                    " diff[{} finding(s), {:.3f}s, {} divergent "
-                    "register(s)]"
-                ).format(
-                    row.diff.findings, row.diff.elapsed,
-                    len(row.diff.divergent_registers),
-                )
+                for name, screen in row.screens.items()
+            )
             print(
                 "{:18s} {:7s} (expected {:7s}) {:9s} {:8.2f}s "
-                "{:2d} register(s) [{}]{}{}".format(
+                "{:2d} register(s) [{}]{}".format(
                     row.label, verdict, expected, marker, row.elapsed,
-                    row.registers, row.status, ift_extra, diff_extra,
+                    row.registers, row.status, screen_extra,
                 ),
                 file=out,
             )
@@ -1037,16 +744,12 @@ def _corpus_run(args, out):
         score_results,
     )
 
-    modalities = tuple(
-        m for m in ("lint", "ift", "diff")
-        if not getattr(args, "no_{}".format(m))
-    )
-    if not modalities and not args.audit:
+    if not args.screens and not args.audit:
         raise SystemExit("every screening modality is disabled")
     config = RunConfig(
         jobs=args.jobs or 1,
         fail_on=args.fail_on,
-        modalities=modalities,
+        modalities=args.screens,
         audit=args.audit,
         audit_max_cycles=args.audit_max_cycles,
     )
@@ -1124,7 +827,7 @@ def _corpus_stats(args, out):
 def _shared_parent():
     """Flags spelled identically on every command that supports them.
 
-    ``audit``, ``bench`` and ``lint`` all accept ``--jobs``,
+    ``audit``, ``bench`` and ``screen`` all accept ``--jobs``,
     ``--cache-dir`` and ``--trace`` with the same spelling and meaning —
     one parent parser, not three hand-copied declarations that drift.
     """
@@ -1132,7 +835,7 @@ def _shared_parent():
     group = parent.add_argument_group("shared options")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="run work on N parallel workers (audit/bench: "
-                            "one persistent check-worker pool; lint: one "
+                            "one persistent check-worker pool; screen: one "
                             "process per design)")
     group.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="consult and populate a content-addressed "
@@ -1146,6 +849,8 @@ def _shared_parent():
 
 
 def build_parser():
+    from repro.report.screen import SCREENS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Formal detection of data-corrupting hardware Trojans "
@@ -1196,23 +901,14 @@ def build_parser():
     p_audit.add_argument("--resume", metavar="CHECKPOINT.json", default=None,
                          help="persist completed register findings here and "
                               "resume from them if the file exists")
-    p_audit.add_argument("--lint-prioritize", action="store_true",
-                         help="run the static lint pre-pass first, audit "
-                              "flagged registers before clean-looking ones "
-                              "and attach lint evidence to findings")
-    p_audit.add_argument("--ift", action="store_true",
-                         help="run the static information-flow screen "
-                              "first: taint evidence attaches to findings, "
-                              "flagged registers are audited earlier, and "
-                              "an IFT hit the dynamic checks cannot "
-                              "reproduce is reported as leakage_suspect")
-    p_audit.add_argument("--diff", action="store_true",
-                         help="run the golden-model differential screen "
-                              "first: divergence evidence attaches to "
-                              "findings, flagged registers are audited "
-                              "earlier, and a divergence the dynamic "
-                              "checks cannot corroborate is reported as "
-                              "differential_suspect")
+    p_audit.add_argument("--screens", type=_screen_list, default=(),
+                         metavar="LIST",
+                         help="run these screens first (comma-separated, "
+                              "see 'repro screen'): flagged registers are "
+                              "audited earlier, findings attach as "
+                              "evidence, and a screen hit the dynamic "
+                              "checks cannot reproduce becomes a suspect "
+                              "status")
     p_audit.add_argument("--no-cache", action="store_true",
                          help="ignore --cache-dir (one-off override)")
     p_audit.add_argument("--share-cones", action="store_true",
@@ -1246,85 +942,39 @@ def build_parser():
                               "extra times")
     p_bench.add_argument("--json", action="store_true",
                          help="machine-readable output")
-    p_bench.add_argument("--ift", action="store_true",
-                         help="run the static IFT screen per design, fuse "
-                              "it into each audit and add its timing/"
-                              "verdict figures to every row")
-    p_bench.add_argument("--diff", action="store_true",
-                         help="run the golden-model differential screen "
-                              "per design, fuse it into each audit and "
-                              "add its timing/verdict figures to every "
-                              "row")
+    p_bench.add_argument("--screens", type=_screen_list, default=(),
+                         metavar="LIST",
+                         help="run these screens per design, fuse them "
+                              "into each audit and add their figures to "
+                              "every row (comma-separated)")
 
-    p_lint = sub.add_parser("lint", parents=[shared],
-                            help="static structural lint pre-pass")
-    p_lint.add_argument("--design", required=True, action="append",
-                        help="lint this design (repeatable)")
-    p_lint.add_argument("--json", metavar="PATH",
-                        help="write the JSON report here ('-' for stdout)")
-    p_lint.add_argument("--sarif", metavar="PATH",
-                        help="write a SARIF 2.1.0 log here")
-    p_lint.add_argument("--disable", action="append", metavar="RULE",
-                        help="disable a rule by name (repeatable)")
-    p_lint.add_argument("--suppress", action="append",
-                        metavar="RULE_GLOB:SUBJECT_GLOB",
-                        help="suppress findings whose rule and subject "
-                             "match the globs (repeatable)")
-    p_lint.add_argument("--fail-on", default="suspicious",
-                        choices=["info", "warn", "suspicious", "error"],
-                        help="exit 1 when any finding is at least this "
-                             "severe (default: suspicious)")
-    p_lint.add_argument("--wide-comparator-width", type=int, default=16,
-                        help="wide-comparator rule threshold")
-    p_lint.add_argument("--counter-influence-limit", type=int, default=4,
-                        help="counter-feeds-payload-mux breadth limit")
-    p_lint.add_argument("--max-depth-lint", type=int, default=48,
-                        metavar="DEPTH",
-                        help="excessive-depth rule ceiling")
-
-    p_ift = sub.add_parser(
-        "ift", parents=[shared],
-        help="static information-flow taint screen (no solver)",
+    p_screen = sub.add_parser(
+        "screen", parents=[shared],
+        help="run the solver-free screens over designs",
     )
-    p_ift.add_argument("--design", action="append",
-                       help="screen this design (repeatable; default: "
-                            "every bundled design)")
-    p_ift.add_argument("--json", metavar="PATH",
-                       help="write the JSON report here ('-' for stdout)")
-    p_ift.add_argument("--sarif", metavar="PATH",
-                       help="write a SARIF 2.1.0 log here — one merged "
-                            "multi-run document with the lint runs of the "
-                            "same designs unless --no-lint")
-    p_ift.add_argument("--no-lint", action="store_true",
-                       help="with --sarif: emit only the IFT runs, skip "
-                            "the lint pass")
-    p_ift.add_argument("--fail-on", default="suspicious",
-                       choices=["info", "warn", "suspicious", "error"],
-                       help="exit 1 when any taint finding is at least "
-                            "this severe (default: suspicious)")
-
-    p_diff = sub.add_parser(
-        "diff", parents=[shared],
-        help="golden-model differential screen (no solver)",
-    )
-    p_diff.add_argument("--design", action="append",
-                        help="screen this design (repeatable; default: "
-                             "every bundled design)")
-    p_diff.add_argument("--json", metavar="PATH",
-                        help="write the JSON report here ('-' for stdout)")
-    p_diff.add_argument("--sarif", metavar="PATH",
-                        help="write a SARIF 2.1.0 log here — one merged "
-                             "multi-run document with the lint and IFT "
-                             "runs of the same designs unless --no-lint/"
-                             "--no-ift")
-    p_diff.add_argument("--no-lint", action="store_true",
-                        help="with --sarif: skip the lint pass")
-    p_diff.add_argument("--no-ift", action="store_true",
-                        help="with --sarif: skip the IFT pass")
-    p_diff.add_argument("--fail-on", default="suspicious",
-                        choices=["info", "warn", "suspicious", "error"],
-                        help="exit 1 when any divergence finding is at "
-                             "least this severe (default: suspicious)")
+    p_screen.add_argument("--screens", type=_screen_list,
+                          default=tuple(SCREENS), metavar="LIST",
+                          help="comma-separated screens to run (default: "
+                               "all); output follows registry order")
+    p_screen.add_argument("--design", action="append",
+                          help="screen this design (repeatable; default: "
+                               "every bundled design)")
+    p_screen.add_argument("--json", metavar="PATH",
+                          help="write {design: {screen: report}} here "
+                               "('-' for stdout)")
+    p_screen.add_argument("--sarif", metavar="PATH",
+                          help="write one SARIF 2.1.0 log here: a run per "
+                               "(screen, design), grouped by screen")
+    p_screen.add_argument("--fail-on", default="suspicious",
+                          choices=["info", "warn", "suspicious", "error"],
+                          help="exit 1 when any finding is at least this "
+                               "severe (default: suspicious)")
+    p_screen.add_argument("--disable", action="append", metavar="RULE",
+                          help="disable a lint rule by name (repeatable)")
+    p_screen.add_argument("--suppress", action="append",
+                          metavar="RULE_GLOB:SUBJECT_GLOB",
+                          help="suppress lint findings whose rule and "
+                               "subject match the globs (repeatable)")
 
     p_cache = sub.add_parser(
         "cache", help="inspect or maintain a check-outcome cache"
@@ -1440,7 +1090,7 @@ def build_parser():
                          "non-evasive set)")
     cr = corpus_sub.add_parser(
         "run",
-        help="screen a corpus through lint+IFT+diff and score recall",
+        help="screen a corpus and score recall against ground truth",
     )
     cr.add_argument("corpus_dir", metavar="DIR")
     cr.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -1449,12 +1099,10 @@ def build_parser():
                     choices=["info", "warn", "suspicious", "error"],
                     help="a finding at least this severe flags the "
                          "mutant (default: suspicious)")
-    cr.add_argument("--no-lint", action="store_true",
-                    help="skip the lint modality")
-    cr.add_argument("--no-ift", action="store_true",
-                    help="skip the IFT modality")
-    cr.add_argument("--no-diff", action="store_true",
-                    help="skip the differential modality")
+    cr.add_argument("--screens", type=_screen_list,
+                    default=tuple(SCREENS), metavar="LIST",
+                    help="comma-separated screens to run per mutant "
+                         "(default: all)")
     cr.add_argument("--audit", action="store_true",
                     help="also run Algorithm 1 per mutant on one "
                          "scheduler pool (catches the evasive mutators "
@@ -1487,9 +1135,7 @@ def main(argv=None, out=sys.stdout):
         "cache": cmd_cache,
         "trace": cmd_trace,
         "export": cmd_export,
-        "lint": cmd_lint,
-        "ift": cmd_ift,
-        "diff": cmd_diff,
+        "screen": cmd_screen,
         "serve": cmd_serve,
         "submit": cmd_submit,
         "jobs": cmd_jobs,

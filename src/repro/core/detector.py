@@ -65,9 +65,7 @@ class AuditConfig:
     time_budget: float | None = None
     pseudo_critical_cycles: int | None = None
     stop_on_first: bool = True
-    lint_report: object = None
-    ift_report: object = None
-    diff_report: object = None
+    screens: tuple = ()
     cache_dir: str | None = None
     share_cones: bool = False
     trace: object = None
@@ -89,36 +87,30 @@ class AuditConfig:
             )
 
 
-def fused_register_scores(lint_report=None, ift_report=None,
-                          diff_report=None):
-    """Combined screen priority scores from lint, IFT and diff.
+def fused_register_scores(reports):
+    """Combined priority scores of several screen reports.
 
-    Per-register scores from the modalities simply add: each report
-    already weighs its findings on the shared severity ladder
-    (:data:`~repro.lint.findings.SEVERITY_WEIGHT`), so a register
+    Per-register scores simply add: each report already weighs its
+    findings on the shared severity ladder
+    (:data:`~repro.report.screen.SEVERITY_WEIGHT`), so a register
     implicated by several screens outranks one implicated by fewer.
     """
     scores = {}
-    for report in (lint_report, ift_report, diff_report):
-        if report is None:
-            continue
+    for report in reports:
         for name, score in report.register_scores().items():
             scores[name] = scores.get(name, 0) + score
     return scores
 
 
-def prioritize_registers(names, lint_report=None, ift_report=None,
-                         diff_report=None):
-    """Order ``names`` most-suspicious-first (stable ties).
+def prioritize_registers(names, reports):
+    """Order ``names`` most-suspicious-first by the reports' fused
+    scores (stable for ties; unchanged without reports).
 
-    The fused generalization of ``LintReport.prioritize``: with only a
-    lint report it reduces to exactly that ordering; IFT and diff
-    reports promote their flagged registers the same way. This is
-    Algorithm 1's outer-loop order in both executor modes.
+    This is Algorithm 1's outer-loop order in both executor modes: the
+    supervised runner's wall-clock/retry budget goes to the registers
+    the screens implicated before the clean-looking majority.
     """
-    if lint_report is None and ift_report is None and diff_report is None:
-        return list(names)
-    scores = fused_register_scores(lint_report, ift_report, diff_report)
+    scores = fused_register_scores(reports)
     order = {name: index for index, name in enumerate(names)}
     return sorted(
         names, key=lambda name: (-scores.get(name, 0), order[name])
@@ -162,31 +154,18 @@ class TrojanDetector:
     time_budget:
         Wall-clock budget per individual property check, in seconds
         (the engines' cooperative budget).
-    lint_report:
-        A :class:`~repro.lint.findings.LintReport` from the static
-        pre-pass. When given, Algorithm 1's outer loop is reordered so
-        lint-flagged registers are audited first (the supervised
-        runner's budget reaches the likeliest suspects before the
-        clean-looking majority), and each register's lint findings are
-        attached to its :class:`RegisterFinding` as ``lint_evidence``.
-    ift_report:
-        An :class:`~repro.ift.findings.IftReport` from the static
-        information-flow screen. Fused exactly like ``lint_report``:
-        its register scores add to lint's for Algorithm 1's audit
-        order, and each register's taint findings are attached as
-        ``ift_evidence``. A register the IFT screen flagged but every
-        dynamic check passed is reported with the distinct
-        ``leakage_suspect`` status (see
-        :attr:`RegisterFinding.leakage_suspect`).
-    diff_report:
-        A :class:`~repro.diff.findings.DiffReport` from the golden-model
-        differential screen. Fused exactly like ``ift_report``: its
-        register scores add into Algorithm 1's audit order, and each
-        register's divergence findings are attached as
-        ``diff_evidence``. A register the diff screen flagged but every
-        dynamic check passed is reported with the distinct
-        ``differential_suspect`` status (see
-        :attr:`RegisterFinding.differential_suspect`).
+    screens:
+        Reports of the solver-free screens
+        (:class:`~repro.report.screen.ScreenReport`, one per registered
+        screen at most; see :data:`~repro.report.screen.SCREENS`).
+        Their fused register scores order Algorithm 1's outer loop, so
+        the supervised runner's budget reaches the likeliest suspects
+        before the clean-looking majority, and each register's findings
+        are attached to its :class:`RegisterFinding` as
+        ``evidence[screen]``. A register a screen flagged but every
+        dynamic check passed gets that screen's suspect status from the
+        fused-status table
+        (:data:`~repro.report.screen.SUSPECT_STATUSES`).
     cache_dir:
         Directory of the content-addressed outcome cache
         (:mod:`repro.cache`). When set, every Eq. (2)/(3) objective

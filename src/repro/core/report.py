@@ -5,6 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.report.screen import SCREENS, SUSPECT_STATUSES
+
+#: status -> the screen whose evidence earns it (the fused-status table)
+_STATUS_SCREEN = dict(SUSPECT_STATUSES)
+
 #: keys whose values vary run-to-run (wall clock, RSS, cache bookkeeping);
 #: :func:`scrub_volatile` strips them so two audits of the same design can
 #: be compared byte-for-byte — the basis of the ``--jobs N`` determinism
@@ -40,18 +45,10 @@ class RegisterFinding:
     # exhausted, hard timeout, or crashed — with attempts and bounds.
     check_outcomes: dict = field(default_factory=dict)
     restored: bool = False  # finding came from a resume checkpoint
-    # static lint findings implicating this register (LintFinding dicts,
-    # attached when the detector runs with a lint report); persisted in
-    # checkpoints so a resumed audit keeps its static evidence
-    lint_evidence: list = field(default_factory=list)
-    # static information-flow findings implicating this register
-    # (IftFinding dicts, attached under --ift); persisted like
-    # lint_evidence so resumed audits keep the taint verdict
-    ift_evidence: list = field(default_factory=list)
-    # golden-model differential findings implicating this register
-    # (DiffFinding dicts, attached under --diff); persisted like the
-    # other evidence lists so resumed audits keep the divergence verdict
-    diff_evidence: list = field(default_factory=list)
+    # screen findings implicating this register: screen name -> Finding
+    # dicts, for each screen that flagged it (AuditConfig.screens);
+    # persisted in checkpoints so a resumed audit keeps its evidence
+    evidence: dict = field(default_factory=dict)
 
     @property
     def corrupted(self):
@@ -70,21 +67,6 @@ class RegisterFinding:
         return self.corrupted or self.bypassed or self.pseudo_corrupted
 
     @property
-    def lint_flagged(self):
-        """True when the static lint pre-pass implicated this register."""
-        return bool(self.lint_evidence)
-
-    @property
-    def ift_flagged(self):
-        """True when the static IFT screen implicated this register."""
-        return bool(self.ift_evidence)
-
-    @property
-    def diff_flagged(self):
-        """True when the differential screen implicated this register."""
-        return bool(self.diff_evidence)
-
-    @property
     def degraded_checks(self):
         """Check outcomes that did not complete (name -> CheckOutcome)."""
         return {
@@ -93,58 +75,50 @@ class RegisterFinding:
             if not getattr(outcome, "ok", True)
         }
 
-    @property
-    def leakage_suspect(self):
-        """IFT sees undocumented information flow but the dynamic checks
-        came back clean and complete.
+    def suspect(self, status):
+        """True when the screen behind ``status`` in the fused-status
+        table flagged this register, yet every dynamic check came back
+        clean and complete.
 
-        This is the fused verdict the ISSUE calls out: the bounded
-        corruption property (Eq. 2) can pass while a leakage-style
-        payload still routes undocumented data through the register —
-        taint evidence without corruption evidence is its signature.
-        A register whose checks found the Trojan, or whose checks never
-        concluded, is reported as ``trojan_found``/``degraded`` instead.
+        Screen evidence without a dynamic verdict is the signature of
+        what a bounded property can miss: a leakage-style payload that
+        routes undocumented data through the register without
+        corrupting it, or a divergence past the unroll bound. A
+        register whose checks found the Trojan, or never concluded, is
+        reported as ``trojan_found``/``degraded`` instead.
         """
         return (
-            self.ift_flagged
+            bool(self.evidence.get(_STATUS_SCREEN[status]))
             and not self.trojan_found
             and not self.degraded_checks
         )
+
+    @property
+    def leakage_suspect(self):
+        """IFT saw undocumented information flow that no check confirmed."""
+        return self.suspect("leakage_suspect")
 
     @property
     def differential_suspect(self):
-        """The differential screen saw the register depart from every
-        documented way, but the dynamic checks came back clean and
-        complete.
-
-        A simulated divergence is a concrete trace the bounded Eq. 2
-        property may have missed (a corruption past the unroll bound,
-        or one only reachable from forced undocumented state) — so it
-        outranks the structural ``leakage_suspect`` in the ladder.
-        """
-        return (
-            self.diff_flagged
-            and not self.trojan_found
-            and not self.degraded_checks
-        )
+        """The golden-model diff saw a divergence no check confirmed."""
+        return self.suspect("differential_suspect")
 
     @property
     def status(self):
         """Fused per-register verdict.
 
-        ``"degraded"`` when a supervised check did not conclude;
-        ``"differential_suspect"`` when the golden-model diff saw a
-        divergence the (complete) dynamic checks did not corroborate;
-        ``"leakage_suspect"`` when static IFT flagged the register but
-        nothing dynamic fired; ``"ok"`` otherwise. Without screen
-        evidence this reduces to the historical ok/degraded split.
+        ``"degraded"`` when a supervised check did not conclude; else
+        the highest-ranked suspect status this register earns
+        (:data:`~repro.report.screen.SUSPECT_STATUSES`:
+        ``differential_suspect`` outranks ``leakage_suspect``); else
+        ``"ok"``. Without screen evidence this reduces to the
+        historical ok/degraded split.
         """
         if self.degraded_checks:
             return "degraded"
-        if self.differential_suspect:
-            return "differential_suspect"
-        if self.leakage_suspect:
-            return "leakage_suspect"
+        for status, _screen in SUSPECT_STATUSES:
+            if self.suspect(status):
+                return status
         return "ok"
 
     @property
@@ -200,23 +174,25 @@ class DetectionReport:
         """True when any register's checks hit a resource limit or crash."""
         return any(f.status == "degraded" for f in self.findings.values())
 
-    @property
-    def leakage_suspects(self):
-        """Registers flagged by IFT that every dynamic check passed."""
+    def suspects(self, status):
+        """Registers that earn ``status`` (see
+        :meth:`RegisterFinding.suspect`), in audit order. A register two
+        screens flag is listed under both statuses."""
         return [
             name
             for name, finding in self.findings.items()
-            if getattr(finding, "leakage_suspect", False)
+            if finding.suspect(status)
         ]
+
+    @property
+    def leakage_suspects(self):
+        """Registers flagged by IFT that every dynamic check passed."""
+        return self.suspects("leakage_suspect")
 
     @property
     def differential_suspects(self):
         """Registers the diff screen flagged that every check passed."""
-        return [
-            name
-            for name, finding in self.findings.items()
-            if getattr(finding, "differential_suspect", False)
-        ]
+        return self.suspects("differential_suspect")
 
     @property
     def resumed_registers(self):
@@ -258,14 +234,15 @@ class DetectionReport:
             "max_cycles": self.max_cycles,
             "trojan_found": self.trojan_found,
             "degraded": self.degraded,
-            "leakage_suspects": self.leakage_suspects,
-            "differential_suspects": self.differential_suspects,
-            "trusted_for": self.trusted_for(),
-            "elapsed": self.elapsed,
-            "findings": {
-                register: finding_to_dict(finding)
-                for register, finding in self.findings.items()
-            },
+        }
+        # registry order, lowest rank first
+        for status, _screen in reversed(SUSPECT_STATUSES):
+            data[status + "s"] = self.suspects(status)
+        data["trusted_for"] = self.trusted_for()
+        data["elapsed"] = self.elapsed
+        data["findings"] = {
+            register: finding_to_dict(finding)
+            for register, finding in self.findings.items()
         }
         return scrub_volatile(data) if scrub else data
 
@@ -285,14 +262,12 @@ class DetectionReport:
         )
         if self.degraded and not self.trojan_found:
             verdict += " [degraded: some checks hit resource limits]"
-        diff_suspects = self.differential_suspects
-        if diff_suspects and not self.trojan_found:
-            verdict += " [differential suspect: {}]".format(
-                ", ".join(diff_suspects)
-            )
-        suspects = self.leakage_suspects
-        if suspects and not self.trojan_found:
-            verdict += " [leakage suspect: {}]".format(", ".join(suspects))
+        for status, _screen in SUSPECT_STATUSES:
+            suspects = self.suspects(status)
+            if suspects and not self.trojan_found:
+                verdict += " [{}: {}]".format(
+                    status.replace("_", " "), ", ".join(suspects)
+                )
         lines = [
             "Algorithm 1 on {!r} via {} (bound {} cycles): {}".format(
                 self.design, self.engine, self.max_cycles, verdict,
@@ -336,48 +311,20 @@ class DetectionReport:
                 parts.append("{} {}".format(name, outcome.describe()))
             if not parts:
                 parts.append("clean within bound")
-            if getattr(finding, "lint_evidence", None):
-                parts.append(
-                    "lint: {} static finding{} ({})".format(
-                        len(finding.lint_evidence),
-                        "" if len(finding.lint_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.lint_evidence}
-                            )
-                        ),
-                    )
-                )
-            if getattr(finding, "ift_evidence", None):
-                parts.append(
-                    "ift: {} taint finding{} ({}){}".format(
-                        len(finding.ift_evidence),
-                        "" if len(finding.ift_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.ift_evidence}
-                            )
-                        ),
-                        " — LEAKAGE SUSPECT"
-                        if finding.leakage_suspect
-                        else "",
-                    )
-                )
-            if getattr(finding, "diff_evidence", None):
-                parts.append(
-                    "diff: {} divergence finding{} ({}){}".format(
-                        len(finding.diff_evidence),
-                        "" if len(finding.diff_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.diff_evidence}
-                            )
-                        ),
-                        " — DIFFERENTIAL SUSPECT"
-                        if finding.differential_suspect
-                        else "",
-                    )
-                )
+            for name, entry in SCREENS.items():
+                found = finding.evidence.get(name)
+                if not found:
+                    continue
+                parts.append("{}: {} {} finding{} ({}){}".format(
+                    name,
+                    len(found),
+                    entry.noun,
+                    "" if len(found) == 1 else "s",
+                    ", ".join(sorted({e["rule"] for e in found})),
+                    " — {}".format(entry.status.replace("_", " ").upper())
+                    if entry.status and finding.suspect(entry.status)
+                    else "",
+                ))
             if getattr(finding, "restored", False):
                 parts.append("restored from checkpoint")
             lines.append("  {}: {}".format(register, "; ".join(parts)))

@@ -20,7 +20,7 @@ makes designs *data*:
     in-band ground truth (target register, mutator chain, seed).
 
 ``repro.corpus.runner``
-    Fans mutant bundles through the lint+IFT+diff portfolio (optionally
+    Fans mutant bundles through the registered screens (optionally
     the full audit scheduler) and scores detections against the carried
     ground truth into a per-mutator detection-rate table.
 """

@@ -1,14 +1,14 @@
 """Corpus runner: screen every mutant, score against in-band truth.
 
 :func:`run_corpus` fans the bundles of a generated corpus through the
-static portfolio — lint, IFT and the golden-model differential screen —
+registered solver-free screens (:data:`~repro.report.screen.SCREENS`)
 in parallel worker processes, and :func:`score_results` folds the rows
 into a per-mutator detection-rate table keyed by the ground truth each
 bundle carries in its provenance.
 
 A mutant counts as *detected* when any enabled modality reports a
 finding at or above ``RunConfig.fail_on`` (default ``suspicious`` —
-the same exit-code convention as ``repro lint``). A trojaned mutant
+the same exit-code convention as ``repro screen``). A trojaned mutant
 nobody flags lands in ``missed``; a clean mutant anybody flags lands in
 ``false_positives``; :func:`detection_gate` turns either into exit 1,
 which is what the CI corpus-smoke job enforces.
@@ -34,15 +34,20 @@ from dataclasses import dataclass
 from repro.corpus.bundle import load_bundle
 from repro.corpus.mutate import MANIFEST_NAME
 from repro.errors import CorpusError
+from repro.report.screen import SCREENS, select_screens, severity_rank
 
 REPORT_FORMAT = "repro-corpus-report"
 REPORT_VERSION = 1
-DEFAULT_MODALITIES = ("lint", "ift", "diff")
+DEFAULT_MODALITIES = tuple(SCREENS)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a corpus run's report bytes."""
+    """Everything that determines a corpus run's report bytes.
+
+    ``modalities`` names registered screens; they run, and appear in
+    the report, in registry order whatever order they are given in.
+    """
 
     jobs: int = 1
     fail_on: str = "suspicious"
@@ -50,6 +55,13 @@ class RunConfig:
     audit: bool = False  # also run Algorithm 1 per mutant (sched pool)
     audit_max_cycles: int = 12
     audit_engine: str = "bmc"
+
+    def __post_init__(self):
+        try:
+            modalities = select_screens(self.modalities)
+        except ValueError as exc:
+            raise CorpusError(str(exc)) from None
+        object.__setattr__(self, "modalities", modalities)
 
     def to_dict(self):
         payload = {
@@ -94,34 +106,12 @@ def corpus_paths(corpus_dir):
     return paths
 
 
-def _run_modality(modality, netlist, spec, design):
-    if modality == "lint":
-        from repro.lint import lint_design
-
-        return lint_design(netlist, spec, design=design)
-    if modality == "ift":
-        from repro.ift import analyze_design
-
-        return analyze_design(netlist, spec, design=design)
-    if modality == "diff":
-        from repro.diff import analyze_design
-
-        return analyze_design(netlist, spec, design=design)
-    raise CorpusError(
-        "unknown modality {!r}; known: {}".format(
-            modality, ", ".join(DEFAULT_MODALITIES)
-        )
-    )
-
-
 def screen_bundle(path, config=None):
     """Screen one bundle through the enabled modalities; returns a row.
 
     Module-level so a fork Pool can ship it to workers; the row is a
     plain dict ready for :func:`score_results`.
     """
-    from repro.lint import severity_rank
-
     if config is None:
         config = RunConfig()
     bundle = load_bundle(path)
@@ -130,7 +120,7 @@ def screen_bundle(path, config=None):
     floor = severity_rank(config.fail_on)
     modalities = {}
     for modality in config.modalities:
-        report = _run_modality(modality, netlist, spec, netlist.name)
+        report = SCREENS[modality].run(netlist, spec, netlist.name)
         flagged = sorted(
             {
                 finding.severity

@@ -1,37 +1,30 @@
-"""Golden-model differential screening (ROADMAP item 4, second half).
+"""Golden-model differential screening.
 
 The portfolio's dynamic complement to the static lint and IFT screens:
 compile each critical register's ValidWays spec into an executable
 reference next-state function (the spec *is* the golden model), drive
 implementation and reference with shared seeded stimulus on the
 bit-parallel simulator, and flag any cycle where the register departs
-from every documented way's prediction. Zero SAT calls; findings fuse
-into :class:`~repro.core.report.DetectionReport` as ``diff_evidence``
-with a ``differential_suspect`` verdict rung.
+from every documented way's prediction. Zero SAT calls. The screen is
+the ``diff`` entry of the screen registry (:data:`repro.report.SCREENS`):
+its findings fuse into :class:`~repro.core.report.DetectionReport` as
+per-register ``diff`` evidence with a ``differential_suspect`` status
+rung, and export through the shared SARIF writer.
 
 Public surface::
 
     analyze_design(netlist, spec, design=...)   -> DiffReport
     build_golden_models(netlist, spec)          -> (clone, models)
     build_phases(netlist, spec, models, config) -> [Phase]
-    to_sarif / write_sarif / merged_sarif       -> SARIF 2.1.0
 """
 
-from repro.diff.findings import (
-    DIFF_RULES,
-    DiffFinding,
-    DiffReport,
-    RegisterDiffStats,
-)
+from repro.diff.findings import DiffReport, RegisterDiffStats
 from repro.diff.golden import GoldenModel, WayMonitor, build_golden_models
-from repro.diff.sarif import merged_sarif, to_sarif, write_sarif
 from repro.diff.screen import DiffConfig, analyze_design
 from repro.diff.stimulus import Phase, build_phases
 
 __all__ = [
-    "DIFF_RULES",
     "DiffConfig",
-    "DiffFinding",
     "DiffReport",
     "GoldenModel",
     "Phase",
@@ -40,7 +33,4 @@ __all__ = [
     "analyze_design",
     "build_golden_models",
     "build_phases",
-    "merged_sarif",
-    "to_sarif",
-    "write_sarif",
 ]

@@ -1,52 +1,18 @@
-"""Structured results of the golden-model differential screen.
+"""The diff report: findings plus per-register simulation accounting.
 
-Findings reuse the lint severity ladder and field shape
-(:class:`~repro.lint.findings.LintFinding`) so every downstream
-consumer — Algorithm 1 register prioritization, the shared SARIF
-writer, the fused audit report — handles lint, IFT and differential
-evidence with the same code. A :class:`DiffReport` aggregates one
-design's findings with per-register simulation accounting (way counts,
-cycles driven, divergence counts) that the bench harness reads.
+Findings, the severity ladder, the rule table and every report query
+and serializer are shared by all screens (:mod:`repro.report.screen`).
+A :class:`DiffReport` adds the stimulus coordinates (seed, lanes,
+cycles) and per-register simulation accounting (way counts, cycles
+driven, divergence counts) that the bench harness reads.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import ClassVar
 
-from repro.lint.findings import (
-    SEVERITIES,
-    SEVERITY_WEIGHT,
-    SUSPICIOUS,
-    LintFinding,
-    severity_rank,
-)
-
-# Rule registry of the differential screen: id -> (severity,
-# description). Two rules, one per evidence tier: a divergence reached
-# by input-only stimulus is a demonstrated spec violation; a divergence
-# that needed undocumented state forced shows that hidden state *can*
-# steer the register, without a reachability witness.
-DIFF_RULES = {
-    "diff-divergence": (
-        SUSPICIOUS,
-        "Under input-only stimulus the implementation register departed "
-        "from every documented valid way's prediction — a reachable "
-        "violation of the datasheet update spec.",
-    ),
-    "diff-undocumented-state": (
-        SUSPICIOUS,
-        "Forcing the register's undocumented write-port state nets "
-        "steered the register off every documented valid way — hidden "
-        "state controls the register's next value.",
-    ),
-}
-
-
-@dataclass
-class DiffFinding(LintFinding):
-    """One divergence family hit; shares the lint finding shape."""
+from repro.report.screen import ScreenReport, screened_clause
 
 
 @dataclass
@@ -72,139 +38,30 @@ class RegisterDiffStats:
 
 
 @dataclass
-class DiffReport:
+class DiffReport(ScreenReport):
     """All differential findings for one design."""
 
-    design: str
-    findings: list = field(default_factory=list)
+    screen: ClassVar[str] = "diff"
+
     register_stats: dict = field(default_factory=dict)  # name -> stats
     seed: int = 0
     lanes: int = 0
     cycles: int = 0
-    elapsed: float = 0.0
 
-    # ------------------------------------------------------------- queries
-
-    def findings_for(self, register: str) -> list:
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
-
-    @property
-    def max_severity(self) -> "str | None":
-        if not self.findings:
-            return None
-        return max(
-            self.findings, key=lambda f: severity_rank(f.severity)
-        ).severity
-
-    @property
-    def severity_counts(self) -> dict:
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
-    def rule_hits(self) -> dict:
-        """Per-rule hit counts (every diff rule, zero included)."""
-        counts = {rule: 0 for rule in DIFF_RULES}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
-    @property
-    def divergent_registers(self) -> list:
-        """Screened registers with at least one finding, sorted."""
-        return sorted({f.register for f in self.findings if f.register})
-
-    def register_scores(self) -> dict:
-        """Priority score per implicated register (higher = audit first)."""
-        scores: dict[str, int] = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    # ------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
+    def details(self) -> tuple[dict, str]:
+        fields = {
             "seed": self.seed,
             "lanes": self.lanes,
             "cycles": self.cycles,
-            "elapsed": self.elapsed,
-            "findings": [f.to_dict() for f in self.findings],
             "register_stats": {
                 name: st.to_dict()
                 for name, st in self.register_stats.items()
             },
-            "severity_counts": self.severity_counts,
-            "register_scores": self.register_scores(),
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def summary(self) -> str:
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        screened = len(self.register_stats)
-        sourced = sum(
-            1 for st in self.register_stats.values() if st.num_sources
+        clause = screened_clause(
+            self.register_stats,
+            "; seed {}, {} lanes, {} cycles".format(
+                self.seed, self.lanes, self.cycles
+            ),
         )
-        lines = [
-            "diff {!r}: {} finding{} ({}) over {} register{} "
-            "({} with undocumented sources; seed {}, {} lanes, "
-            "{} cycles) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                screened,
-                "" if screened == 1 else "s",
-                sourced,
-                self.seed,
-                self.lanes,
-                self.cycles,
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        return "\n".join(lines)
-
-
-def make_finding(
-    rule: str,
-    message: str,
-    design: str,
-    register: str,
-    nets: Any = (),
-    net_names: Any = (),
-    evidence: "dict | None" = None,
-) -> DiffFinding:
-    """Build a finding for a registered diff rule."""
-    severity, _description = DIFF_RULES[rule]
-    return DiffFinding(
-        rule=rule,
-        severity=severity,
-        message=message,
-        design=design,
-        register=register,
-        nets=list(nets),
-        net_names=list(net_names),
-        evidence=dict(evidence or {}),
-    )
+        return fields, clause

@@ -31,15 +31,12 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.diff.findings import (
-    DiffReport,
-    RegisterDiffStats,
-    make_finding,
-)
+from repro.diff.findings import DiffReport, RegisterDiffStats
 from repro.diff.golden import build_golden_models
 from repro.diff.stimulus import build_phases
 from repro.lint.analysis import DesignAnalysis
 from repro.obs.tracer import get_tracer
+from repro.report.screen import make_finding
 from repro.sim.sequential import SequentialSimulator
 from repro.sim.vcd import VcdWriter
 
@@ -426,6 +423,7 @@ def _build_finding(
             )
         )
     return make_finding(
+        "diff",
         rule,
         message,
         design,

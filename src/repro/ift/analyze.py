@@ -24,39 +24,20 @@ threshold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from repro.ift.engine import propagate, shortest_taint_path
-from repro.ift.findings import (
-    IftReport,
-    RegisterIftStats,
-    make_finding,
-)
+from repro.ift.findings import IftReport, RegisterIftStats
 from repro.ift.lattice import MAYBE, level_name
 from repro.ift.sources import derive_sources
 from repro.lint.analysis import DesignAnalysis
 from repro.netlist.traversal import fanout_map, topological_cells
 from repro.obs.tracer import get_tracer
+from repro.report.screen import make_finding
 
 # evidence lists are capped so findings stay readable and reports stay
 # small; the caps are recorded in the evidence itself when they bite
 _MAX_EVIDENCE_NETS = 12
-
-
-@dataclass(frozen=True)
-class IftConfig:
-    """Tuning knobs of the IFT screen.
-
-    ``weak_selects`` keeps the three-level lattice semantics (select
-    taint demotes to ``maybe``); it exists as a knob so the conservative
-    two-level reading — select taint propagates at full strength — stays
-    one flag away for experiments. Both settings flag the same
-    registers (the criterion is ``>= maybe``); only the reported level
-    differs.
-    """
-
-    weak_selects: bool = True
 
 
 def _names(netlist: Any, nets: Any) -> list:
@@ -71,12 +52,9 @@ def analyze_design(
     netlist: Any,
     spec: Any,
     design: str = "",
-    config: "IftConfig | None" = None,
     analysis: "DesignAnalysis | None" = None,
 ) -> IftReport:
     """Run the static IFT screen over every critical register."""
-    if config is None:
-        config = IftConfig()
     started = time.perf_counter()
     tracer = get_tracer()
     if analysis is None:
@@ -94,7 +72,6 @@ def analyze_design(
                 analysis,
                 fanout,
                 order,
-                config,
                 report,
                 tracer,
             )
@@ -111,7 +88,6 @@ def _screen_register(
     analysis: Any,
     fanout: Any,
     order: Any,
-    config: IftConfig,
     report: IftReport,
     tracer: Any,
 ) -> None:
@@ -130,7 +106,6 @@ def _screen_register(
             sources.sources,
             fanout=fanout,
             order=order,
-            weak_selects=config.weak_selects,
         )
         stats.rounds = result.rounds
         stats.round_limit = result.round_limit
@@ -195,6 +170,7 @@ def _check_critical(
     )
     report.findings.append(
         make_finding(
+            "ift",
             "taint-reaches-critical",
             "{} undocumented source net(s) taint the D pins of "
             "critical register {!r} (level {}, {}/{} bits)".format(
@@ -241,6 +217,7 @@ def _check_outputs(
     )
     report.findings.append(
         make_finding(
+            "ift",
             "taint-reaches-output",
             "taint from undocumented sources of {!r} reaches output "
             "port(s) {}".format(register, ", ".join(ports)),
@@ -284,6 +261,7 @@ def _check_enables(
     )
     report.findings.append(
         make_finding(
+            "ift",
             "taint-reaches-enable",
             "taint from undocumented sources of {!r} reaches the "
             "write-enable logic of register(s) {}".format(

@@ -1,55 +1,18 @@
-"""Structured results of the static IFT screen.
+"""The IFT report: findings plus per-register engine accounting.
 
-Findings reuse the lint severity ladder and field shape
-(:class:`~repro.lint.findings.LintFinding`) so every downstream
-consumer — Algorithm 1 register prioritization, the shared SARIF
-writer, the fused audit report — handles lint and IFT evidence with the
-same code. An :class:`IftReport` aggregates one design's findings with
-per-register engine accounting (source counts, fixpoint rounds, reach
-sizes) that the bench harness and the termination tests read.
+Findings, the severity ladder, the rule table and every report query
+and serializer are shared by all screens (:mod:`repro.report.screen`).
+An :class:`IftReport` adds per-register engine accounting (source
+counts, fixpoint rounds, reach sizes) that the bench harness and the
+termination tests read.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import ClassVar
 
-from repro.lint.findings import (
-    SEVERITIES,
-    SEVERITY_WEIGHT,
-    SUSPICIOUS,
-    WARN,
-    LintFinding,
-    severity_rank,
-)
-
-# Rule registry of the IFT screen: id -> (severity, description). Kept
-# as data (not classes) because IFT is one analysis with three sink
-# kinds, not a family of independent structural patterns.
-IFT_RULES = {
-    "taint-reaches-critical": (
-        SUSPICIOUS,
-        "Taint from an undocumented write-port source reaches the "
-        "critical register's D pins — a valid-way violation the "
-        "corruption property may not express.",
-    ),
-    "taint-reaches-output": (
-        WARN,
-        "Taint from an undocumented source of a critical register "
-        "reaches a primary output — a potential leakage channel.",
-    ),
-    "taint-reaches-enable": (
-        WARN,
-        "Taint from an undocumented source of a critical register "
-        "reaches another register's write-enable logic.",
-    ),
-}
-
-
-@dataclass
-class IftFinding(LintFinding):
-    """One IFT sink hit; shares the lint finding shape end to end."""
+from repro.report.screen import ScreenReport, screened_clause
 
 
 @dataclass
@@ -73,131 +36,18 @@ class RegisterIftStats:
 
 
 @dataclass
-class IftReport:
+class IftReport(ScreenReport):
     """All IFT findings for one design."""
 
-    design: str
-    findings: list = field(default_factory=list)
+    screen: ClassVar[str] = "ift"
+
     register_stats: dict = field(default_factory=dict)  # name -> stats
-    elapsed: float = 0.0
 
-    # ------------------------------------------------------------- queries
-
-    def findings_for(self, register: str) -> list:
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
-
-    @property
-    def max_severity(self) -> "str | None":
-        if not self.findings:
-            return None
-        return max(
-            self.findings, key=lambda f: severity_rank(f.severity)
-        ).severity
-
-    @property
-    def severity_counts(self) -> dict:
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
-    def rule_hits(self) -> dict:
-        """Per-rule hit counts (every IFT rule, zero included)."""
-        counts = {rule: 0 for rule in IFT_RULES}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
-    @property
-    def tainted_registers(self) -> list:
-        """Screened registers with at least one finding, sorted."""
-        return sorted({f.register for f in self.findings if f.register})
-
-    def register_scores(self) -> dict:
-        """Priority score per implicated register (higher = audit first)."""
-        scores: dict[str, int] = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    # ------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "elapsed": self.elapsed,
-            "findings": [f.to_dict() for f in self.findings],
-            "register_stats": {
-                name: st.to_dict()
-                for name, st in self.register_stats.items()
-            },
-            "severity_counts": self.severity_counts,
-            "register_scores": self.register_scores(),
+    def details(self) -> tuple[dict, str]:
+        stats = {
+            name: st.to_dict() for name, st in self.register_stats.items()
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def summary(self) -> str:
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        screened = len(self.register_stats)
-        sourced = sum(
-            1
-            for st in self.register_stats.values()
-            if st.num_sources
+        return (
+            {"register_stats": stats},
+            screened_clause(self.register_stats),
         )
-        lines = [
-            "ift {!r}: {} finding{} ({}) over {} register{} "
-            "({} with undocumented sources) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                screened,
-                "" if screened == 1 else "s",
-                sourced,
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        return "\n".join(lines)
-
-
-def make_finding(
-    rule: str,
-    message: str,
-    design: str,
-    register: str,
-    nets: Any = (),
-    net_names: Any = (),
-    evidence: "dict | None" = None,
-) -> IftFinding:
-    """Build a finding for a registered IFT rule."""
-    severity, _description = IFT_RULES[rule]
-    return IftFinding(
-        rule=rule,
-        severity=severity,
-        message=message,
-        design=design,
-        register=register,
-        nets=list(nets),
-        net_names=list(net_names),
-        evidence=dict(evidence or {}),
-    )

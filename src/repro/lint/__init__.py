@@ -9,27 +9,20 @@ critical enables, bypass muxes in output cones, plus netlist hygiene
 
 Typical use::
 
+    from repro.core.detector import prioritize_registers
     from repro.lint import lint_design
 
     report = lint_design(netlist, spec)
-    ordered = report.prioritize(list(spec.critical))  # audit these first
+    ordered = prioritize_registers(list(spec.critical), [report])
+
+Findings, severities and SARIF export are shared by every screen
+(:mod:`repro.report`).
 """
 
 from repro.lint.analysis import DesignAnalysis, MuxArm, RegisterMuxTree
 from repro.lint.engine import LintConfig, LintConfigError, Linter, lint_design
-from repro.lint.findings import (
-    ERROR,
-    INFO,
-    SEVERITIES,
-    SUSPICIOUS,
-    WARN,
-    LintFinding,
-    LintReport,
-    RuleStats,
-    severity_rank,
-)
+from repro.lint.findings import LintReport, RuleStats
 from repro.lint.rules import RULE_REGISTRY, Rule, RuleContext, all_rules, rule
-from repro.lint.sarif import to_sarif, write_sarif
 
 __all__ = [
     "DesignAnalysis",
@@ -39,20 +32,11 @@ __all__ = [
     "LintConfigError",
     "Linter",
     "lint_design",
-    "ERROR",
-    "INFO",
-    "SEVERITIES",
-    "SUSPICIOUS",
-    "WARN",
-    "LintFinding",
     "LintReport",
     "RuleStats",
-    "severity_rank",
     "RULE_REGISTRY",
     "Rule",
     "RuleContext",
     "all_rules",
     "rule",
-    "to_sarif",
-    "write_sarif",
 ]

@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.lint.analysis import DesignAnalysis
-from repro.lint.findings import (
-    ERROR,
-    LintFinding,
-    LintReport,
-    RuleStats,
-    severity_rank,
-)
+from repro.lint.findings import LintReport, RuleStats
 from repro.lint.rules import RULE_REGISTRY, RuleContext, all_rules
+from repro.report.screen import ERROR, Finding, severity_rank
 
 
 class LintConfigError(ReproError):
@@ -110,7 +105,7 @@ class Linter:
                 produced = rule.run(ctx)
             except ReproError as exc:
                 produced = [
-                    LintFinding(
+                    Finding(
                         rule=rule.name,
                         severity=ERROR,
                         message="rule could not run on this netlist: "

@@ -1,96 +1,17 @@
-"""Structured results of the static lint pass.
+"""The lint report: findings plus per-rule and netlist accounting.
 
-A :class:`LintFinding` is one rule hit: which rule fired, how severe it
-is, which register/nets it implicates and machine-readable ``evidence``
-for downstream consumers (Algorithm 1 ordering, the bench harness, SARIF
-export). A :class:`LintReport` aggregates the findings of one design
-together with per-rule runtime/hit accounting and the register priority
-scores the detector uses to order its property checks.
+Findings, the severity ladder and every report query and serializer are
+shared by all screens (:mod:`repro.report.screen`). A
+:class:`LintReport` adds the per-rule runtime/hit accounting and the
+statistics of the linted netlist, which the bench harness records.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
-# Severity ladder. ``error`` marks structural brokenness (a netlist that
-# downstream tools cannot trust); ``suspicious`` marks Trojan-shaped
-# structure; ``warn``/``info`` are advisory.
-INFO = "info"
-WARN = "warn"
-SUSPICIOUS = "suspicious"
-ERROR = "error"
-
-SEVERITIES = (INFO, WARN, SUSPICIOUS, ERROR)
-SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
-
-# Contribution of one finding to its register's priority score. Trojan-
-# shaped structure dominates; structural errors still outrank advisories
-# (a register whose logic is broken deserves early scrutiny).
-SEVERITY_WEIGHT = {INFO: 1, WARN: 4, SUSPICIOUS: 16, ERROR: 8}
-
-
-def severity_rank(severity):
-    """Numeric rank of a severity name (higher = more severe)."""
-    try:
-        return SEVERITY_RANK[severity]
-    except KeyError:
-        raise ValueError(
-            "unknown severity {!r}; expected one of {}".format(
-                severity, ", ".join(SEVERITIES)
-            )
-        ) from None
-
-
-@dataclass
-class LintFinding:
-    """One rule hit on one design."""
-
-    rule: str
-    severity: str
-    message: str
-    design: str = ""
-    register: str | None = None  # implicated register, when identifiable
-    nets: list = field(default_factory=list)  # implicated net ids
-    net_names: list = field(default_factory=list)  # matching debug names
-    evidence: dict = field(default_factory=dict)  # JSON-safe details
-
-    def __post_init__(self):
-        severity_rank(self.severity)  # validate eagerly
-
-    def to_dict(self):
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "design": self.design,
-            "register": self.register,
-            "nets": list(self.nets),
-            "net_names": list(self.net_names),
-            "evidence": dict(self.evidence),
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            rule=data["rule"],
-            severity=data["severity"],
-            message=data["message"],
-            design=data.get("design", ""),
-            register=data.get("register"),
-            nets=list(data.get("nets", [])),
-            net_names=list(data.get("net_names", [])),
-            evidence=dict(data.get("evidence", {})),
-        )
-
-    def __str__(self):
-        subject = self.register or (
-            self.net_names[0] if self.net_names else ""
-        )
-        prefix = "[{}] {}".format(self.severity, self.rule)
-        if subject:
-            prefix += " @ {}".format(subject)
-        return "{}: {}".format(prefix, self.message)
+from repro.report.screen import ScreenReport
 
 
 @dataclass
@@ -106,128 +27,26 @@ class RuleStats:
 
 
 @dataclass
-class LintReport:
+class LintReport(ScreenReport):
     """All lint findings for one design."""
 
-    design: str
-    findings: list = field(default_factory=list)
+    screen: ClassVar[str] = "lint"
+
     rule_stats: dict = field(default_factory=dict)  # rule -> RuleStats
-    elapsed: float = 0.0
     stats: object = None  # NetlistStats of the linted design
 
-    # ------------------------------------------------------------- queries
-
-    def findings_for(self, register):
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
-
-    def by_severity(self, minimum=INFO):
-        floor = severity_rank(minimum)
-        return [
-            f for f in self.findings if severity_rank(f.severity) >= floor
-        ]
-
-    @property
-    def max_severity(self):
-        if not self.findings:
-            return None
-        return max(self.findings, key=lambda f: severity_rank(f.severity)).severity
-
-    @property
-    def severity_counts(self):
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
-    def rule_hits(self):
-        """Per-rule hit counts (every registered rule, zero included)."""
-        return {rule: st.hits for rule, st in self.rule_stats.items()}
-
-    def register_scores(self):
-        """Priority score per implicated register (higher = audit first)."""
-        scores = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    def prioritize(self, registers):
-        """Order ``registers`` most-suspicious first (stable for ties).
-
-        This is the ordering :class:`~repro.core.detector.TrojanDetector`
-        applies to Algorithm 1's outer loop under ``--lint-prioritize``:
-        the supervised runner's wall-clock/retry budget goes to the
-        registers the static pass implicated before the clean-looking
-        majority.
-        """
-        scores = self.register_scores()
-        order = {name: index for index, name in enumerate(registers)}
-        return sorted(
-            registers, key=lambda name: (-scores.get(name, 0), order[name])
-        )
-
-    # ------------------------------------------------------- serialization
-
-    def to_dict(self):
-        data = {
-            "design": self.design,
-            "elapsed": self.elapsed,
-            "findings": [f.to_dict() for f in self.findings],
+    def details(self):
+        fields = {
             "rule_stats": {
                 rule: st.to_dict() for rule, st in self.rule_stats.items()
             },
-            "severity_counts": self.severity_counts,
-            "register_scores": self.register_scores(),
         }
         if self.stats is not None:
-            data["netlist"] = {
+            fields["netlist"] = {
                 "cells": self.stats.num_cells,
                 "flops": self.stats.num_flops,
                 "registers": self.stats.num_registers,
                 "depth": self.stats.depth,
                 "max_fanout": self.stats.max_fanout,
             }
-        return data
-
-    def to_json(self, indent=1):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def summary(self):
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        lines = [
-            "lint {!r}: {} finding{} ({}) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        ranked = self.prioritize(sorted(self.register_scores()))
-        if ranked:
-            lines.append(
-                "  priority: {}".format(
-                    ", ".join(
-                        "{} ({})".format(name, self.register_scores()[name])
-                        for name in ranked
-                    )
-                )
-            )
-        return "\n".join(lines)
+        return fields, ""

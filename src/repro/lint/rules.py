@@ -1,7 +1,7 @@
 """The lint rule set: Trojan-shaped structure and netlist hygiene.
 
 Each :class:`Rule` queries the shared :class:`~repro.lint.analysis.
-DesignAnalysis` and emits :class:`~repro.lint.findings.LintFinding`
+DesignAnalysis` and emits :class:`~repro.report.screen.Finding`
 objects. Rules register themselves in :data:`RULE_REGISTRY` via the
 :func:`rule` decorator; the engine instantiates every registered rule
 unless the config disables it.
@@ -20,7 +20,7 @@ floating and unread nets, pathological depth) absorbed from
 from __future__ import annotations
 
 from repro.netlist.cells import CONST0, CONST1, Kind
-from repro.lint.findings import ERROR, INFO, SUSPICIOUS, WARN, LintFinding
+from repro.report.screen import ERROR, INFO, SUSPICIOUS, WARN, Finding
 
 _VARIADIC = {Kind.AND, Kind.OR, Kind.XOR, Kind.XNOR, Kind.NAND, Kind.NOR}
 _CONSTS = {CONST0, CONST1}
@@ -76,7 +76,7 @@ class Rule:
 
     def finding(self, ctx, message, register=None, nets=(), evidence=None):
         nets = list(nets)
-        return LintFinding(
+        return Finding(
             rule=self.name,
             severity=self.severity,
             message=message,

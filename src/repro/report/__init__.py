@@ -1,33 +1,55 @@
-"""Shared report serialization (SARIF) for the static modalities.
+"""The screens' shared report model and its SARIF writer.
 
-Both static screens — :mod:`repro.lint` and :mod:`repro.ift` — emit
-SARIF 2.1.0 for code-scanning UIs. The writer lives here so each
-modality only describes its *tool* (driver name, rule registry) and the
-log assembly, level mapping and logical-location encoding stay in one
-place; :func:`merged_log` stitches the two into a single multi-run
-document.
+Every solver-free screen reports through one model
+(:mod:`repro.report.screen`: the severity ladder, :class:`Finding`,
+:class:`ScreenReport` and the :data:`SCREENS` registry, the one place
+that lists the screens) and exports through one SARIF 2.1.0 writer
+(:mod:`repro.report.sarif`). Each screen package contributes only its
+analysis and its report's own data fields.
 """
 
 from repro.report.sarif import (
     SARIF_SCHEMA,
     SARIF_VERSION,
-    driver_rule,
-    finding_result,
-    make_log,
-    make_run,
-    merged_log,
     severity_level,
-    write_log,
+    to_sarif,
+    write_sarif,
+)
+from repro.report.screen import (
+    ERROR,
+    INFO,
+    SCREENS,
+    SEVERITIES,
+    SEVERITY_WEIGHT,
+    SUSPECT_STATUSES,
+    SUSPICIOUS,
+    WARN,
+    Finding,
+    Screen,
+    ScreenReport,
+    make_finding,
+    select_screens,
+    severity_rank,
 )
 
 __all__ = [
+    "ERROR",
+    "INFO",
     "SARIF_SCHEMA",
     "SARIF_VERSION",
-    "driver_rule",
-    "finding_result",
-    "make_log",
-    "make_run",
-    "merged_log",
+    "SCREENS",
+    "SEVERITIES",
+    "SEVERITY_WEIGHT",
+    "SUSPECT_STATUSES",
+    "SUSPICIOUS",
+    "WARN",
+    "Finding",
+    "Screen",
+    "ScreenReport",
+    "make_finding",
+    "select_screens",
     "severity_level",
-    "write_log",
+    "severity_rank",
+    "to_sarif",
+    "write_sarif",
 ]

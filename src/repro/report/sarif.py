@@ -1,24 +1,23 @@
-"""Generic SARIF 2.1.0 building blocks shared by lint and IFT.
+"""SARIF 2.1.0 export of screen reports: one writer for every screen.
 
 SARIF (Static Analysis Results Interchange Format) is what code-scanning
 UIs ingest. Gate-level designs have no source files, so findings carry
 *logical* locations (``design/register`` or ``design/net``) instead of
 physical ones, which the spec explicitly allows.
 
-The functions here are deliberately tool-agnostic: a modality supplies
-its driver metadata and findings (anything with the
-:class:`~repro.lint.findings.LintFinding` field shape — ``rule``,
-``severity``, ``message``, ``design``, ``register``, ``net_names``,
-``evidence``) and gets back spec-shaped ``run``/``result`` dicts. One
-modality = one ``run``; :func:`merged_log` concatenates runs from
-several modalities into a single multi-run log, which is how
-``repro ift`` emits lint + IFT evidence as one scan artifact.
+One :class:`~repro.report.screen.ScreenReport` becomes one ``run``,
+described by its registry entry (driver name, rules, run properties,
+evidence kept out of results). :func:`to_sarif` puts the runs of any
+mix of screens and designs into one log, grouped by screen in registry
+order and in input order within a screen.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
+
+from repro.report.screen import ERROR, INFO, SCREENS, SUSPICIOUS, WARN
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -29,17 +28,15 @@ SARIF_SCHEMA = (
 _INFORMATION_URI = "https://github.com/paper-repro/conf-dac-trojan"
 _TOOL_VERSION = "0.2.0"
 
+# SARIF defines note/warning/error; the Trojan-shaped ``suspicious``
+# severity maps to error so scanning UIs surface it as blocking.
+_LEVELS = {INFO: "note", WARN: "warning", SUSPICIOUS: "error",
+           ERROR: "error"}
+
 
 def severity_level(severity: str) -> str:
     """Map a repro severity name to a SARIF result level."""
-    # imported here: repro.lint's package init imports this module
-    from repro.lint.findings import ERROR, INFO, SUSPICIOUS, WARN
-
-    # SARIF defines note/warning/error; the Trojan-shaped ``suspicious``
-    # severity maps to error so scanning UIs surface it as blocking.
-    levels = {INFO: "note", WARN: "warning", SUSPICIOUS: "error",
-              ERROR: "error"}
-    return levels[severity]
+    return _LEVELS[severity]
 
 
 def driver_rule(
@@ -55,9 +52,10 @@ def driver_rule(
 
 
 def finding_result(
-    finding: Any, rule_index: int | None
+    finding: Any, rule_index: int | None, drop: Sequence[str] = ()
 ) -> dict[str, Any]:
-    """One SARIF ``result`` for a lint/IFT finding."""
+    """One SARIF ``result`` for a finding, without the ``drop``
+    evidence keys."""
     subject = finding.register or (
         finding.net_names[0] if finding.net_names else finding.design
     )
@@ -66,6 +64,10 @@ def finding_result(
         if finding.design
         else subject
     )
+    evidence = {
+        key: value for key, value in finding.evidence.items()
+        if key not in drop
+    }
     result: dict[str, Any] = {
         "ruleId": finding.rule,
         "level": severity_level(finding.severity),
@@ -86,7 +88,7 @@ def finding_result(
             "design": finding.design,
             "register": finding.register,
             "netNames": list(finding.net_names),
-            "evidence": dict(finding.evidence),
+            "evidence": evidence,
         },
     }
     if rule_index is not None:
@@ -94,51 +96,57 @@ def finding_result(
     return result
 
 
-def make_run(
-    driver_name: str,
-    rules: Sequence[dict[str, Any]],
-    findings: Sequence[Any],
-    properties: Mapping[str, Any],
-) -> dict[str, Any]:
-    """One SARIF ``run``: a tool descriptor plus its results."""
-    index = {entry["id"]: i for i, entry in enumerate(rules)}
+def make_run(report: Any) -> dict[str, Any]:
+    """One SARIF ``run``: the report's screen as the tool, its findings
+    as results."""
+    entry = SCREENS[report.screen]
+    rules = [
+        driver_rule(rule_id, description, severity)
+        for rule_id, (severity, description) in entry.rules.items()
+    ]
+    index = {rule["id"]: i for i, rule in enumerate(rules)}
+    fields = report.details()[0]
+    properties = {
+        "design": report.design,
+        "elapsed": report.elapsed,
+        "ruleHits": report.rule_hits,
+    }
+    for key, name in entry.sarif_properties:
+        properties[name] = fields[key]
     return {
         "tool": {
             "driver": {
-                "name": driver_name,
+                "name": entry.driver,
                 "informationUri": _INFORMATION_URI,
                 "version": _TOOL_VERSION,
-                "rules": list(rules),
+                "rules": rules,
             }
         },
         "results": [
-            finding_result(finding, index.get(finding.rule))
-            for finding in findings
+            finding_result(
+                finding, index.get(finding.rule), entry.sarif_drop
+            )
+            for finding in report.findings
         ],
-        "properties": dict(properties),
+        "properties": properties,
     }
 
 
-def make_log(runs: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Wrap runs into a top-level SARIF log."""
+def to_sarif(reports: Sequence[Any]) -> dict[str, Any]:
+    """One SARIF log over any number of screen reports: one run each,
+    grouped by screen in registry order, input order within a screen."""
+    order = list(SCREENS)
+    grouped = sorted(reports, key=lambda report: order.index(report.screen))
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
-        "runs": list(runs),
+        "runs": [make_run(report) for report in grouped],
     }
 
 
-def merged_log(*run_groups: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """One multi-run log from several modalities' run lists."""
-    runs: list[dict[str, Any]] = []
-    for group in run_groups:
-        runs.extend(group)
-    return make_log(runs)
-
-
-def write_log(path: Any, log: Mapping[str, Any]) -> Any:
-    """Serialize a SARIF log dict to ``path``; returns the path."""
+def write_sarif(path: Any, reports: Sequence[Any]) -> Any:
+    """Serialize :func:`to_sarif` to ``path``; returns the path."""
     with open(path, "w") as handle:
-        json.dump(log, handle, indent=1, sort_keys=True)
+        json.dump(to_sarif(reports), handle, indent=1, sort_keys=True)
         handle.write("\n")
     return path

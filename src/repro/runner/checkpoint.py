@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.bmc.witness import Witness
 from repro.errors import CheckpointError, CheckpointWriteError
+from repro.report.screen import SCREENS
 from repro.runner.outcome import CheckOutcome
 
 FORMAT_VERSION = 1
@@ -105,8 +106,14 @@ def result_from_dict(data):
 
 
 def finding_to_dict(finding):
-    """Serialize one completed :class:`RegisterFinding`."""
-    return {
+    """Serialize one completed :class:`RegisterFinding`.
+
+    Screen evidence is written as one ``<screen>_evidence`` list per
+    registered screen, empty ones included, so reports, checkpoints and
+    service job results keep the shape they had before the evidence
+    map existed — and older checkpoints load unchanged.
+    """
+    data = {
         "register": finding.register,
         "pseudo_criticals": [list(pair) for pair in finding.pseudo_criticals],
         "corruption": result_to_dict(finding.corruption),
@@ -121,16 +128,12 @@ def finding_to_dict(finding):
             name: outcome.to_dict()
             for name, outcome in finding.check_outcomes.items()
         },
-        "lint_evidence": [
-            dict(entry) for entry in getattr(finding, "lint_evidence", [])
-        ],
-        "ift_evidence": [
-            dict(entry) for entry in getattr(finding, "ift_evidence", [])
-        ],
-        "diff_evidence": [
-            dict(entry) for entry in getattr(finding, "diff_evidence", [])
-        ],
     }
+    for screen in SCREENS:
+        data[screen + "_evidence"] = [
+            dict(entry) for entry in finding.evidence.get(screen, [])
+        ]
+    return data
 
 
 def finding_from_dict(data):
@@ -155,15 +158,10 @@ def finding_from_dict(data):
         name: CheckOutcome.from_dict(entry)
         for name, entry in data.get("check_outcomes", {}).items()
     }
-    finding.lint_evidence = [
-        dict(entry) for entry in data.get("lint_evidence", [])
-    ]
-    finding.ift_evidence = [
-        dict(entry) for entry in data.get("ift_evidence", [])
-    ]
-    finding.diff_evidence = [
-        dict(entry) for entry in data.get("diff_evidence", [])
-    ]
+    for screen in SCREENS:
+        entries = data.get(screen + "_evidence")
+        if entries:
+            finding.evidence[screen] = [dict(entry) for entry in entries]
     finding.restored = True
     return finding
 

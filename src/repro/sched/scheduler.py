@@ -150,7 +150,7 @@ class _RegisterState:
         self.audit = audit
         self.index = index
         self.register = register
-        # fused lint + IFT + diff priority score (fused_register_scores)
+        # fused screen priority score (fused_register_scores)
         self.static_score = static_score
         self.spec = None  # set by _init_register
         self.started = 0.0
@@ -703,9 +703,7 @@ class AuditScheduler:
             trojan_info=det.spec.trojan,
         )
         names = request.registers or list(det.spec.critical)
-        names = prioritize_registers(
-            names, config.lint_report, config.ift_report, config.diff_report
-        )
+        names = prioritize_registers(names, config.screens)
         store = None
         if request.checkpoint is not None:
             store = (
@@ -728,9 +726,7 @@ class AuditScheduler:
                 engine=config.engine,
                 max_cycles=config.max_cycles,
             )
-        scores = fused_register_scores(
-            config.lint_report, config.ift_report, config.diff_report
-        )
+        scores = fused_register_scores(config.screens)
         for reg_index, register in enumerate(names):
             if register in report.findings:
                 continue  # restored from the checkpoint
@@ -927,21 +923,12 @@ class AuditScheduler:
             kept.append(bypass)
 
         finding = RegisterFinding(register=reg.register)
-        if config.lint_report is not None:
-            finding.lint_evidence = [
-                f.to_dict()
-                for f in config.lint_report.findings_for(reg.register)
-            ]
-        if config.ift_report is not None:
-            finding.ift_evidence = [
-                f.to_dict()
-                for f in config.ift_report.findings_for(reg.register)
-            ]
-        if config.diff_report is not None:
-            finding.diff_evidence = [
-                f.to_dict()
-                for f in config.diff_report.findings_for(reg.register)
-            ]
+        for screen_report in config.screens:
+            found = screen_report.findings_for(reg.register)
+            if found:
+                finding.evidence[screen_report.screen] = [
+                    f.to_dict() for f in found
+                ]
         finding.pseudo_criticals = list(promoted)
         for index, (candidate, direction) in enumerate(reg.members):
             name = "tracking({}->{},{})".format(

@@ -117,15 +117,16 @@ class TestDepthRamp:
 
 class TestDiffSweep:
     def test_diff_run_condenses_the_report(self):
-        from repro.bench.harness import diff_run
+        from repro.bench.harness import screen_run
 
         netlist, spec = design_and_spec()
-        row = diff_run("toy", netlist, spec)
+        row = screen_run("diff", "toy", netlist, spec)
         assert row.flagged
-        assert row.divergent_registers == ["secret"]
+        assert row.report.flagged_registers == ["secret"]
+        assert sorted(row.scores) == ["secret"]
         assert row.suspicious == row.findings >= 1
         assert row.solver_calls == 0
-        assert row.lanes > 0 and row.cycles > 0
+        assert row.report.lanes > 0 and row.report.cycles > 0
 
     def test_audit_sweep_fuses_the_diff_screen(self):
         from repro.bench.harness import audit_sweep
@@ -135,12 +136,12 @@ class TestDiffSweep:
         rows = audit_sweep(
             [("toy", netlist, spec),
              ("toy-clean", clean_netlist, clean_spec)],
-            max_cycles=2, time_budget=30, diff=True,
+            max_cycles=2, time_budget=30, screens=("diff",),
         )
         trojaned, clean = rows
-        assert trojaned.diff is not None and trojaned.diff.flagged
+        assert trojaned.screens["diff"].flagged
         assert trojaned.report.differential_suspects == ["secret"]
-        assert clean.diff is not None and not clean.diff.flagged
+        assert not clean.screens["diff"].flagged
         assert clean.report.differential_suspects == []
 
     def test_sweep_without_diff_leaves_rows_bare(self):
@@ -150,7 +151,7 @@ class TestDiffSweep:
         (row,) = audit_sweep(
             [("toy", netlist, spec)], max_cycles=2, time_budget=30,
         )
-        assert row.diff is None
+        assert row.screens == {}
 
 
 class TestBaselineRun:

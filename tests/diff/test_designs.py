@@ -16,7 +16,7 @@ import repro.sat.solver as sat_solver
 from repro.frontend import BUILTIN_DESIGNS as DESIGNS
 from repro.frontend import build_builtin as build_design
 from repro.diff import analyze_design
-from repro.lint import SUSPICIOUS
+from repro.report import SUSPICIOUS
 
 TROJANED = sorted(
     name
@@ -50,7 +50,7 @@ def test_the_design_split_is_what_the_suite_expects():
 def test_trojaned_design_flags_the_target_register(name):
     spec, report = run_diff(name)
     target = spec.trojan.target_register
-    assert target in report.divergent_registers
+    assert target in report.flagged_registers
     suspicious = [
         f
         for f in report.findings_for(target)

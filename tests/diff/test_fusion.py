@@ -32,7 +32,11 @@ def run_audit(netlist, spec, diff_report, jobs=1, **kwargs):
     detector = TrojanDetector(
         netlist,
         spec,
-        config=AuditConfig(jobs=jobs, diff_report=diff_report, **kwargs),
+        config=AuditConfig(
+            jobs=jobs,
+            screens=(diff_report,) if diff_report is not None else (),
+            **kwargs,
+        ),
         runner=CheckRunner.configure(check_timeout=120),
     )
     return detector.run()
@@ -43,10 +47,10 @@ class TestEvidenceAttachment:
         netlist, spec, diff_report = secret_setup()
         report = run_audit(netlist, spec, diff_report)
         finding = report.findings["secret"]
-        assert finding.diff_flagged
-        rules = {entry["rule"] for entry in finding.diff_evidence}
+        assert finding.evidence["diff"]
+        rules = {entry["rule"] for entry in finding.evidence["diff"]}
         assert "diff-divergence" in rules
-        assert finding.diff_evidence == [
+        assert finding.evidence["diff"] == [
             f.to_dict() for f in diff_report.findings_for("secret")
         ]
 
@@ -55,16 +59,16 @@ class TestEvidenceAttachment:
         serial = run_audit(netlist, spec, diff_report, jobs=1)
         parallel = run_audit(netlist, spec, diff_report, jobs=4)
         assert (
-            serial.findings["secret"].diff_evidence
-            == parallel.findings["secret"].diff_evidence
+            serial.findings["secret"].evidence["diff"]
+            == parallel.findings["secret"].evidence["diff"]
         )
 
     def test_no_diff_report_leaves_evidence_empty(self):
         netlist, spec, _diff = secret_setup()
         report = run_audit(netlist, spec, None)
         finding = report.findings["secret"]
-        assert finding.diff_evidence == []
-        assert not finding.diff_flagged
+        assert finding.evidence.get("diff", []) == []
+        assert not finding.evidence
         assert finding.status != "differential_suspect"
 
 
@@ -87,7 +91,7 @@ class TestDifferentialSuspect:
         report = run_audit(netlist, spec, diff_report, max_cycles=10)
         finding = report.findings["secret"]
         assert report.trojan_found
-        assert finding.diff_flagged
+        assert finding.evidence["diff"]
         assert not finding.differential_suspect  # confirmed, not suspect
         assert report.differential_suspects == []
 
@@ -103,16 +107,18 @@ class TestDifferentialSuspect:
             config=AuditConfig(
                 max_cycles=2,
                 time_budget=60,
-                ift_report=ift_report,
-                diff_report=diff_report,
+                screens=(diff_report, ift_report),
             ),
             runner=CheckRunner.configure(check_timeout=120),
         )
         report = detector.run()
         finding = report.findings["secret"]
-        assert finding.ift_flagged and finding.diff_flagged
+        assert finding.evidence["ift"] and finding.evidence["diff"]
         # a concrete simulated divergence outranks structural taint
         assert finding.status == "differential_suspect"
+        # ...while the register stays listed under both suspect kinds
+        assert report.differential_suspects == ["secret"]
+        assert report.leakage_suspects == ["secret"]
 
     def test_clean_design_stays_ok(self):
         netlist, spec, diff_report = secret_setup(trojan=False)
@@ -128,8 +134,8 @@ class TestCheckpointRoundTrip:
         report = run_audit(netlist, spec, diff_report, max_cycles=2)
         finding = report.findings["secret"]
         restored = finding_from_dict(finding_to_dict(finding))
-        assert restored.diff_evidence == finding.diff_evidence
-        assert restored.diff_flagged
+        assert restored.evidence["diff"] == finding.evidence["diff"]
+        assert restored.evidence["diff"]
         assert restored.status == "differential_suspect"
 
     def test_legacy_checkpoint_without_diff_defaults_empty(self):
@@ -138,24 +144,25 @@ class TestCheckpointRoundTrip:
         data = finding_to_dict(report.findings["secret"])
         del data["diff_evidence"]
         restored = finding_from_dict(data)
-        assert restored.diff_evidence == []
+        assert restored.evidence.get("diff", []) == []
+        assert finding_to_dict(restored)["diff_evidence"] == []
 
 
 class TestFusedPrioritization:
     def test_diff_scores_pull_flagged_registers_forward(self):
         _netlist, _spec, diff_report = secret_setup()
         order = prioritize_registers(
-            ["alpha", "secret", "zulu"], None, None, diff_report
+            ["alpha", "secret", "zulu"], [diff_report]
         )
         assert order[0] == "secret"
         assert order[1:] == ["alpha", "zulu"]  # ties keep input order
 
     def test_scores_sum_across_all_three_modalities(self):
         _netlist, _spec, diff_report = secret_setup()
-        diff_only = fused_register_scores(diff_report=diff_report)
+        diff_only = fused_register_scores([diff_report])
         assert diff_only["secret"] > 0
         all_three = fused_register_scores(
-            diff_report, diff_report, diff_report
+            [diff_report, diff_report, diff_report]
         )
         assert all_three["secret"] == 3 * diff_only["secret"]
 

@@ -1,13 +1,15 @@
-"""Merged lint+IFT+diff SARIF export: one three-modality document."""
+"""Diff runs in the shared SARIF writer, alone and merged with the
+other screens' runs."""
 
 import json
 
 import pytest
 
 from repro.frontend import build_builtin as build_design
-from repro.diff import analyze_design, merged_sarif, to_sarif, write_sarif
+from repro.diff import analyze_design
 from repro.ift import analyze_design as ift_analyze
 from repro.lint import lint_design
+from repro.report import to_sarif, write_sarif
 
 from tests.lint.test_sarif import SARIF_21_SUBSET
 
@@ -39,7 +41,8 @@ def test_diff_only_log_structure():
 def test_merged_log_orders_all_three_modalities():
     names = ["risc", "risc-t100"]
     diff_reports, ift_reports, lint_reports = reports_for(names)
-    log = merged_sarif(diff_reports, ift_reports, lint_reports)
+    # input order is diff, IFT, lint; the log groups by registry order
+    log = to_sarif(diff_reports + ift_reports + lint_reports)
     drivers = [run["tool"]["driver"]["name"] for run in log["runs"]]
     assert drivers == [
         "repro-lint", "repro-lint",
@@ -56,7 +59,7 @@ def test_merged_log_validates_against_embedded_2_1_0_schema():
         ["risc", "risc-t100"]
     )
     jsonschema.validate(
-        merged_sarif(diff_reports, ift_reports, lint_reports),
+        to_sarif(diff_reports + ift_reports + lint_reports),
         SARIF_21_SUBSET,
     )
 
@@ -101,8 +104,8 @@ def test_write_sarif_emits_stable_bytes(tmp_path):
     diff_reports, ift_reports, lint_reports = reports_for(["risc-t100"])
     first = tmp_path / "a.sarif"
     second = tmp_path / "b.sarif"
-    write_sarif(first, diff_reports, ift_reports, lint_reports)
-    write_sarif(second, diff_reports, ift_reports, lint_reports)
+    write_sarif(first, diff_reports + ift_reports + lint_reports)
+    write_sarif(second, diff_reports + ift_reports + lint_reports)
     assert first.read_bytes() == second.read_bytes()
     log = json.loads(first.read_text())
     assert len(log["runs"]) == 3

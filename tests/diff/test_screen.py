@@ -35,7 +35,7 @@ def test_trojan_surfaces_on_both_evidence_tiers():
     # (diff-divergence) and immediate once the counter is forced
     # (diff-undocumented-state)
     assert rules == {"diff-divergence", "diff-undocumented-state"}
-    assert report.divergent_registers == ["secret"]
+    assert report.flagged_registers == ["secret"]
     assert report.register_stats["secret"].divergent_cycles >= 2
 
 

@@ -31,7 +31,11 @@ def run_audit(netlist, spec, ift_report, jobs=1, **kwargs):
     detector = TrojanDetector(
         netlist,
         spec,
-        config=AuditConfig(jobs=jobs, ift_report=ift_report, **kwargs),
+        config=AuditConfig(
+            jobs=jobs,
+            screens=(ift_report,) if ift_report is not None else (),
+            **kwargs,
+        ),
         runner=CheckRunner.configure(check_timeout=120),
     )
     return detector.run()
@@ -42,10 +46,10 @@ class TestEvidenceAttachment:
         netlist, spec, ift_report = secret_setup()
         report = run_audit(netlist, spec, ift_report)
         finding = report.findings["secret"]
-        assert finding.ift_flagged
-        rules = {entry["rule"] for entry in finding.ift_evidence}
+        assert finding.evidence["ift"]
+        rules = {entry["rule"] for entry in finding.evidence["ift"]}
         assert "taint-reaches-critical" in rules
-        assert finding.ift_evidence == [
+        assert finding.evidence["ift"] == [
             f.to_dict() for f in ift_report.findings_for("secret")
         ]
 
@@ -54,16 +58,16 @@ class TestEvidenceAttachment:
         serial = run_audit(netlist, spec, ift_report, jobs=1)
         parallel = run_audit(netlist, spec, ift_report, jobs=4)
         assert (
-            serial.findings["secret"].ift_evidence
-            == parallel.findings["secret"].ift_evidence
+            serial.findings["secret"].evidence["ift"]
+            == parallel.findings["secret"].evidence["ift"]
         )
 
     def test_no_ift_report_leaves_evidence_empty(self):
         netlist, spec, _ift = secret_setup()
         report = run_audit(netlist, spec, None)
         finding = report.findings["secret"]
-        assert finding.ift_evidence == []
-        assert not finding.ift_flagged
+        assert finding.evidence.get("ift", []) == []
+        assert not finding.evidence
         assert finding.status != "leakage_suspect"
 
 
@@ -85,7 +89,7 @@ class TestLeakageSuspect:
         report = run_audit(netlist, spec, ift_report, max_cycles=10)
         finding = report.findings["secret"]
         assert report.trojan_found
-        assert finding.ift_flagged
+        assert finding.evidence["ift"]
         assert not finding.leakage_suspect  # confirmed, not a suspect
         assert report.leakage_suspects == []
 
@@ -103,8 +107,8 @@ class TestCheckpointRoundTrip:
         report = run_audit(netlist, spec, ift_report, max_cycles=2)
         finding = report.findings["secret"]
         restored = finding_from_dict(finding_to_dict(finding))
-        assert restored.ift_evidence == finding.ift_evidence
-        assert restored.ift_flagged
+        assert restored.evidence["ift"] == finding.evidence["ift"]
+        assert restored.evidence["ift"]
         assert restored.status == "leakage_suspect"
 
     def test_legacy_checkpoint_without_ift_defaults_empty(self):
@@ -113,27 +117,28 @@ class TestCheckpointRoundTrip:
         data = finding_to_dict(report.findings["secret"])
         del data["ift_evidence"]
         restored = finding_from_dict(data)
-        assert restored.ift_evidence == []
+        assert restored.evidence.get("ift", []) == []
+        assert finding_to_dict(restored)["ift_evidence"] == []
 
 
 class TestFusedPrioritization:
     def test_without_any_report_order_is_preserved(self):
         names = ["c", "a", "b"]
-        assert prioritize_registers(names) == names
+        assert prioritize_registers(names, ()) == names
 
     def test_ift_scores_pull_flagged_registers_forward(self):
         _netlist, _spec, ift_report = secret_setup()
         order = prioritize_registers(
-            ["alpha", "secret", "zulu"], None, ift_report
+            ["alpha", "secret", "zulu"], [ift_report]
         )
         assert order[0] == "secret"
         assert order[1:] == ["alpha", "zulu"]  # ties keep input order
 
     def test_scores_sum_across_modalities(self):
         _netlist, _spec, ift_report = secret_setup()
-        ift_only = fused_register_scores(None, ift_report)
+        ift_only = fused_register_scores([ift_report])
         assert ift_only["secret"] > 0
-        both = fused_register_scores(ift_report, ift_report)
+        both = fused_register_scores([ift_report, ift_report])
         assert both["secret"] == 2 * ift_only["secret"]
 
 

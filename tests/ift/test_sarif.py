@@ -1,12 +1,13 @@
-"""Merged lint+IFT SARIF export: one multi-run 2.1.0 document."""
+"""IFT runs in the shared SARIF writer, alone and merged with lint."""
 
 import json
 
 import pytest
 
 from repro.frontend import build_builtin as build_design
-from repro.ift import analyze_design, merged_sarif, to_sarif, write_sarif
+from repro.ift import analyze_design
 from repro.lint import lint_design
+from repro.report import to_sarif, write_sarif
 
 from tests.lint.test_sarif import SARIF_21_SUBSET
 
@@ -36,7 +37,8 @@ def test_ift_only_log_structure():
 def test_merged_log_interleaves_both_modalities():
     names = ["router", "mc8051-t800"]
     ift_reports, lint_reports = reports_for(names)
-    log = merged_sarif(ift_reports, lint_reports)
+    # input order puts IFT first; the log groups by registry order
+    log = to_sarif(ift_reports + lint_reports)
     drivers = [run["tool"]["driver"]["name"] for run in log["runs"]]
     assert drivers == ["repro-lint", "repro-lint", "repro-ift", "repro-ift"]
     designs = [run["properties"]["design"] for run in log["runs"]]
@@ -47,7 +49,7 @@ def test_merged_log_validates_against_embedded_2_1_0_schema():
     jsonschema = pytest.importorskip("jsonschema")
     ift_reports, lint_reports = reports_for(["risc", "risc-t100"])
     jsonschema.validate(
-        merged_sarif(ift_reports, lint_reports), SARIF_21_SUBSET
+        to_sarif(ift_reports + lint_reports), SARIF_21_SUBSET
     )
 
 
@@ -77,8 +79,8 @@ def test_write_sarif_emits_stable_bytes(tmp_path):
     ift_reports, lint_reports = reports_for(["mc8051", "mc8051-t800"])
     first = tmp_path / "a.sarif"
     second = tmp_path / "b.sarif"
-    write_sarif(first, ift_reports, lint_reports)
-    write_sarif(second, ift_reports, lint_reports)
+    write_sarif(first, ift_reports + lint_reports)
+    write_sarif(second, ift_reports + lint_reports)
     assert first.read_bytes() == second.read_bytes()
     log = json.loads(first.read_text())
     assert len(log["runs"]) == 4

@@ -10,7 +10,9 @@ import pytest
 
 from repro.frontend import BUILTIN_DESIGNS as DESIGNS
 from repro.frontend import build_builtin as build_design
-from repro.lint import SUSPICIOUS, lint_design, severity_rank
+from repro.core.detector import prioritize_registers
+from repro.lint import lint_design
+from repro.report import SUSPICIOUS, severity_rank
 
 TROJANED = [
     "mc8051-t400",
@@ -73,7 +75,7 @@ def test_clean_design_hygiene_noise_is_bounded(name):
 def test_prioritization_beats_the_median_clean_register(name):
     spec, report = run_lint(name)
     registers = list(spec.critical)
-    order = report.prioritize(registers)
+    order = prioritize_registers(registers, [report])
     target = spec.trojan.target_register
     position = order.index(target)
     median = len(registers) / 2
@@ -90,7 +92,7 @@ def test_prioritization_beats_the_median_clean_register(name):
 def test_clean_design_order_is_untouched(name):
     spec, report = run_lint(name)
     registers = list(spec.critical)
-    assert report.prioritize(registers) == registers
+    assert prioritize_registers(registers, [report]) == registers
 
 
 def test_counter_rule_fires_on_the_counter_based_trojans(name=None):

@@ -4,16 +4,16 @@ import json
 
 import pytest
 
+from repro.core.detector import prioritize_registers
 from repro.lint import (
     LintConfig,
     LintConfigError,
     Linter,
-    LintFinding,
     LintReport,
     lint_design,
-    severity_rank,
 )
 from repro.properties.valid_ways import DesignSpec
+from repro.report import Finding, severity_rank
 
 from tests.conftest import build_secret_design, secret_spec
 
@@ -94,7 +94,7 @@ class TestEngine:
 
 class TestFindings:
     def test_finding_round_trips_through_dict(self):
-        finding = LintFinding(
+        finding = Finding(
             rule="wide-comparator",
             severity="suspicious",
             message="m",
@@ -104,11 +104,11 @@ class TestFindings:
             net_names=["a", "b"],
             evidence={"width": 24},
         )
-        assert LintFinding.from_dict(finding.to_dict()) == finding
+        assert Finding.from_dict(finding.to_dict()) == finding
 
     def test_unknown_severity_rejected_eagerly(self):
         with pytest.raises(ValueError):
-            LintFinding(rule="x", severity="meh", message="m")
+            Finding(rule="x", severity="meh", message="m")
         with pytest.raises(ValueError):
             severity_rank("meh")
 
@@ -119,27 +119,28 @@ class TestFindings:
         assert data["register_scores"]["secret"] > 0
         assert data["netlist"]["cells"] > 0
         restored = [
-            LintFinding.from_dict(entry) for entry in data["findings"]
+            Finding.from_dict(entry) for entry in data["findings"]
         ]
         assert restored == report.findings
 
     def test_prioritize_is_stable_for_ties(self):
         report = LintReport(design="d")
         names = ["a", "b", "c"]
-        assert report.prioritize(names) == names  # no findings: unchanged
+        # no findings: unchanged
+        assert prioritize_registers(names, [report]) == names
         report.findings.append(
-            LintFinding(rule="x", severity="suspicious", message="m",
+            Finding(rule="x", severity="suspicious", message="m",
                         register="c")
         )
-        assert report.prioritize(names) == ["c", "a", "b"]
+        assert prioritize_registers(names, [report]) == ["c", "a", "b"]
 
     def test_severity_weights_order_registers(self):
         report = LintReport(design="d")
         report.findings.append(
-            LintFinding(rule="x", severity="warn", message="m", register="a")
+            Finding(rule="x", severity="warn", message="m", register="a")
         )
         report.findings.append(
-            LintFinding(rule="x", severity="suspicious", message="m",
+            Finding(rule="x", severity="suspicious", message="m",
                         register="b")
         )
         scores = report.register_scores()

@@ -1,8 +1,9 @@
 """Lint ↔ Algorithm 1 integration: ordering, evidence, checkpoints, bench."""
 
-from repro.bench import LintRow, lint_run
+from repro.bench import ScreenRow, screen_run
 from repro.core import AuditConfig, TrojanDetector
-from repro.lint import LintFinding, LintReport, lint_design
+from repro.lint import LintReport, lint_design
+from repro.report import Finding
 from repro.properties.valid_ways import DesignSpec
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import finding_from_dict, finding_to_dict
@@ -28,7 +29,7 @@ def dual_spec():
 def report_flagging(register, design="dual"):
     report = LintReport(design=design)
     report.findings.append(
-        LintFinding(
+        Finding(
             rule="undocumented-write-port",
             severity="suspicious",
             message="synthetic",
@@ -45,7 +46,7 @@ class TestDetectorOrdering:
         detector = TrojanDetector(
             netlist, dual_spec(),
             config=AuditConfig(
-                max_cycles=4, lint_report=report_flagging("regb"),
+                max_cycles=4, screens=(report_flagging("regb"),),
             ),
         )
         report = detector.run()
@@ -64,7 +65,7 @@ class TestDetectorOrdering:
         detector = TrojanDetector(
             netlist, dual_spec(),
             config=AuditConfig(
-                max_cycles=4, lint_report=report_flagging("regb"),
+                max_cycles=4, screens=(report_flagging("regb"),),
             ),
         )
         report = detector.run(registers=["rega", "regb"])
@@ -77,16 +78,16 @@ class TestLintEvidence:
         detector = TrojanDetector(
             netlist, dual_spec(),
             config=AuditConfig(
-                max_cycles=4, lint_report=report_flagging("regb"),
+                max_cycles=4, screens=(report_flagging("regb"),),
             ),
         )
         report = detector.run()
-        assert report.findings["regb"].lint_flagged
+        assert report.findings["regb"].evidence["lint"]
         assert (
-            report.findings["regb"].lint_evidence[0]["rule"]
+            report.findings["regb"].evidence["lint"][0]["rule"]
             == "undocumented-write-port"
         )
-        assert not report.findings["rega"].lint_flagged
+        assert not report.findings["rega"].evidence
 
     def test_real_lint_report_on_trojan_design(self):
         netlist = build_secret_design(trojan=True)
@@ -95,12 +96,12 @@ class TestLintEvidence:
         )
         lint = lint_design(netlist, spec)
         detector = TrojanDetector(
-            netlist, spec, config=AuditConfig(max_cycles=10, lint_report=lint)
+            netlist, spec, config=AuditConfig(max_cycles=10, screens=(lint,))
         )
         report = detector.run()
         finding = report.findings["secret"]
         assert finding.trojan_found
-        rules = {e["rule"] for e in finding.lint_evidence}
+        rules = {e["rule"] for e in finding.evidence["lint"]}
         assert "undocumented-write-port" in rules
         assert "lint:" in report.summary()
 
@@ -109,13 +110,13 @@ class TestLintEvidence:
         detector = TrojanDetector(
             netlist, dual_spec(),
             config=AuditConfig(
-                max_cycles=4, lint_report=report_flagging("regb"),
+                max_cycles=4, screens=(report_flagging("regb"),),
             ),
         )
         finding = detector.run().findings["regb"]
         restored = finding_from_dict(finding_to_dict(finding))
-        assert restored.lint_evidence == finding.lint_evidence
-        assert restored.lint_flagged
+        assert restored.evidence["lint"] == finding.evidence["lint"]
+        assert restored.evidence["lint"]
 
     def test_resumed_audit_keeps_lint_evidence(self, tmp_path):
         netlist = build_dual_register_design()
@@ -123,16 +124,16 @@ class TestLintEvidence:
         lint = report_flagging("regb")
         first = TrojanDetector(
             netlist, dual_spec(),
-            config=AuditConfig(max_cycles=4, lint_report=lint),
+            config=AuditConfig(max_cycles=4, screens=(lint,)),
         )
         first.run(checkpoint=AuditCheckpoint(path))
         second = TrojanDetector(
             netlist, dual_spec(),
-            config=AuditConfig(max_cycles=4, lint_report=lint),
+            config=AuditConfig(max_cycles=4, screens=(lint,)),
         )
         report = second.run(checkpoint=AuditCheckpoint(path))
         assert report.findings["regb"].restored
-        assert report.findings["regb"].lint_flagged
+        assert report.findings["regb"].evidence["lint"]
 
 
 class TestBenchHarness:
@@ -141,13 +142,13 @@ class TestBenchHarness:
         spec = DesignSpec(
             name="secret", critical={"secret": secret_spec()}
         )
-        row = lint_run("secret-trojan", netlist, spec)
-        assert isinstance(row, LintRow)
+        row = screen_run("lint", "secret-trojan", netlist, spec)
+        assert isinstance(row, ScreenRow)
         assert row.label == "secret-trojan"
         assert row.elapsed > 0
         assert row.flagged
         assert row.rule_hits["undocumented-write-port"] == 1
-        assert row.flagged_registers["secret"] > 0
+        assert row.scores["secret"] > 0
         assert row.max_severity == "suspicious"
 
     def test_lint_run_on_clean_design_reports_no_flags(self):
@@ -155,6 +156,6 @@ class TestBenchHarness:
         spec = DesignSpec(
             name="secret", critical={"secret": secret_spec()}
         )
-        row = lint_run("secret-clean", netlist, spec)
+        row = screen_run("lint", "secret-clean", netlist, spec)
         assert not row.flagged
         assert row.rule_hits["undocumented-write-port"] == 0

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.frontend import build_builtin as build_design
-from repro.lint import lint_design, to_sarif, write_sarif
+from repro.lint import lint_design
+from repro.report import to_sarif, write_sarif
 
 # Faithful subset of sarif-schema-2.1.0.json for the emitted features:
 # property names, required sets and enums are copied from the official
@@ -124,7 +125,7 @@ SARIF_21_SUBSET = {
 def sample_log():
     netlist, spec = build_design("mc8051-t800")
     report = lint_design(netlist, spec, design="mc8051-t800")
-    return report, to_sarif(report)
+    return report, to_sarif([report])
 
 
 def test_log_structure():

@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -169,13 +170,15 @@ def test_unknown_design_rejected():
 
 
 def test_lint_clean_design_exits_zero():
-    code, text = run_cli(["lint", "--design", "router"])
+    code, text = run_cli(["screen", "--screens", "lint", "--design", "router"])
     assert code == 0
     assert "0 findings" in text
 
 
 def test_lint_trojaned_design_exits_nonzero():
-    code, text = run_cli(["lint", "--design", "mc8051-t800"])
+    code, text = run_cli([
+        "screen", "--screens", "lint", "--design", "mc8051-t800",
+    ])
     assert code == 1
     assert "suspicious" in text
     assert "stack_pointer" in text
@@ -183,18 +186,24 @@ def test_lint_trojaned_design_exits_nonzero():
 
 def test_lint_fail_on_threshold():
     # risc's only findings are warn/info hygiene noise
-    code, _ = run_cli(["lint", "--design", "risc"])
+    code, _ = run_cli(["screen", "--screens", "lint", "--design", "risc"])
     assert code == 0
-    code, _ = run_cli(["lint", "--design", "risc", "--fail-on", "info"])
+    code, _ = run_cli([
+        "screen", "--screens", "lint", "--design", "risc",
+        "--fail-on", "info",
+    ])
     assert code == 1
 
 
 def test_lint_json_to_stdout_is_parseable():
     import json
 
-    code, text = run_cli(["lint", "--design", "mc8051-t800", "--json", "-"])
+    code, text = run_cli([
+        "screen", "--screens", "lint", "--design", "mc8051-t800",
+        "--json", "-",
+    ])
     assert code == 1
-    data = json.loads(text)
+    data = json.loads(text)["mc8051-t800"]["lint"]
     assert data["design"] == "mc8051-t800"
     assert data["register_scores"]["stack_pointer"] > 0
 
@@ -204,7 +213,8 @@ def test_lint_sarif_file(tmp_path):
 
     path = tmp_path / "out.sarif"
     code, _ = run_cli([
-        "lint", "--design", "aes-t1200", "--sarif", str(path),
+        "screen", "--screens", "lint", "--design", "aes-t1200",
+        "--sarif", str(path),
     ])
     assert code == 1
     log = json.loads(path.read_text())
@@ -214,13 +224,13 @@ def test_lint_sarif_file(tmp_path):
 
 def test_lint_disable_and_suppress():
     code, _ = run_cli([
-        "lint", "--design", "mc8051-t800",
+        "screen", "--screens", "lint", "--design", "mc8051-t800",
         "--disable", "undocumented-write-port",
         "--disable", "pseudo-critical-candidate",
     ])
     assert code == 0
     code, _ = run_cli([
-        "lint", "--design", "mc8051-t800",
+        "screen", "--screens", "lint", "--design", "mc8051-t800",
         "--suppress", "*:stack_pointer", "--suppress", "*:t800_*",
     ])
     assert code == 0
@@ -228,13 +238,16 @@ def test_lint_disable_and_suppress():
 
 def test_lint_bad_suppress_syntax():
     with pytest.raises(SystemExit, match="RULE_GLOB:SUBJECT_GLOB"):
-        run_cli(["lint", "--design", "risc", "--suppress", "nocolon"])
+        run_cli([
+            "screen", "--screens", "lint", "--design", "risc",
+            "--suppress", "nocolon",
+        ])
 
 
 def test_audit_lint_prioritize():
     code, text = run_cli([
         "audit", "--design", "mc8051-t700", "--engine", "bmc",
-        "--max-cycles", "8", "--register", "acc", "--lint-prioritize",
+        "--max-cycles", "8", "--register", "acc", "--screens", "lint",
     ])
     assert code == 1
     assert "lint pre-pass:" in text
@@ -315,13 +328,13 @@ class TestTraceCli:
 
 
 class TestSharedFlags:
-    """--jobs/--cache-dir/--trace spelled identically on audit/bench/lint."""
+    """--jobs/--cache-dir/--trace spelled identically on audit/bench/screen."""
 
     def test_every_parallel_command_accepts_the_shared_flags(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        for command in ("audit", "bench", "lint"):
+        for command in ("audit", "bench", "screen"):
             args = parser.parse_args(
                 [command, "--design", "router",
                  "--jobs", "2", "--cache-dir", "d", "--trace", "t.jsonl"]
@@ -336,7 +349,10 @@ class TestSharedFlags:
 
     def test_lint_rejects_cache_dir_instead_of_ignoring_it(self):
         with pytest.raises(SystemExit, match="no outcome cache"):
-            run_cli(["lint", "--design", "router", "--cache-dir", "x"])
+            run_cli([
+                "screen", "--screens", "lint", "--design", "router",
+                "--cache-dir", "x",
+            ])
 
 
 class TestAuditJobs:
@@ -389,7 +405,8 @@ class TestBench:
 class TestLintMultiDesign:
     def test_lint_multiple_designs_reports_each(self):
         code, text = run_cli([
-            "lint", "--design", "router", "--design", "mc8051-t800",
+            "screen", "--screens", "lint",
+            "--design", "router", "--design", "mc8051-t800",
         ])
         assert code == 1  # the Trojaned design trips the lint rules
         assert "router" in text
@@ -402,10 +419,12 @@ class TestLintMultiDesign:
             return re.sub(r"in \d+\.\d+s", "in <t>", text)
 
         serial_code, serial_text = run_cli([
-            "lint", "--design", "router", "--design", "mc8051-t800",
+            "screen", "--screens", "lint",
+            "--design", "router", "--design", "mc8051-t800",
         ])
         parallel_code, parallel_text = run_cli([
-            "lint", "--design", "router", "--design", "mc8051-t800",
+            "screen", "--screens", "lint",
+            "--design", "router", "--design", "mc8051-t800",
             "--jobs", "2",
         ])
         assert parallel_code == serial_code
@@ -416,36 +435,56 @@ class TestLintMultiDesign:
 
         target = tmp_path / "lint.json"
         code, _text = run_cli([
-            "lint", "--design", "router", "--design", "mc8051-t800",
+            "screen", "--screens", "lint",
+            "--design", "router", "--design", "mc8051-t800",
             "--json", str(target),
         ])
         assert code == 1
         payload = json.loads(target.read_text())
         assert set(payload) == {"router", "mc8051-t800"}
 
-    def test_lint_sarif_needs_single_design(self):
-        with pytest.raises(SystemExit, match="single --design"):
-            run_cli([
-                "lint", "--design", "router", "--design", "mc8051-t800",
-                "--sarif", "out.sarif",
-            ])
+    def test_lint_sarif_covers_every_design(self, tmp_path):
+        import json
+
+        target = tmp_path / "lint.sarif"
+        code, _text = run_cli([
+            "screen", "--screens", "lint",
+            "--design", "router", "--design", "mc8051-t800",
+            "--sarif", str(target),
+        ])
+        assert code == 1
+        log = json.loads(target.read_text())
+        runs = [
+            (run["tool"]["driver"]["name"], run["properties"]["design"])
+            for run in log["runs"]
+        ]
+        assert runs == [
+            ("repro-lint", "router"), ("repro-lint", "mc8051-t800"),
+        ]
 
 
 class TestDiffCli:
     def test_diff_flags_trojaned_design_and_exits_nonzero(self):
-        code, text = run_cli(["diff", "--design", "risc-t100"])
+        code, text = run_cli([
+            "screen", "--screens", "diff", "--design", "risc-t100",
+        ])
         assert code == 1
         assert "diff-divergence" in text
         assert "program_counter" in text
 
     def test_diff_clean_design_exits_zero(self):
-        code, text = run_cli(["diff", "--design", "router"])
+        code, text = run_cli([
+            "screen", "--screens", "diff", "--design", "router",
+        ])
         assert code == 0
         assert "clean" in text
 
     def test_diff_rejects_cache_dir_instead_of_ignoring_it(self):
         with pytest.raises(SystemExit, match="no outcome cache"):
-            run_cli(["diff", "--design", "router", "--cache-dir", "x"])
+            run_cli([
+                "screen", "--screens", "diff", "--design", "router",
+                "--cache-dir", "x",
+            ])
 
     def test_diff_jobs_fanout_matches_serial(self):
         import re
@@ -454,10 +493,12 @@ class TestDiffCli:
             return re.sub(r"in \d+\.\d+s", "in <t>", text)
 
         serial_code, serial_text = run_cli([
-            "diff", "--design", "router", "--design", "risc-t100",
+            "screen", "--screens", "diff",
+            "--design", "router", "--design", "risc-t100",
         ])
         parallel_code, parallel_text = run_cli([
-            "diff", "--design", "router", "--design", "risc-t100",
+            "screen", "--screens", "diff",
+            "--design", "router", "--design", "risc-t100",
             "--jobs", "2",
         ])
         assert parallel_code == serial_code == 1
@@ -468,7 +509,7 @@ class TestDiffCli:
 
         target = tmp_path / "portfolio.sarif"
         code, text = run_cli([
-            "diff", "--design", "risc-t100", "--sarif", str(target),
+            "screen", "--design", "risc-t100", "--sarif", str(target),
         ])
         assert code == 1
         assert "wrote" in text
@@ -481,8 +522,8 @@ class TestDiffCli:
 
         target = tmp_path / "diff-only.sarif"
         code, _text = run_cli([
-            "diff", "--design", "risc-t100", "--sarif", str(target),
-            "--no-lint", "--no-ift",
+            "screen", "--screens", "diff", "--design", "risc-t100",
+            "--sarif", str(target),
         ])
         assert code == 1
         log = json.loads(target.read_text())
@@ -494,19 +535,130 @@ class TestDiffCli:
         # the simulated divergence surfaces as a differential suspect
         code, text = run_cli([
             "audit", "--design", "risc-t100", "--max-cycles", "4",
-            "--register", "program_counter", "--diff",
+            "--register", "program_counter", "--screens", "diff",
         ])
         assert code == 0
         assert "diff pre-pass:" in text
-        assert "divergent: program_counter" in text
+        # every pre-pass line names the registers its screen flagged
+        assert "flagged: program_counter" in text
         assert "DIFFERENTIAL SUSPECT" in text
 
     def test_bench_diff_adds_screen_figures_to_rows(self):
         code, text = run_cli([
-            "bench", "--design", "router", "--max-cycles", "6", "--diff",
+            "bench", "--design", "router", "--max-cycles", "6",
+            "--screens", "diff",
         ])
         assert code == 0
         assert "diff[0 finding(s)" in text
+
+
+class TestScreenCli:
+    """One ``repro screen`` command over every registered screen."""
+
+    GOLDEN = Path(__file__).parent / "data"
+
+    def test_unknown_or_empty_screen_selection_is_refused(self):
+        with pytest.raises(SystemExit):
+            run_cli(["screen", "--screens", "lint,taint", "--design", "router"])
+        with pytest.raises(SystemExit, match="selects no screen"):
+            run_cli(["screen", "--screens", "", "--design", "router"])
+
+    def test_two_designs_give_one_run_per_screen_and_design(self, tmp_path):
+        import json
+
+        from repro.core.report import scrub_volatile
+
+        sarif = tmp_path / "all.sarif"
+        report = tmp_path / "all.json"
+        code, _text = run_cli([
+            "screen", "--screens", "diff,lint,ift",
+            "--design", "router", "--design", "router-redirect",
+            "--json", str(report), "--sarif", str(sarif),
+        ])
+        assert code == 1
+        log = json.loads(sarif.read_text())
+        runs = [
+            (run["tool"]["driver"]["name"], run["properties"]["design"])
+            for run in log["runs"]
+        ]
+        # grouped by screen in registry order, input order within one
+        assert runs == [
+            (driver, design)
+            for driver in ("repro-lint", "repro-ift", "repro-diff")
+            for design in ("router", "router-redirect")
+        ]
+        payload = json.loads(report.read_text())
+        assert set(payload) == {"router", "router-redirect"}
+        assert list(payload["router"]) == ["diff", "ift", "lint"]
+        # the toy design's output matches the pre-registry commands' bytes
+        golden_json = json.loads(
+            (self.GOLDEN / "screen-router-redirect.json").read_text()
+        )
+        assert scrub_volatile(payload["router-redirect"]) == golden_json
+        golden_sarif = json.loads(
+            (self.GOLDEN / "screen-router-redirect.sarif").read_text()
+        )
+        toy_runs = [
+            run for run in log["runs"]
+            if run["properties"]["design"] == "router-redirect"
+        ]
+        assert scrub_volatile(toy_runs) == golden_sarif["runs"]
+
+    def test_serial_trace_spans_cover_each_screen_run(self, tmp_path):
+        import json
+
+        trace = tmp_path / "screen.jsonl"
+        report = tmp_path / "screen.json"
+        run_cli([
+            "screen", "--design", "router", "--design", "risc-t100",
+            "--trace", str(trace), "--json", str(report),
+        ])
+        payload = json.loads(report.read_text())
+        begins, ends = {}, {}
+        for line in trace.read_text().splitlines():
+            event = json.loads(line)
+            if event.get("ev") == "begin" and event["name"] == "screen":
+                begins[event["id"]] = event
+            elif event.get("ev") == "end":
+                ends[event["id"]] = event
+        assert len(begins) == 6  # one per (screen, design)
+        for span_id, begin in begins.items():
+            attrs = begin["attrs"]
+            elapsed = payload[attrs["design"]][attrs["screen"]]["elapsed"]
+            assert ends[span_id]["t"] - begin["t"] >= elapsed
+
+    def test_audit_fuses_every_screen(self):
+        code, text = run_cli([
+            "audit", "--design", "risc-t100", "--max-cycles", "4",
+            "--register", "program_counter", "--screens", "lint,ift,diff",
+        ])
+        assert code == 0
+        for name in ("lint", "ift", "diff"):
+            assert "{} pre-pass:".format(name) in text
+        assert "DIFFERENTIAL SUSPECT" in text
+        assert "LEAKAGE SUSPECT" in text
+
+    def test_checkpoint_from_before_the_evidence_map_resumes(self, tmp_path):
+        import json
+        import shutil
+
+        from repro.runner.checkpoint import finding_from_dict, finding_to_dict
+
+        fixture = self.GOLDEN / "checkpoint-risc-t100-screens.json"
+        data = json.loads(fixture.read_text())
+        for entry in data["findings"].values():
+            assert finding_to_dict(finding_from_dict(entry)) == entry
+        ckpt = tmp_path / "ckpt.json"
+        shutil.copy(fixture, ckpt)
+        code, text = run_cli([
+            "audit", "--design", "risc-t100", "--max-cycles", "4",
+            "--register", "program_counter", "--screens", "lint,ift,diff",
+            "--resume", str(ckpt),
+        ])
+        assert code == 0
+        assert "restored from checkpoint" in text
+        assert "DIFFERENTIAL SUSPECT" in text
+        assert "LEAKAGE SUSPECT" in text
 
 
 class TestCorpusCommands:
@@ -554,7 +706,4 @@ class TestCorpusCommands:
 
     def test_run_rejects_all_modalities_disabled(self, corpus_dir):
         with pytest.raises(SystemExit, match="disabled"):
-            run_cli([
-                "corpus", "run", corpus_dir,
-                "--no-lint", "--no-ift", "--no-diff",
-            ])
+            run_cli(["corpus", "run", corpus_dir, "--screens", ""])
