@@ -16,22 +16,17 @@ units are implied by the formula, so they never exclude a model — which
 makes the canonical witness identical across cold engines, warm
 sessions, and solver backends.
 
-The cost is one extra solve per input bit that is 1 in the current
-model (bits already 0 are locked in for free), each under an
-assumption stack that only ever tightens. Under a nearly-expired time
-budget the remaining bits keep their current values — the witness is
-then still valid, just not canonical, mirroring how budget exhaustion
-already degrades verdicts elsewhere.
+The search is one ``lexmin`` call on the solver (see
+:meth:`repro.sat.solver.Solver.lexmin`, the one loop both backends
+run): a presolve with every input's phase pointed at 0, then one probe
+per input bit still 1, each extending the last probe's assumptions so
+the solver keeps their levels. Under a
+nearly-expired time budget the remaining bits keep their current values
+— the witness is then still valid, just not canonical, mirroring how
+budget exhaustion already degrades verdicts elsewhere.
 """
 
 from __future__ import annotations
-
-import time
-
-# status literal, not `from repro.sat.solver import SAT`: this module is
-# imported by the engine before the package's import cycle through
-# repro.netlist has settled, and it needs nothing else from the solver
-SAT = "sat"
 
 #: Safety valve: canonicalization never issues more solver calls than
 #: this, no matter how many input bits the cone has. Violations live at
@@ -45,73 +40,21 @@ def canonicalize_model(solver, unroller, assumptions, model, frames,
 
     ``assumptions`` is the literal list that made the original solve
     satisfiable (the objective literal, for BMC). ``model`` is any
-    satisfying model for it. Input literals are visited frame-major in
-    the unroller's deterministic port order; each bit currently 1 is
-    tested once for being forceable to 0. The returned model satisfies
-    the formula plus ``assumptions`` and assigns the unique lex-minimal
-    input vector; non-input variables follow the last solve's model.
+    satisfying model for it. Input literals are ordered frame-major in
+    the unroller's deterministic port order. The returned model
+    satisfies the formula plus ``assumptions`` and assigns the unique
+    lex-minimal input vector; non-input variables follow the last SAT
+    probe's model.
     """
-    start = time.perf_counter()
-    fixed = list(assumptions)
     true_var = abs(unroller.true_lit)
-    solves = 0
-
-    # Pre-pass: point the solver's saved phases of every free input bit
-    # at 0 and re-solve once. Phase saving is exactly why warm solvers
-    # return 1-heavy models (they keep whatever polarity the last search
-    # used); resetting it yields a near-lex-min model up front, so the
-    # verification loop below only has to solve for the bits the formula
-    # genuinely forces to 1 — typically an order of magnitude fewer
-    # solver calls. Correctness is untouched: phases steer search, never
-    # verdicts, and the loop's output is the same lex-min vector from
-    # any starting model.
     input_lits = []
     for t in range(frames):
         for _name, _bit, net in unroller._input_nets:
             lit = unroller._lit.get((net, t))
-            if lit is None or abs(lit) == true_var:
-                continue
-            input_lits.append((t, lit))
-            solver.phase[abs(lit)] = lit < 0
-    remaining = None
-    if time_budget is not None:
-        remaining = time_budget - (time.perf_counter() - start)
-    if remaining is None or remaining > 0:
-        solves += 1
-        presolve = solver.solve(assumptions=fixed, time_budget=remaining)
-        if presolve.status == SAT:
-            model = presolve.model
-
-    for _t, lit in input_lits:
-        value = model[abs(lit)]
-        if lit < 0:
-            value = not value
-        if not value:
-            fixed.append(-lit)
-            continue
-        out_of_budget = (
-            solves >= MAX_CANONICAL_SOLVES
-            or (
-                time_budget is not None
-                and time.perf_counter() - start >= time_budget
-            )
-        )
-        if out_of_budget:
-            fixed.append(lit)
-            continue
-        remaining = None
-        if time_budget is not None:
-            remaining = time_budget - (time.perf_counter() - start)
-        solves += 1
-        result = solver.solve(
-            assumptions=fixed + [-lit], time_budget=remaining
-        )
-        if result.status == SAT:
-            model = result.model
-            fixed.append(-lit)
-        else:
-            # UNSAT: the bit is forced to 1 under the prefix fixed
-            # so far. UNKNOWN (budget): keep the current value — the
-            # model stays valid either way.
-            fixed.append(lit)
+            if lit is not None and abs(lit) != true_var:
+                input_lits.append(lit)
+    model, _probes = solver.lexmin(
+        assumptions, input_lits, model,
+        max_solves=MAX_CANONICAL_SOLVES, time_budget=time_budget,
+    )
     return model

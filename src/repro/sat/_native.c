@@ -4,11 +4,14 @@
  * Python solver (repro/sat/solver.py) exposes to the BMC layer:
  * incremental add_clause/new_var between solves (one at a time, or a
  * batch per call for whole unrolled frames), assumptions placed as
- * decision levels with failed-assumption cores, VSIDS + phase saving,
- * Luby restarts, LBD-tagged learnt clauses with a glue-protected
- * reduce, and cooperative conflict/time budgets. External literals are
- * signed DIMACS ints (variable 1 is the first variable), matching the
- * Python API; internally literals are 2*var+sign.
+ * decision levels with failed-assumption cores, assumption levels kept
+ * across solves (a solve keeps the prefix it shares with the last
+ * one's), VSIDS + phase saving, Luby restarts, LBD-tagged learnt
+ * clauses with a glue-protected reduce, cooperative conflict/time
+ * budgets, and batched phase steering for lex-min witness extraction.
+ * External literals are signed DIMACS ints (variable 1 is the first
+ * variable), matching the Python API; internally literals are
+ * 2*var+sign.
  *
  * The ABI is C (no mangling) and deliberately flat — every function
  * takes the solver pointer first — so the ctypes wrapper stays a thin
@@ -79,6 +82,11 @@ typedef struct {
     uint32_t lbd_counter;
     int32_t *core;
     int32_t core_sz, core_cap;
+    /* external assumption literals whose decision levels survived the
+     * last solve, in order (one level each): the prefix the next solve
+     * may keep instead of replaying. Sized like trail_lim. */
+    int32_t *kept;
+    int32_t kept_sz;
 } CSolver;
 
 /* ------------------------------------------------------------- helpers */
@@ -206,6 +214,7 @@ void rsat_free(CSolver *s) {
     free(s->learnt_buf);
     free(s->lbd_stamp);
     free(s->core);
+    free(s->kept);
     free(s);
 }
 
@@ -227,6 +236,7 @@ int32_t rsat_new_var(CSolver *s) {
          * so level count can exceed the variable count */
         s->trail_lim =
             (int32_t *)xrealloc(s->trail_lim, (2 * cap + 2) * sizeof(int32_t));
+        s->kept = (int32_t *)xrealloc(s->kept, (2 * cap + 2) * sizeof(int32_t));
         s->seen = (uint8_t *)xrealloc(s->seen, cap);
         s->lbd_stamp =
             (uint32_t *)xrealloc(s->lbd_stamp, (cap + 1) * sizeof(uint32_t));
@@ -481,7 +491,9 @@ static void reduce_db(CSolver *s) {
 
 int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
     if (s->root_unsat) return 0;
+    /* a kept level's propagations must be complete for the formula */
     backtrack(s, 0);
+    s->kept_sz = 0;
     /* dedup / tautology / root-simplify using seen[] as scratch */
     int32_t *tmp = (int32_t *)xrealloc(NULL, (n ? n : 1) * sizeof(int32_t));
     int32_t m = 0;
@@ -621,6 +633,33 @@ static void analyze_final(CSolver *s, int32_t failed_lit) {
     }
 }
 
+/* Record ext[0..n) as the assumption levels left on the trail, which
+ * are its first n levels (so n fits in kept). kept[0..kept_sz) already
+ * equals ext[0..kept_sz) (rsat_solve keeps only a shared prefix), so
+ * only the tail is copied. */
+static void keep_levels(CSolver *s, const int32_t *ext, int32_t n) {
+    if (n > s->kept_sz)
+        memcpy(s->kept + s->kept_sz, ext + s->kept_sz,
+               (n - s->kept_sz) * sizeof(int32_t));
+    s->kept_sz = n;
+}
+
+static int32_t min32(int32_t a, int32_t b) { return a < b ? a : b; }
+
+/* A budget ran out: keep the assumption levels placed so far. */
+static int32_t give_up(CSolver *s, const int32_t *ext, int32_t n_assumps) {
+    int32_t n = min32(n_assumps, s->n_levels);
+    backtrack(s, n);
+    keep_levels(s, ext, n);
+    return -1;
+}
+
+/* Every exit leaves assumption levels on the trail for the next call:
+ * on SAT all of them (with the rest of the trail, so the model can be
+ * read), on UNSAT under assumptions every level placed, and when a
+ * budget runs out the first min(n_assumps, levels). The next call keeps
+ * the longest prefix its assumptions share with them and backtracks
+ * only above it. */
 int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
                    int64_t conflict_budget, double time_budget) {
     s->solve_calls++;
@@ -628,8 +667,12 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
         s->core_sz = 0;
         return 0;
     }
-    backtrack(s, 0);
-    if (propagate(s) >= 0) {
+    int32_t keep = 0;
+    int32_t limit = min32(min32(s->kept_sz, n_assumps), s->n_levels);
+    while (keep < limit && s->kept[keep] == ext_assumps[keep]) keep++;
+    backtrack(s, keep);
+    s->kept_sz = keep;
+    if (!keep && propagate(s) >= 0) {
         s->root_unsat = 1;
         s->core_sz = 0;
         return 0;
@@ -652,6 +695,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             if (s->n_levels == 0) {
                 s->root_unsat = 1;
                 s->core_sz = 0;
+                s->kept_sz = 0;
                 return 0;
             }
             int32_t n, bt, lbd;
@@ -671,15 +715,12 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             s->var_inc /= s->var_decay;
             if (conflict_budget >= 0 &&
                 s->conflicts - base_conflicts >= conflict_budget) {
-                backtrack(s, 0);
-                return -1;
+                return give_up(s, ext_assumps, n_assumps);
             }
             if (time_budget >= 0 && s->conflicts >= next_time_check) {
                 next_time_check = s->conflicts + 64;
-                if (now_seconds() - start > time_budget) {
-                    backtrack(s, 0);
-                    return -1;
-                }
+                if (now_seconds() - start > time_budget)
+                    return give_up(s, ext_assumps, n_assumps);
             }
             if (conflicts_since_restart >= restart_limit) {
                 restart_round++;
@@ -701,7 +742,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             int8_t v = lit_value(s, l);
             if (v == -1) {
                 analyze_final(s, l);
-                backtrack(s, 0);
+                keep_levels(s, ext_assumps, s->n_levels);
                 return 0; /* UNSAT under assumptions, core available */
             }
             s->trail_lim[s->n_levels++] = s->trail_sz;
@@ -718,14 +759,15 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
                 break;
             }
         }
-        if (var < 0) return 1; /* model complete; read before next call */
-        s->decisions++;
-        if (time_budget >= 0 && (s->decisions & 1023) == 0) {
-            if (now_seconds() - start > time_budget) {
-                backtrack(s, 0);
-                return -1;
-            }
+        if (var < 0) {
+            /* model complete; read before next call */
+            keep_levels(s, ext_assumps, n_assumps);
+            return 1;
         }
+        s->decisions++;
+        if (time_budget >= 0 && (s->decisions & 1023) == 0 &&
+            now_seconds() - start > time_budget)
+            return give_up(s, ext_assumps, n_assumps);
         s->trail_lim[s->n_levels++] = s->trail_sz;
         enqueue(s, s->phase[var] ? 2 * var : 2 * var + 1, -1);
     }
@@ -739,16 +781,19 @@ void rsat_model(CSolver *s, uint8_t *out) {
         out[v + 1] = s->assign[v] == 1;
 }
 
-void rsat_reset_to_root(CSolver *s) { backtrack(s, 0); }
-
 int32_t rsat_core_size(CSolver *s) { return s->core_sz; }
 
 void rsat_core(CSolver *s, int32_t *out) {
     memcpy(out, s->core, s->core_sz * sizeof(int32_t));
 }
 
-void rsat_set_phase(CSolver *s, int32_t var, int32_t ph) {
-    if (var >= 1 && var <= s->nvars) s->phase[var - 1] = (uint8_t)ph;
+/* Point the saved phase of each literal's variable at "literal false"
+ * (lex-min witness extraction steers its probes this way). */
+void rsat_phases_false(CSolver *s, const int32_t *lits, int32_t n) {
+    for (int32_t i = 0; i < n; i++) {
+        int32_t var = abs(lits[i]);
+        if (var >= 1 && var <= s->nvars) s->phase[var - 1] = lits[i] < 0;
+    }
 }
 
 void rsat_set_restart_base(CSolver *s, int32_t base) {

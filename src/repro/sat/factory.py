@@ -15,10 +15,14 @@ the ``REPRO_SAT_BACKEND`` environment variable:
     solver otherwise — never an error.
 
 Both backends implement identical solve semantics (statuses, models
-valid for the formula, failed-assumption cores); witness bytes are
-additionally backend-independent because the engine canonicalizes every
-counterexample (see :mod:`repro.bmc.canonical`). Cache fingerprints
-never encode the backend for the same reason.
+valid for the formula, failed-assumption cores, assumption levels kept
+between solves) and the same ``lexmin`` contract: the lex-minimal model
+over a list of input literals, which is unique to the formula. Witness
+bytes are therefore backend-independent, because the engine
+canonicalizes every counterexample with one ``lexmin`` call (see
+:mod:`repro.bmc.canonical`), even though the two backends' searches
+take different probes. Cache fingerprints never encode the backend for
+the same reason.
 """
 
 from __future__ import annotations

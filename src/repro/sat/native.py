@@ -14,12 +14,15 @@ nothing in the pipeline requires it.
 surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
 ``add_packed_clauses``/``add_cnf``, ``solve(assumptions=,
 conflict_budget=, time_budget=)`` returning a
-:class:`~repro.sat.solver.SolveResult`, cumulative ``stats`` snapshots,
-``num_vars``, ``len(clauses)``/``len(learnts)``, writable ``phase``
-(used by canonical witness extraction), and ``root_unsat``. Models are
+:class:`~repro.sat.solver.SolveResult`, ``lexmin`` (canonical witness
+extraction: the Python solver's own loop, run over this kernel),
+cumulative ``stats`` snapshots, ``num_vars``,
+``len(clauses)``/``len(learnts)``, and ``root_unsat``. Models are
 snapshotted into an immutable byte buffer at SAT exit, so — like the
 Python solver's dict models — they stay valid across later solves that
-disturb the C solver's assignment.
+disturb the C solver's assignment. Like the Python solver, the kernel
+keeps the assumption levels a solve shares with the previous one
+instead of replaying them.
 
 Every ctypes call costs about a microsecond before any work is done,
 so bulk ingestion crosses in batches: ``new_vars(k)`` is one
@@ -46,14 +49,15 @@ import time
 from array import array
 from pathlib import Path
 
-from repro.obs.tracer import get_tracer
 from repro.sat.solver import (
     SAT,
     UNKNOWN,
     UNSAT,
+    Solver,
     SolverError,
     SolverStats,
     SolveResult,
+    traced_solve,
 )
 
 _SOURCE = Path(__file__).with_name("_native.c")
@@ -118,10 +122,10 @@ def _bind(lib):
         "rsat_add_clauses": ([P, ctypes.POINTER(i32), i32], i32),
         "rsat_solve": ([P, ctypes.POINTER(i32), i32, i64, ctypes.c_double],
                        i32),
+        "rsat_phases_false": ([P, ctypes.POINTER(i32), i32], None),
         "rsat_model": ([P, ctypes.POINTER(ctypes.c_uint8)], None),
         "rsat_core_size": ([P], i32),
         "rsat_core": ([P, ctypes.POINTER(i32)], None),
-        "rsat_set_phase": ([P, i32, i32], None),
         "rsat_set_restart_base": ([P, i32], None),
         "rsat_conflicts": ([P], i64),
         "rsat_decisions": ([P], i64),
@@ -160,6 +164,15 @@ def native_available():
     return _load_library() is not None
 
 
+def _int_ptr(buf):
+    """An ``array("i")`` as an ``int32_t *`` (NULL when empty).
+
+    A pointer to the first element, not a ``c_int32 * len`` array: ctypes
+    builds a new array type per length, which costs more than the call.
+    """
+    return ctypes.byref(ctypes.c_int32.from_buffer(buf)) if buf else None
+
+
 class _ModelView:
     """Immutable model snapshot with the dict surface witnesses use."""
 
@@ -181,31 +194,6 @@ class _ModelView:
 
     def __len__(self):
         return max(0, len(self._buf) - 1)
-
-
-class _PhaseArray:
-    """Write-through view over the C solver's saved phases.
-
-    Canonical witness extraction writes ``solver.phase[var] = bool`` to
-    steer the next model toward lex-minimal inputs; reads mirror the
-    last value written here (the C side additionally updates phases on
-    every enqueue, which this shadow intentionally does not track — no
-    caller reads phases back for search-state introspection).
-    """
-
-    __slots__ = ("_solver", "_shadow")
-
-    def __init__(self, solver):
-        self._solver = solver
-        self._shadow = {}
-
-    def __setitem__(self, var, value):
-        self._shadow[var] = bool(value)
-        lib = self._solver._lib
-        lib.rsat_set_phase(self._solver._handle, var, int(bool(value)))
-
-    def __getitem__(self, var):
-        return self._shadow.get(var, False)
 
 
 class _CountProxy:
@@ -234,7 +222,6 @@ class NativeSolver:
         self._handle = lib.rsat_new()
         if restart_base != 100:
             lib.rsat_set_restart_base(self._handle, restart_base)
-        self.phase = _PhaseArray(self)
         self.clauses = _CountProxy(lib.rsat_num_clauses, self._handle)
         self.learnts = _CountProxy(lib.rsat_num_learnts, self._handle)
 
@@ -308,45 +295,38 @@ class NativeSolver:
 
     def solve(self, assumptions=None, conflict_budget=None, time_budget=None):
         assumptions = list(assumptions) if assumptions else []
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._solve(assumptions, conflict_budget, time_budget)
-        # same span/counter vocabulary as the Python solver, so the
-        # telemetry encode/solve split is backend-independent
-        with tracer.span("sat.solve",
-                         assumptions=len(assumptions)) as extra:
-            res = self._solve(assumptions, conflict_budget, time_budget)
-            extra.update(
-                status=res.status,
-                conflicts=res.conflicts,
-                decisions=res.decisions,
-                propagations=res.propagations,
-            )
-            metrics = tracer.metrics
-            metrics.counter("sat.solve_calls").inc()
-            metrics.counter("sat.conflicts").inc(res.conflicts)
-            metrics.counter("sat.decisions").inc(res.decisions)
-            metrics.counter("sat.propagations").inc(res.propagations)
-            metrics.counter("sat.status." + res.status).inc()
-            metrics.histogram("sat.solve_seconds").observe(res.elapsed)
-            metrics.gauge("sat.learnts").set(len(self.learnts))
+        res, _probes = traced_solve(
+            self, lambda tracer: (self._solve(
+                assumptions, conflict_budget, time_budget, tracer), None),
+            assumptions=len(assumptions),
+        )
         return res
 
-    def _solve(self, assumptions, conflict_budget, time_budget):
+    # canonical witness extraction: the one greedy loop, over _solve
+    lexmin = Solver.lexmin
+    _lexmin = Solver._lexmin
+
+    def _phases_false(self, lits):
+        buf = array("i", lits)
+        self._lib.rsat_phases_false(self._handle, _int_ptr(buf), len(buf))
+
+    def _solve(self, assumptions, conflict_budget, time_budget, tracer=None):
+        # tracer: the Python solver's signature; the kernel emits no points
         n = self.num_vars
-        for lit in assumptions:
-            if lit == 0 or abs(lit) > n:
-                raise SolverError("bad assumption {!r}".format(lit))
+        if assumptions and (0 in assumptions or max(assumptions) > n
+                            or min(assumptions) < -n):
+            raise SolverError("bad assumption {!r}".format(next(
+                lit for lit in assumptions if lit == 0 or abs(lit) > n)))
+        lits = array("i", assumptions)
         lib, h = self._lib, self._handle
         pre_conflicts = int(lib.rsat_conflicts(h))
         pre_decisions = int(lib.rsat_decisions(h))
         pre_propagations = int(lib.rsat_propagations(h))
         start = time.perf_counter()
-        arr = (ctypes.c_int32 * max(1, len(assumptions)))(*assumptions)
         code = lib.rsat_solve(
             h,
-            arr,
-            len(assumptions),
+            _int_ptr(lits),
+            len(lits),
             -1 if conflict_budget is None else int(conflict_budget),
             -1.0 if time_budget is None else float(time_budget),
         )

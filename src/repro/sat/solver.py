@@ -10,10 +10,11 @@ SAT core of Cadence SMV used by the paper. Features:
 * VSIDS variable activities with phase saving,
 * Luby-sequence restarts,
 * LBD-tagged learnt clauses driving clause-database reduction,
-* opt-in chronological backtracking (``chrono_backtrack=N`` caps how many
-  decision levels a single backjump may undo),
 * incremental solving under assumptions (the BMC bound loop re-solves the
   same growing formula with a different "violation at frame t" assumption),
+  keeping the assumption levels a solve shares with the last one,
+* :meth:`Solver.lexmin`, the lex-minimal model over a list of input
+  literals (canonical counterexamples),
 * conflict and wall-clock budgets (the paper caps every run at a fixed
   time budget and reports the largest bound reached — engines need a solver
   that can give up cleanly with ``UNKNOWN``).
@@ -103,11 +104,46 @@ def luby(i):
         i -= (1 << k) - 1
 
 
+def traced_solve(solver, run, **attrs):
+    """``run(tracer)`` inside one ``sat.solve`` span when tracing is on.
+
+    ``run`` returns ``(result, probes)``: a :class:`SolveResult` and, for
+    :meth:`Solver.lexmin`, the number of solves it made (``None`` for a
+    single solve). The span carries the result's status and search
+    counters, plus ``probes``; the tracer's ``sat.solve_calls`` counter
+    grows by the number of solves, so trace totals count kernel solves
+    on either entry point and either backend.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return run(tracer)
+    with tracer.span("sat.solve", **attrs) as extra:
+        res, probes = run(tracer)
+        extra.update(
+            status=res.status,
+            conflicts=res.conflicts,
+            decisions=res.decisions,
+            propagations=res.propagations,
+        )
+        if probes is not None:
+            extra["probes"] = probes
+        metrics = tracer.metrics
+        metrics.counter("sat.solve_calls").inc(
+            1 if probes is None else probes)
+        metrics.counter("sat.conflicts").inc(res.conflicts)
+        metrics.counter("sat.decisions").inc(res.decisions)
+        metrics.counter("sat.propagations").inc(res.propagations)
+        metrics.counter("sat.status." + res.status).inc()
+        metrics.histogram("sat.solve_seconds").observe(res.elapsed)
+        metrics.gauge("sat.learnts").set(len(solver.learnts))
+    return res, probes
+
+
 class Solver:
     """Incremental CDCL solver."""
 
-    def __init__(self, restart_base=2000, var_decay=0.95, cla_decay=0.999,
-                 chrono_backtrack=0, adaptive_restart_factor=0.0):
+    def __init__(self, restart_base=2000, var_decay=0.95,
+                 adaptive_restart_factor=0.0):
         self.num_vars = 0
         # Flat clause arena; offsets 0/1 are a sentinel so crefs are >= 2
         # and a negated cref in a watcher list is always distinguishable.
@@ -142,9 +178,7 @@ class Solver:
         self.in_heap = [False]
         self.var_inc = 1.0
         self.var_decay = var_decay
-        self.cla_decay = cla_decay  # kept for API compat; LBD replaces it
         self.restart_base = restart_base
-        self.chrono_backtrack = chrono_backtrack
         # Adaptive (Glucose-style) restart trigger: restart when the mean
         # LBD of the last 50 learnt clauses, scaled by this factor,
         # exceeds the solve's running mean. 0 disables the adaptive layer
@@ -303,29 +337,90 @@ class Solver:
         or ``"unknown"`` when a budget ran out.
         """
         assumptions = list(assumptions)
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._solve(assumptions, conflict_budget, time_budget,
-                               tracer)
-        with tracer.span("sat.solve",
-                         assumptions=len(assumptions)) as extra:
-            res = self._solve(assumptions, conflict_budget, time_budget,
-                              tracer)
-            extra.update(
-                status=res.status,
-                conflicts=res.conflicts,
-                decisions=res.decisions,
-                propagations=res.propagations,
-            )
-            metrics = tracer.metrics
-            metrics.counter("sat.solve_calls").inc()
-            metrics.counter("sat.conflicts").inc(res.conflicts)
-            metrics.counter("sat.decisions").inc(res.decisions)
-            metrics.counter("sat.propagations").inc(res.propagations)
-            metrics.counter("sat.status." + res.status).inc()
-            metrics.histogram("sat.solve_seconds").observe(res.elapsed)
-            metrics.gauge("sat.learnts").set(len(self.learnts))
+        res, _probes = traced_solve(
+            self, lambda tracer: (self._solve(
+                assumptions, conflict_budget, time_budget, tracer), None),
+            assumptions=len(assumptions),
+        )
         return res
+
+    def lexmin(self, assumptions, input_lits, model, max_solves=None,
+               time_budget=None):
+        """The lex-minimal model over ``input_lits`` under ``assumptions``.
+
+        ``model`` satisfies the formula and ``assumptions``. In order,
+        each input literal is made false whenever the formula allows it
+        given the choices before it, so the answer is unique to the
+        formula: not to the solver's state, history or backend. Returns
+        ``(model, probes)``: the last SAT model and the number of solves
+        made (a presolve with every input's phase pointed at false, then
+        one probe per input still true). Once ``max_solves`` solves have
+        been made or ``time_budget`` seconds have passed, the remaining
+        inputs keep their current values, as does an input whose probe
+        hits a budget: the model stays valid but may not be lex-min.
+        Traced as one ``sat.solve`` span carrying ``probes``.
+        :class:`~repro.sat.native.NativeSolver` runs this same loop over
+        its kernel's ``_solve``.
+        """
+        fixed = list(assumptions)
+        input_lits = list(input_lits)
+        n = self.num_vars
+        for lit in input_lits:
+            if lit == 0 or abs(lit) > n:
+                raise SolverError("bad literal {!r}".format(lit))
+        res, probes = traced_solve(
+            self, lambda tracer: self._lexmin(
+                fixed, input_lits, model, max_solves, time_budget, tracer),
+            assumptions=len(fixed), inputs=len(input_lits),
+        )
+        return res.model, probes
+
+    def _phases_false(self, lits):
+        """Point the saved phase of each literal's variable at "literal
+        false"."""
+        phase = self.phase
+        for lit in lits:
+            phase[abs(lit)] = lit < 0
+
+    def _lexmin(self, fixed, input_lits, model, max_solves, time_budget,
+                tracer):
+        start = time.perf_counter()
+        stats = self.stats
+        pre = (stats.conflicts, stats.decisions, stats.propagations)
+        self._phases_false(input_lits)
+        probes = 0
+        # i == -1 is the presolve, under the fixed assumptions alone
+        for i in range(-1, len(input_lits)):
+            lit = input_lits[i] if i >= 0 else 0
+            if lit and model[abs(lit)] != (lit > 0):
+                fixed.append(-lit)  # already false
+                continue
+            remaining = None
+            if time_budget is not None:
+                remaining = time_budget - (time.perf_counter() - start)
+                if remaining <= 0:
+                    break
+            if max_solves is not None and probes >= max_solves:
+                break
+            if lit:
+                # phases steer the search, never the answer
+                self._phases_false(input_lits[i + 1:])
+            probes += 1
+            res = self._solve(fixed + [-lit] if lit else fixed, None,
+                              remaining, tracer)
+            if res.status == SAT:
+                model = res.model
+            if lit:
+                fixed.append(-lit if res.status == SAT else lit)
+        stats = self.stats  # the native backend's stats are a snapshot
+        return SolveResult(
+            status=SAT,
+            model=model,
+            conflicts=stats.conflicts - pre[0],
+            decisions=stats.decisions - pre[1],
+            propagations=stats.propagations - pre[2],
+            elapsed=time.perf_counter() - start,
+        ), probes
 
     def _solve(self, assumptions, conflict_budget, time_budget, tracer):
         start = time.perf_counter()
@@ -369,7 +464,6 @@ class Solver:
             return result(UNSAT, core=() if assumptions else None)
 
         n_assumptions = len(assumptions)
-        chrono = self.chrono_backtrack
         restart_round = 0
         conflicts_since_restart = 0
         restart_limit = self.restart_base * luby(1)
@@ -410,16 +504,6 @@ class Solver:
                 # progress after re-propagation, and only a falsified
                 # assumption at decision time (below) justifies UNSAT.
                 learnt, bt = self._analyze(conflict)
-                if chrono:
-                    # Chronological backtracking: a backjump further than
-                    # `chrono` levels is capped at one level instead. The
-                    # learnt clause is still asserting there (its other
-                    # literals sit at levels <= the computed backjump
-                    # level), and the assumption frontier is never
-                    # crossed, so core bookkeeping is unaffected.
-                    cur = len(self.trail_lim)
-                    if cur - bt > chrono and cur - 1 >= n_assumptions:
-                        bt = cur - 1
                 n_conflicts_here += 1
                 trail_here = len(self.trail)
                 trail_sum += trail_here
