@@ -59,25 +59,28 @@ class InductionResult:
 
 
 def prove_by_induction(netlist, objective_net, max_k=8, time_budget=None,
-                       pinned_inputs=None, property_name=""):
+                       pinned_inputs=None, property_name="",
+                       conflict_budget=None):
     """Try to prove ``objective_net`` never rises, for all time.
 
     The objective must be the *per-cycle violation* net (not the sticky
     flop): the step formula asserts it 0 in frames 0..k-1 and asks for 1 in
-    frame k.
+    frame k. ``conflict_budget`` caps the SAT conflicts of the whole
+    attempt, base and step solves together; unlike ``time_budget`` it
+    gives up at the same point on every host.
     """
     tracer = get_tracer()
     if not tracer.enabled:
         return _prove_by_induction(
-            netlist, objective_net, max_k, time_budget, pinned_inputs,
-            property_name, tracer,
+            netlist, objective_net, max_k, time_budget, conflict_budget,
+            pinned_inputs, property_name, tracer,
         )
     with tracer.span(
         "induction.prove", property=property_name, max_k=max_k
     ) as extra:
         result = _prove_by_induction(
-            netlist, objective_net, max_k, time_budget, pinned_inputs,
-            property_name, tracer,
+            netlist, objective_net, max_k, time_budget, conflict_budget,
+            pinned_inputs, property_name, tracer,
         )
         extra.update(status=result.status, k=result.k)
         tracer.metrics.counter("induction.attempts").inc()
@@ -86,8 +89,10 @@ def prove_by_induction(netlist, objective_net, max_k=8, time_budget=None,
 
 
 def _prove_by_induction(netlist, objective_net, max_k, time_budget,
-                        pinned_inputs, property_name, tracer):
+                        conflict_budget, pinned_inputs, property_name,
+                        tracer):
     start = time.perf_counter()
+    conflicts_used = 0
 
     def remaining():
         # Returns the *real* remainder, negative included — callers bail
@@ -99,8 +104,21 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
             return None
         return time_budget - (time.perf_counter() - start)
 
-    def out_of_time(left):
-        return left is not None and left <= 0
+    def conflicts_left():
+        if conflict_budget is None:
+            return None
+        return conflict_budget - conflicts_used
+
+    def out_of_budget(left, conflicts):
+        return (left is not None and left <= 0) or (
+            conflicts is not None and conflicts <= 0)
+
+    def unknown(k):
+        return InductionResult(
+            status=UNKNOWN_STATUS, k=k,
+            elapsed=time.perf_counter() - start,
+            property_name=property_name,
+        )
 
     base_engine = BmcEngine(
         netlist,
@@ -117,17 +135,14 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
 
     step_frames_constrained = 0
     for k in range(1, max_k + 1):
-        left = remaining()
-        if out_of_time(left):
-            return InductionResult(
-                status=UNKNOWN_STATUS, k=k,
-                elapsed=time.perf_counter() - start,
-                property_name=property_name,
-            )
+        left, conflicts = remaining(), conflicts_left()
+        if out_of_budget(left, conflicts):
+            return unknown(k)
         # base: no violation within k cycles from reset
         base = base_engine.check(
-            k, start_cycle=k, time_budget=left
+            k, start_cycle=k, time_budget=left, conflict_budget=conflicts
         )
+        conflicts_used += base.conflicts
         if base.status == "violated":
             return InductionResult(
                 status=VIOLATED, k=k, base_bound=base.bound,
@@ -136,11 +151,7 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
                 property_name=property_name,
             )
         if base.status == "unknown":
-            return InductionResult(
-                status=UNKNOWN_STATUS, k=k,
-                elapsed=time.perf_counter() - start,
-                property_name=property_name,
-            )
+            return unknown(k)
         # step: k clean frames from an arbitrary state, then a violation
         with tracer.span("induction.encode", k=k):
             step.extend_to(k + 1)
@@ -152,17 +163,15 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
         for frame in range(step_frames_constrained, k):
             step_solver.add_clause([-step.lit(objective_net, frame)])
         step_frames_constrained = k
-        left = remaining()
-        if out_of_time(left):
-            return InductionResult(
-                status=UNKNOWN_STATUS, k=k,
-                elapsed=time.perf_counter() - start,
-                property_name=property_name,
-            )
+        left, conflicts = remaining(), conflicts_left()
+        if out_of_budget(left, conflicts):
+            return unknown(k)
         result = step_solver.solve(
             assumptions=[step.lit(objective_net, k)],
+            conflict_budget=conflicts,
             time_budget=left,
         )
+        conflicts_used += result.conflicts
         if result.status == UNSAT:
             return InductionResult(
                 status=PROVED_UNBOUNDED, k=k, base_bound=k,
@@ -170,14 +179,6 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
                 property_name=property_name,
             )
         if result.status == UNKNOWN:
-            return InductionResult(
-                status=UNKNOWN_STATUS, k=k,
-                elapsed=time.perf_counter() - start,
-                property_name=property_name,
-            )
+            return unknown(k)
         # SAT: the step fails at this k — deepen and retry
-    return InductionResult(
-        status=UNKNOWN_STATUS, k=max_k,
-        elapsed=time.perf_counter() - start,
-        property_name=property_name,
-    )
+    return unknown(max_k)

@@ -25,8 +25,8 @@ lex-min extraction in :mod:`repro.bmc.canonical`; a session run and a
 fresh-engine run serialize to byte-identical scrubbed reports.
 
 The session also fronts BMC with a cheap k-induction attempt
-(:func:`~repro.bmc.induction.prove_by_induction`, ``k=1``, small budget
-slice): clean registers' no-corruption properties are typically
+(:func:`~repro.bmc.induction.prove_by_induction`, ``k=1``, a small
+conflict budget): clean registers' no-corruption properties are typically
 1-inductive, turning their whole linear bound ascent into one
 sub-second unbounded proof. Only a ``proved-unbounded`` outcome is
 used — it implies "proved at every bound", so the reported
@@ -44,10 +44,14 @@ from repro.bmc.induction import prove_by_induction
 from repro.bmc.unroll import Unroller
 from repro.sat.factory import default_solver
 
-#: Ceiling on the k-induction detour per objective, seconds. The point
-#: of the shortcut is that 1-inductive properties close in well under a
-#: second; anything slower should be spending its time in BMC instead.
-INDUCTION_SLICE = 2.0
+#: Ceiling on the k-induction detour per objective, in SAT conflicts
+#: over the attempt's base and step solves. The point of the shortcut is
+#: that 1-inductive properties close in a few hundred conflicts (at most
+#: 768 per attempt over the benchmark's detect-table); anything slower
+#: should be spending its time in BMC instead. A conflict count, not
+#: seconds, so the shortcut's outcome (and every counter after it) is
+#: the same on every host.
+INDUCTION_CONFLICTS = 10_000
 
 #: Fraction of an explicit check budget the shortcut may consume.
 INDUCTION_FRACTION = 0.25
@@ -129,18 +133,15 @@ class SolverSession:
             unbounded = self._unbounded.get(objective_net)
             if unbounded is None and self.use_induction and \
                     violation_net is not None:
-                slice_budget = INDUCTION_SLICE
-                if time_budget is not None:
-                    slice_budget = min(
-                        slice_budget, time_budget * INDUCTION_FRACTION
-                    )
                 proof = prove_by_induction(
                     self.netlist,
                     violation_net,
                     max_k=self.induction_max_k,
-                    time_budget=slice_budget,
+                    time_budget=(None if time_budget is None
+                                 else time_budget * INDUCTION_FRACTION),
                     pinned_inputs=self.pinned_inputs,
                     property_name=property_name,
+                    conflict_budget=INDUCTION_CONFLICTS,
                 )
                 if proof.proved_forever:
                     self._unbounded[objective_net] = proof

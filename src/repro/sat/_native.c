@@ -6,12 +6,22 @@
  * batch per call for whole unrolled frames), assumptions placed as
  * decision levels with failed-assumption cores, assumption levels kept
  * across solves (a solve keeps the prefix it shares with the last
- * one's), VSIDS + phase saving, Luby restarts, LBD-tagged learnt
- * clauses with a glue-protected reduce, cooperative conflict/time
- * budgets, and batched phase steering for lex-min witness extraction.
- * External literals are signed DIMACS ints (variable 1 is the first
- * variable), matching the Python API; internally literals are
- * 2*var+sign.
+ * one's), VSIDS + phase saving, Luby restarts (base 100), LBD-tagged
+ * learnt clauses with a glue-protected reduce, chronological
+ * backtracking, cooperative conflict/time budgets, and batched phase
+ * steering for lex-min witness extraction. External literals are
+ * signed DIMACS ints (variable 1 is the first variable), matching the
+ * Python API; internally literals are 2*var+sign.
+ *
+ * Chronological backtracking (Nadel & Ryvchin, SAT 2018, with the
+ * missed-lower-implication repair of Moehle & Biere, SAT 2019): a
+ * learnt clause that would jump back more than CHRONO_T levels
+ * backtracks one level instead and asserts its UIP at its true, lower
+ * level, so the decisions in between survive the conflict. The trail
+ * is then no longer sorted by level; enqueue, propagate, backtrack and
+ * conflict_level keep the invariants that replace that order (DESIGN.md
+ * decision 22). A search whose backjumps are all CHRONO_T levels or
+ * shorter is exactly that of a non-chronological kernel.
  *
  * The ABI is C (no mangling) and deliberately flat — every function
  * takes the solver pointer first — so the ctypes wrapper stays a thin
@@ -25,6 +35,17 @@
 #include <time.h>
 
 #define L_UNDEF (-1)
+
+/* A learnt clause that would undo more levels than this backtracks one
+ * level instead. Only a test build overrides it (-DCHRONO_T=0 makes
+ * every backtrack chronological). */
+#ifndef CHRONO_T
+#define CHRONO_T 100
+#endif
+
+/* conflicts before the first restart; later ones follow the Luby
+ * sequence */
+#define RESTART_BASE 100
 
 static inline int32_t ext2int(int32_t e) {
     return e > 0 ? 2 * (e - 1) : 2 * (-e - 1) + 1;
@@ -65,15 +86,15 @@ typedef struct {
     int32_t *heap_pos; /* var -> heap index or -1 */
     int32_t *trail;
     int32_t trail_sz;
-    int32_t *trail_lim;
+    int32_t *trail_lim; /* trail_lim[k]: trail size when level k+1 opened */
     int32_t n_levels;
+    int32_t level_cap; /* entries of trail_lim, kept and lbd_stamp */
     int32_t qhead;
     int32_t nvars, cap_vars;
     double var_inc, var_decay;
     int64_t conflicts, decisions, propagations, restarts, solve_calls;
     int root_unsat;
     int64_t max_learnts;
-    int32_t restart_base;
     /* analyze scratch */
     uint8_t *seen;
     int32_t *learnt_buf;
@@ -84,7 +105,7 @@ typedef struct {
     int32_t core_sz, core_cap;
     /* external assumption literals whose decision levels survived the
      * last solve, in order (one level each): the prefix the next solve
-     * may keep instead of replaying. Sized like trail_lim. */
+     * may keep instead of replaying. */
     int32_t *kept;
     int32_t kept_sz;
 } CSolver;
@@ -189,7 +210,6 @@ CSolver *rsat_new(void) {
     if (!s) abort();
     s->var_inc = 1.0;
     s->var_decay = 0.95;
-    s->restart_base = 100;
     s->max_learnts = 4000;
     return s;
 }
@@ -232,16 +252,7 @@ int32_t rsat_new_var(CSolver *s) {
         s->heap = (int32_t *)xrealloc(s->heap, cap * sizeof(int32_t));
         s->heap_pos = (int32_t *)xrealloc(s->heap_pos, cap * sizeof(int32_t));
         s->trail = (int32_t *)xrealloc(s->trail, cap * sizeof(int32_t));
-        /* 2x: assumption levels may be empty (assumption already true),
-         * so level count can exceed the variable count */
-        s->trail_lim =
-            (int32_t *)xrealloc(s->trail_lim, (2 * cap + 2) * sizeof(int32_t));
-        s->kept = (int32_t *)xrealloc(s->kept, (2 * cap + 2) * sizeof(int32_t));
         s->seen = (uint8_t *)xrealloc(s->seen, cap);
-        s->lbd_stamp =
-            (uint32_t *)xrealloc(s->lbd_stamp, (cap + 1) * sizeof(uint32_t));
-        memset(s->lbd_stamp + s->cap_vars, 0,
-               (cap + 1 - s->cap_vars) * sizeof(uint32_t));
         s->cap_vars = cap;
     }
     int32_t v = s->nvars++;
@@ -268,10 +279,11 @@ static inline int8_t lit_value(const CSolver *s, int32_t l) {
     return (l & 1) ? (int8_t)-a : a;
 }
 
-static void enqueue(CSolver *s, int32_t l, int32_t from) {
+/* Assign l at level lvl (at most n_levels) with reason from. */
+static void enqueue(CSolver *s, int32_t l, int32_t from, int32_t lvl) {
     int32_t v = VAR(l);
     s->assign[v] = (l & 1) ? -1 : 1;
-    s->level[v] = s->n_levels;
+    s->level[v] = lvl;
     s->reason[v] = from;
     s->phase[v] = !(l & 1);
     s->trail[s->trail_sz++] = l;
@@ -304,6 +316,8 @@ static int32_t propagate(CSolver *s) {
     int32_t confl = -1;
     while (s->qhead < s->trail_sz) {
         int32_t p = s->trail[s->qhead++];
+        /* below the current level only after a chronological backtrack */
+        int lower = s->level[VAR(p)] < s->n_levels;
         WList *w = &s->watches[p];
         Watcher *ws = w->data;
         int32_t i = 0, j = 0, n = w->sz;
@@ -341,15 +355,38 @@ static int32_t propagate(CSolver *s) {
                 continue;
             }
             /* unit or conflict */
-            ws[i].blocker = first;
-            ws[j++] = ws[i++];
             if (lit_value(s, first) == -1) {
+                ws[i].blocker = first;
+                ws[j++] = ws[i++];
                 confl = cref;
                 s->qhead = s->trail_sz;
                 while (i < n) ws[j++] = ws[i++];
                 break;
             }
-            enqueue(s, first, cref);
+            int32_t lvl = s->n_levels;
+            if (lower) {
+                /* implied at the highest level among the false literals;
+                 * that literal becomes the second watch */
+                int32_t best = 1;
+                lvl = s->level[VAR(false_lit)];
+                for (k = 2; k < sz; k++) {
+                    if (s->level[VAR(lits[k])] > lvl) {
+                        lvl = s->level[VAR(lits[k])];
+                        best = k;
+                    }
+                }
+                if (best > 1) {
+                    lits[1] = lits[best];
+                    lits[best] = false_lit;
+                    wl_push(&s->watches[NEG(lits[1])], first, cref);
+                    i++;
+                    enqueue(s, first, cref, lvl);
+                    continue;
+                }
+            }
+            ws[i].blocker = first;
+            ws[j++] = ws[i++];
+            enqueue(s, first, cref, lvl);
         }
         w->sz = j;
         if (confl >= 0) break;
@@ -357,16 +394,35 @@ static int32_t propagate(CSolver *s) {
     return confl;
 }
 
+/* Unassign every literal above level target. Literals at or below it
+ * that sit higher on the trail (implied out of order) stay, compacted in
+ * trail order to just above trail_lim[target]; propagation restarts
+ * there. */
 static void backtrack(CSolver *s, int32_t target) {
     if (s->n_levels <= target) return;
     int32_t boundary = s->trail_lim[target];
+    int32_t stay = 0;
+    /* top down, so the heap sees the same insertions as a plain
+     * non-chronological backtrack */
     for (int32_t i = s->trail_sz - 1; i >= boundary; i--) {
         int32_t v = VAR(s->trail[i]);
+        if (s->level[v] <= target) {
+            stay++;
+            continue;
+        }
         s->assign[v] = 0;
         s->reason[v] = -1;
         heap_insert(s, v);
     }
-    s->trail_sz = boundary;
+    int32_t j = boundary;
+    for (int32_t i = boundary; stay && i < s->trail_sz; i++) {
+        int32_t l = s->trail[i];
+        if (s->level[VAR(l)] <= target) {
+            s->trail[j++] = l;
+            stay--;
+        }
+    }
+    s->trail_sz = j;
     s->n_levels = target;
     if (s->qhead > boundary) s->qhead = boundary;
 }
@@ -401,7 +457,10 @@ static void analyze(CSolver *s, int32_t confl, int32_t *out_n,
                     s->learnt_buf[n++] = q;
             }
         }
-        while (!s->seen[VAR(s->trail[index])]) index--;
+        /* seen literals below the conflict level stay in the clause */
+        while (!s->seen[VAR(s->trail[index])] ||
+               s->level[VAR(s->trail[index])] < s->n_levels)
+            index--;
         p = s->trail[index];
         confl = s->reason[VAR(p)];
         s->seen[VAR(p)] = 0;
@@ -437,6 +496,46 @@ static void analyze(CSolver *s, int32_t confl, int32_t *out_n,
     *out_n = n;
     *out_bt = bt;
     *out_lbd = lbd;
+}
+
+/* The level of conflict clause confl: the highest level among its
+ * literals. Unless one of its watches already sits there (always so in
+ * a search that never backtracked chronologically), its two
+ * highest-level literals become the watches, lits[0] the highest, so a
+ * backjump below that level unassigns a watch. *forced is lits[0] when
+ * it is the only literal at that level (a missed lower implication),
+ * else L_UNDEF. */
+static int32_t conflict_level(CSolver *s, int32_t confl, int32_t *forced) {
+    int32_t sz = s->arena[confl];
+    int32_t *lits = s->arena + confl + 2;
+    int32_t top = 0, count = 0;
+    for (int32_t k = 0; k < sz; k++) {
+        int32_t lv = s->level[VAR(lits[k])];
+        if (lv > top) {
+            top = lv;
+            count = 1;
+        } else if (lv == top)
+            count++;
+    }
+    *forced = L_UNDEF;
+    if (count > 1 && (s->level[VAR(lits[0])] == top ||
+                      s->level[VAR(lits[1])] == top))
+        return top;
+    for (int32_t i = 0; i < 2; i++) {
+        int32_t best = i;
+        for (int32_t k = i + 1; k < sz; k++)
+            if (s->level[VAR(lits[k])] > s->level[VAR(lits[best])]) best = k;
+        if (best == i) continue;
+        int32_t moved = lits[best];
+        if (best > 1) { /* an unwatched literal takes over lits[i]'s watch */
+            wl_remove(&s->watches[NEG(lits[i])], confl);
+            wl_push(&s->watches[NEG(moved)], lits[1 - i], confl);
+        }
+        lits[best] = lits[i];
+        lits[i] = moved;
+    }
+    if (count == 1) *forced = lits[0];
+    return top;
 }
 
 static void learnts_push(CSolver *s, int32_t cref) {
@@ -523,7 +622,7 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
         return 0;
     }
     if (m == 1) {
-        enqueue(s, tmp[0], -1);
+        enqueue(s, tmp[0], -1, 0);
         free(tmp);
         if (propagate(s) >= 0) {
             s->root_unsat = 1;
@@ -646,6 +745,25 @@ static void keep_levels(CSolver *s, const int32_t *ext, int32_t n) {
 
 static int32_t min32(int32_t a, int32_t b) { return a < b ? a : b; }
 
+/* Size the level-indexed buffers (trail_lim, kept, lbd_stamp) for a
+ * solve under n_assumps assumptions: each assumption opens a level,
+ * even one that is already true, and each other level holds a distinct
+ * decision variable. */
+static void ensure_levels(CSolver *s, int32_t n_assumps) {
+    int64_t need = (int64_t)s->nvars + n_assumps + 1;
+    if (need <= s->level_cap) return;
+    int32_t cap = (int32_t)(need > 2 * (int64_t)s->level_cap
+                                ? need
+                                : 2 * (int64_t)s->level_cap);
+    s->trail_lim = (int32_t *)xrealloc(s->trail_lim, cap * sizeof(int32_t));
+    s->kept = (int32_t *)xrealloc(s->kept, cap * sizeof(int32_t));
+    s->lbd_stamp =
+        (uint32_t *)xrealloc(s->lbd_stamp, cap * sizeof(uint32_t));
+    memset(s->lbd_stamp + s->level_cap, 0,
+           (cap - s->level_cap) * sizeof(uint32_t));
+    s->level_cap = cap;
+}
+
 /* A budget ran out: keep the assumption levels placed so far. */
 static int32_t give_up(CSolver *s, const int32_t *ext, int32_t n_assumps) {
     int32_t n = min32(n_assumps, s->n_levels);
@@ -667,6 +785,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
         s->core_sz = 0;
         return 0;
     }
+    ensure_levels(s, n_assumps);
     int32_t keep = 0;
     int32_t limit = min32(min32(s->kept_sz, n_assumps), s->n_levels);
     while (keep < limit && s->kept[keep] == ext_assumps[keep]) keep++;
@@ -681,7 +800,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
     int64_t base_conflicts = s->conflicts;
     int64_t restart_round = 0;
     int64_t conflicts_since_restart = 0;
-    int64_t restart_limit = s->restart_base * luby(0);
+    int64_t restart_limit = RESTART_BASE * luby(0);
     int64_t next_time_check = s->conflicts + 1;
     int64_t adjusted_max = s->max_learnts > s->n_clauses / 3
                                ? s->max_learnts
@@ -692,27 +811,40 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
         if (confl >= 0) {
             s->conflicts++;
             conflicts_since_restart++;
-            if (s->n_levels == 0) {
+            int32_t forced;
+            int32_t top = conflict_level(s, confl, &forced);
+            if (top == 0) {
                 s->root_unsat = 1;
                 s->core_sz = 0;
                 s->kept_sz = 0;
                 return 0;
             }
-            int32_t n, bt, lbd;
-            analyze(s, confl, &n, &bt, &lbd);
-            /* never backjump past the assumption levels' propagations:
-             * a jump into them is fine (levels are rebuilt), below 0 is
-             * impossible since bt >= 0 */
-            backtrack(s, bt);
-            if (n == 1) {
-                enqueue(s, s->learnt_buf[0], -1);
+            if (forced != L_UNDEF) {
+                /* a missed lower implication: assign the literal at the
+                 * level where the clause became unit */
+                int32_t lvl = s->level[VAR(s->arena[confl + 3])];
+                backtrack(s, top - 1);
+                enqueue(s, forced, confl, lvl);
             } else {
-                int32_t cref = alloc_clause(s, s->learnt_buf, n, lbd);
-                learnts_push(s, cref);
-                watch_clause(s, cref);
-                enqueue(s, s->learnt_buf[0], cref);
+                int32_t n, bt, lbd;
+                backtrack(s, top);
+                analyze(s, confl, &n, &bt, &lbd);
+                /* a jump into the assumption levels is fine: they are
+                 * placed again, in order */
+                if (n == 1) {
+                    backtrack(s, 0);
+                    enqueue(s, s->learnt_buf[0], -1, 0);
+                } else {
+                    backtrack(s, s->n_levels - bt > CHRONO_T
+                                     ? s->n_levels - 1
+                                     : bt);
+                    int32_t cref = alloc_clause(s, s->learnt_buf, n, lbd);
+                    learnts_push(s, cref);
+                    watch_clause(s, cref);
+                    enqueue(s, s->learnt_buf[0], cref, bt);
+                }
+                s->var_inc /= s->var_decay;
             }
-            s->var_inc /= s->var_decay;
             if (conflict_budget >= 0 &&
                 s->conflicts - base_conflicts >= conflict_budget) {
                 return give_up(s, ext_assumps, n_assumps);
@@ -725,7 +857,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             if (conflicts_since_restart >= restart_limit) {
                 restart_round++;
                 conflicts_since_restart = 0;
-                restart_limit = s->restart_base * luby(restart_round);
+                restart_limit = RESTART_BASE * luby(restart_round);
                 s->restarts++;
                 backtrack(s, 0);
             }
@@ -746,7 +878,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
                 return 0; /* UNSAT under assumptions, core available */
             }
             s->trail_lim[s->n_levels++] = s->trail_sz;
-            if (v == 0) enqueue(s, l, -1);
+            if (v == 0) enqueue(s, l, -1, s->n_levels);
             continue;
         }
 
@@ -769,7 +901,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             now_seconds() - start > time_budget)
             return give_up(s, ext_assumps, n_assumps);
         s->trail_lim[s->n_levels++] = s->trail_sz;
-        enqueue(s, s->phase[var] ? 2 * var : 2 * var + 1, -1);
+        enqueue(s, s->phase[var] ? 2 * var : 2 * var + 1, -1, s->n_levels);
     }
 }
 
@@ -784,7 +916,7 @@ void rsat_model(CSolver *s, uint8_t *out) {
 int32_t rsat_core_size(CSolver *s) { return s->core_sz; }
 
 void rsat_core(CSolver *s, int32_t *out) {
-    memcpy(out, s->core, s->core_sz * sizeof(int32_t));
+    if (s->core_sz) memcpy(out, s->core, s->core_sz * sizeof(int32_t));
 }
 
 /* Point the saved phase of each literal's variable at "literal false"
@@ -794,10 +926,6 @@ void rsat_phases_false(CSolver *s, const int32_t *lits, int32_t n) {
         int32_t var = abs(lits[i]);
         if (var >= 1 && var <= s->nvars) s->phase[var - 1] = lits[i] < 0;
     }
-}
-
-void rsat_set_restart_base(CSolver *s, int32_t base) {
-    if (base > 0) s->restart_base = base;
 }
 
 int64_t rsat_conflicts(CSolver *s) { return s->conflicts; }

@@ -40,16 +40,15 @@ def backend_name():
     return name
 
 
-def default_solver(**kwargs):
+def default_solver():
     """Construct a solver honouring ``REPRO_SAT_BACKEND``.
 
-    ``kwargs`` are forwarded to the Python :class:`Solver` verbatim; the
-    native backend accepts ``restart_base`` and ignores the rest (its
-    tuning lives in C).
+    Each backend runs with its own fixed search settings; the native
+    kernel's live in C (see ``_native.c``).
     """
     name = backend_name()
     if name == "python":
-        return Solver(**kwargs)
+        return Solver()
     from repro.sat.native import NativeSolver, native_available
 
     if name == "native":
@@ -58,8 +57,8 @@ def default_solver(**kwargs):
                 "REPRO_SAT_BACKEND=native but the compiled backend is "
                 "unavailable (no C compiler, or compilation failed)"
             )
-        return NativeSolver(**kwargs)
+        return NativeSolver()
     # auto
     if native_available():
-        return NativeSolver(**kwargs)
-    return Solver(**kwargs)
+        return NativeSolver()
+    return Solver()

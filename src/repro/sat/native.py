@@ -22,7 +22,11 @@ snapshotted into an immutable byte buffer at SAT exit, so — like the
 Python solver's dict models — they stay valid across later solves that
 disturb the C solver's assignment. Like the Python solver, the kernel
 keeps the assumption levels a solve shares with the previous one
-instead of replaying them.
+instead of replaying them. The kernel's search settings (Luby restarts
+with base 100, chronological backtracking past 100 levels) are
+compile-time constants in ``_native.c``: ``NativeSolver()`` takes no
+tuning arguments, and only a test build overrides ``CHRONO_T`` (through
+:func:`compile_kernel`).
 
 Every ctypes call costs about a microsecond before any work is done,
 so bulk ingestion crosses in batches: ``new_vars(k)`` is one
@@ -77,12 +81,26 @@ def _cache_dir():
     return Path(tempfile.gettempdir()) / "repro-sat"
 
 
+def compile_kernel(out, flags=()):
+    """Compile ``_native.c`` to the shared object ``out``; True on success.
+
+    The compiler is ``$CC``, else ``cc`` or ``gcc`` on the path; ``flags``
+    go before the source (a test build passes ``-DCHRONO_T=0``).
+    """
+    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    if cc is None or not _SOURCE.exists():
+        return False
+    proc = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", *flags, "-o", str(out), str(_SOURCE)],
+        capture_output=True,
+        timeout=120,
+    )
+    return proc.returncode == 0
+
+
 def _compile_library():
     """Compile ``_native.c`` to a cached .so; return its path or None."""
     if not _SOURCE.exists():
-        return None
-    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if cc is None:
         return None
     source = _SOURCE.read_bytes()
     digest = hashlib.sha256(source).hexdigest()[:16]
@@ -96,12 +114,7 @@ def _compile_library():
         # to build the same revision each land a complete .so.
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
+        if not compile_kernel(tmp):
             os.unlink(tmp)
             return None
         os.replace(tmp, target)
@@ -126,7 +139,6 @@ def _bind(lib):
         "rsat_model": ([P, ctypes.POINTER(ctypes.c_uint8)], None),
         "rsat_core_size": ([P], i32),
         "rsat_core": ([P, ctypes.POINTER(i32)], None),
-        "rsat_set_restart_base": ([P, i32], None),
         "rsat_conflicts": ([P], i64),
         "rsat_decisions": ([P], i64),
         "rsat_propagations": ([P], i64),
@@ -214,14 +226,12 @@ class NativeSolver:
 
     backend = "native"
 
-    def __init__(self, restart_base=100, **_compat_kwargs):
+    def __init__(self):
         lib = _load_library()
         if lib is None:
             raise SolverError("native SAT backend unavailable")
         self._lib = lib
         self._handle = lib.rsat_new()
-        if restart_base != 100:
-            lib.rsat_set_restart_base(self._handle, restart_base)
         self.clauses = _CountProxy(lib.rsat_num_clauses, self._handle)
         self.learnts = _CountProxy(lib.rsat_num_learnts, self._handle)
 

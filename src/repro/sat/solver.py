@@ -142,8 +142,7 @@ def traced_solve(solver, run, **attrs):
 class Solver:
     """Incremental CDCL solver."""
 
-    def __init__(self, restart_base=2000, var_decay=0.95,
-                 adaptive_restart_factor=0.0):
+    def __init__(self, restart_base=2000):
         self.num_vars = 0
         # Flat clause arena; offsets 0/1 are a sentinel so crefs are >= 2
         # and a negated cref in a watcher list is always distinguishable.
@@ -177,13 +176,10 @@ class Solver:
         self.heap = []
         self.in_heap = [False]
         self.var_inc = 1.0
-        self.var_decay = var_decay
+        self.var_decay = 0.95
+        # conflicts before the first restart; later ones follow the Luby
+        # sequence (tests pass 1 to force restarts)
         self.restart_base = restart_base
-        # Adaptive (Glucose-style) restart trigger: restart when the mean
-        # LBD of the last 50 learnt clauses, scaled by this factor,
-        # exceeds the solve's running mean. 0 disables the adaptive layer
-        # (pure Luby).
-        self.adaptive_restart_factor = adaptive_restart_factor
         self.root_unsat = False
         self.max_learnts = 4000.0
         self.stats = SolverStats()
@@ -468,20 +464,6 @@ class Solver:
         conflicts_since_restart = 0
         restart_limit = self.restart_base * luby(1)
         traced = tracer.enabled
-        # Glucose-style adaptive restarts, layered on the Luby schedule:
-        # restart early when the recent learnt-clause quality (LBD) is
-        # worse than the solve's running average, but hold off while the
-        # trail is much deeper than usual (the search is likely closing
-        # in on a model). All counters are per-solve, so incremental
-        # callers see deterministic, self-contained behavior.
-        adaptive = self.adaptive_restart_factor
-        lbd_sum = 0.0
-        trail_sum = 0.0
-        n_conflicts_here = 0
-        recent = [0] * 50
-        recent_sum = 0.0
-        recent_fill = 0
-        recent_idx = 0
         # Conflict-counter threshold for the wall-clock check: the first
         # conflict always reads the clock, then every 16th, so a storm of
         # expensive conflict analyses cannot overrun the budget the way
@@ -504,29 +486,7 @@ class Solver:
                 # progress after re-propagation, and only a falsified
                 # assumption at decision time (below) justifies UNSAT.
                 learnt, bt = self._analyze(conflict)
-                n_conflicts_here += 1
-                trail_here = len(self.trail)
-                trail_sum += trail_here
-                lbd = self._record_learnt(learnt, bt)
-                lbd_sum += lbd
-                if (
-                    recent_fill == 50
-                    and trail_here * n_conflicts_here > 1.4 * trail_sum
-                ):
-                    # Blocking: the trail is unusually deep — the search
-                    # may be near a model, postpone adaptive restarts.
-                    recent_fill = 0
-                    recent_sum = 0.0
-                    recent_idx = 0
-                elif recent_fill == 50:
-                    recent_sum += lbd - recent[recent_idx]
-                    recent[recent_idx] = lbd
-                    recent_idx = (recent_idx + 1) % 50
-                else:
-                    recent[recent_idx] = lbd
-                    recent_sum += lbd
-                    recent_idx = (recent_idx + 1) % 50
-                    recent_fill += 1
+                self._record_learnt(learnt, bt)
                 self.var_inc /= self.var_decay
                 if conflict_budget is not None and (
                     self.stats.conflicts - base_conflicts >= conflict_budget
@@ -542,18 +502,10 @@ class Solver:
                             assumptions, n_assumptions
                         )
                         return result(UNKNOWN)
-                if conflicts_since_restart >= restart_limit or (
-                    adaptive
-                    and recent_fill == 50
-                    and recent_sum * adaptive * n_conflicts_here
-                    > 50 * lbd_sum
-                ):
+                if conflicts_since_restart >= restart_limit:
                     restart_round += 1
                     conflicts_since_restart = 0
                     restart_limit = self.restart_base * luby(restart_round + 1)
-                    recent_fill = 0
-                    recent_sum = 0.0
-                    recent_idx = 0
                     self.stats.restarts += 1
                     if traced:
                         tracer.point(
@@ -921,12 +873,12 @@ class Solver:
         return tuple(core)
 
     def _record_learnt(self, learnt, bt_level):
-        """Backjump, store the learnt clause, return its LBD."""
+        """Backjump, store the learnt clause and assert its UIP."""
         if len(learnt) == 1:
             self._backtrack(bt_level)
             if not self._enqueue(learnt[0], 0):
                 self.root_unsat = True
-            return 1
+            return
         # LBD = number of distinct decision levels among the literals,
         # computed before backtracking invalidates the levels.
         level = self.level
@@ -937,7 +889,6 @@ class Solver:
         self.stats.learned_clauses += 1
         self._watch(cref, learnt)
         self._enqueue(learnt[0], cref)
-        return lbd
 
     def _backtrack(self, target_level):
         if len(self.trail_lim) <= target_level:

@@ -222,3 +222,35 @@ def test_budget_expiry_mid_loop_stops_deepening(monkeypatch):
     assert result.k == 2
     (step_solver,) = created
     assert step_solver.solve_calls == 1
+
+
+def test_conflict_budget_stops_the_attempt_on_any_host():
+    # the clean secret design's proof needs conflicts: a budget of one
+    # gives up at the same point whatever the host's speed
+    netlist = build_secret_design(trojan=False)
+    monitor = build_corruption_monitor(netlist, secret_spec())
+    args = (monitor.netlist, monitor.violation_net)
+    assert prove_by_induction(*args, max_k=4).proved_forever
+    result = prove_by_induction(*args, max_k=4, conflict_budget=1)
+    assert result.status == "unknown"
+
+
+def test_session_shortcut_uses_the_conflict_budget(monkeypatch):
+    from repro.bmc import session as session_mod
+    from repro.bmc.session import SolverSession
+
+    def check(budget):
+        monkeypatch.setattr(session_mod, "INDUCTION_CONFLICTS", budget)
+        netlist = build_secret_design(trojan=False)
+        session = SolverSession(netlist)
+        monitor = build_corruption_monitor(
+            netlist, secret_spec(), into=netlist)
+        result = session.check(monitor.objective_net, 6,
+                               violation_net=monitor.violation_net)
+        return result, session.induction_wins
+
+    result, wins = check(session_mod.INDUCTION_CONFLICTS)
+    assert (result.status, result.bound, wins) == ("proved", 6, 1)
+    # out of conflicts, the shortcut proves nothing and BMC still does
+    result, wins = check(1)
+    assert (result.status, result.bound, wins) == ("proved", 6, 0)

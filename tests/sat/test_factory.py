@@ -26,9 +26,3 @@ def test_unknown_value_falls_back_to_auto(monkeypatch):
 def test_native_forced(monkeypatch):
     monkeypatch.setenv("REPRO_SAT_BACKEND", "native")
     assert isinstance(default_solver(), NativeSolver)
-
-
-def test_python_kwargs_forwarded(monkeypatch):
-    monkeypatch.setenv("REPRO_SAT_BACKEND", "python")
-    solver = default_solver(restart_base=123)
-    assert solver.restart_base == 123

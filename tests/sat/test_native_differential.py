@@ -9,11 +9,16 @@ is provided one layer up by canonical counterexample extraction.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.sat import SAT, UNKNOWN, UNSAT, Solver
 from repro.sat.native import NativeSolver, native_available
 
@@ -203,3 +208,36 @@ def test_fuzz_native_incremental_assumptions(data, assumption_rounds):
             assert r_nat.core is not None
             assert set(r_nat.core) <= set(assumptions)
             assert not brute_force_sat(6, clauses_so_far, r_nat.core)
+
+
+REPEATED_ASSUMPTION = """
+from repro.sat.native import NativeSolver
+solver = NativeSolver()
+x, a, b, _c = solver.new_vars(4)
+for sa in (a, -a):
+    for sb in (b, -b):
+        solver.add_clause([-x, sa, sb])
+res = solver.solve(assumptions=[x] * {copies})
+print(res.status, list(res.core))
+"""
+
+
+@pytest.mark.parametrize("copies", [1025, 3000, 5000])
+def test_repeated_assumption_opens_more_levels_than_variables(copies):
+    # every copy opens a decision level, even though x is already true:
+    # the kernel's level-indexed buffers must not be sized by variables.
+    # A subprocess, because an overflow may crash the interpreter.
+    ref = Solver()
+    x, a, b, _c = ref.new_vars(4)
+    for sa in (a, -a):
+        for sb in (b, -b):
+            ref.add_clause([-x, sa, sb])
+    expected = ref.solve(assumptions=[x] * copies)
+    proc = subprocess.run(
+        [sys.executable, "-c", REPEATED_ASSUMPTION.format(copies=copies)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split(None, 1) == [
+        expected.status, "{}\n".format(list(expected.core))]
