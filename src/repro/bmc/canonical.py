@@ -46,15 +46,8 @@ def canonicalize_model(solver, unroller, assumptions, model, frames,
     lex-minimal input vector; non-input variables follow the last SAT
     probe's model.
     """
-    true_var = abs(unroller.true_lit)
-    input_lits = []
-    for t in range(frames):
-        for _name, _bit, net in unroller._input_nets:
-            lit = unroller._lit.get((net, t))
-            if lit is not None and abs(lit) != true_var:
-                input_lits.append(lit)
     model, _probes = solver.lexmin(
-        assumptions, input_lits, model,
+        assumptions, unroller.input_literals(frames), model,
         max_solves=MAX_CANONICAL_SOLVES, time_budget=time_budget,
     )
     return model

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bmc.engine import BmcEngine
-from repro.bmc.unroll import Unroller
+from repro.bmc.unroll import FREE, Unroller
 from repro.obs.tracer import get_tracer
 from repro.sat.factory import default_solver
 from repro.sat.solver import UNKNOWN, UNSAT
@@ -130,7 +130,7 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
     # the step formula: frame 0 is an arbitrary state, not reset
     step = Unroller(
         netlist, step_solver, [objective_net], pinned_inputs=pinned_inputs,
-        free_initial_state=True,
+        initial_state=FREE,
     )
 
     step_frames_constrained = 0

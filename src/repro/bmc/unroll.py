@@ -1,17 +1,25 @@
 """Time-frame expansion of a sequential netlist into CNF.
 
 The unroller encodes frames ``0..T-1`` of the design's transition relation
-into an incremental SAT solver. Two space optimizations keep pure-Python BMC
-viable:
+into an incremental SAT solver. Three space optimizations keep pure-Python
+BMC viable:
 
 * **Cone of influence** — only the cells/flops/inputs that can affect the
   target nets are unrolled (the paper's AES key-register checks are cheap
   precisely because the key cone excludes the round datapath).
 * **Literal aliasing** — NOT/BUF outputs reuse (negated) input literals,
-  and a flop's Q at frame ``t`` *is* its D literal from frame ``t-1``;
-  frame 0 Qs are the reset constants (or, for k-induction's step formula,
-  fresh variables: an arbitrary state). Only gate outputs, per-frame
-  inputs and free frame-0 state allocate variables.
+  and a flop's Q at frame ``t`` *is* its D literal from frame ``t-1``.
+  Frame 0's Qs are one of three kinds: the reset constants, fresh
+  variables (k-induction's step formula: an arbitrary state), or
+  literals the caller supplies (Eq. 4's suffix copies start from the
+  prefix's state with the critical register cut).
+* **Folding and hashing** — every gate goes through one
+  :class:`~repro.sat.tseitin.GateHasher`: a gate whose inputs are
+  constant, repeated or complementary folds to an existing literal
+  (frame 0 from reset and a pinned ``reset`` input fold away whole
+  cones), and a gate identical to one encoded in any earlier frame
+  reuses its variable. Only new gates allocate a variable and add
+  clauses; inputs always keep their own variables.
 
 The paper notes BMC "makes multiple copies of the design for the number of
 clock cycles unrolled" and burns GBs; this class is that copying machinery,
@@ -22,26 +30,37 @@ into the solver in one batch, not one call per variable and per clause.
 
 from __future__ import annotations
 
+import copy
+
 from repro.errors import EncodingError
-from repro.netlist.cells import Kind
 from repro.netlist.traversal import cone_of_influence, topological_cells
-from repro.sat.tseitin import ClauseBuffer, encode_cell
+from repro.sat.tseitin import ClauseBuffer, GateHasher
+
+#: Frame-0 state kinds that are not a mapping of supplied literals.
+RESET = "reset"
+FREE = "free"
 
 
 class Unroller:
     """Incrementally unrolls a netlist's COI into a :class:`Solver`.
 
-    ``free_initial_state=True`` gives every frame-0 flop Q a fresh
-    variable instead of its reset constant — the arbitrary start state
-    of k-induction's step formula.
+    ``initial_state`` sets frame 0's flop Qs: :data:`RESET` (the reset
+    constants), :data:`FREE` (a fresh variable each) or a mapping from
+    Q net to a literal of the same solver. ``frame_inputs`` optionally
+    supplies input literals per frame (a list of ``{net: literal}``);
+    any other cone input is pinned or gets a fresh variable. ``gates``
+    shares another unrolling's :class:`GateHasher`, and with it its
+    constant-true literal and every gate it has encoded.
     """
 
     def __init__(self, netlist, solver, target_nets, use_coi=True,
-                 pinned_inputs=None, free_initial_state=False):
+                 pinned_inputs=None, initial_state=RESET, frame_inputs=(),
+                 gates=None):
         self.netlist = netlist
         self.solver = solver
         self.use_coi = use_coi
-        self.free_initial_state = free_initial_state
+        self.initial_state = initial_state
+        self.frame_inputs = frame_inputs
         self.targets = list(target_nets)
         # port name -> pinned constant word (e.g. {"reset": 0}: the initial
         # state already models reset, so the run holds it inactive)
@@ -58,11 +77,27 @@ class Unroller:
         self._cells = [netlist.cells[i] for i in cell_idxs]
         self._flops = [netlist.flops[i] for i in flop_idxs]
         self._input_nets = self._cone_inputs()
+        if gates is None:
+            true_lit = solver.new_var()
+            solver.add_clause([true_lit])
+            gates = GateHasher(true_lit)
+        self.gates = gates
+        self.true_lit = gates.true_lit
         self.frames = 0
-        self._lit = {}
-        self.true_lit = solver.new_var()
-        solver.add_clause([self.true_lit])
+        self._lit = []  # per frame: net -> literal
         self.vars_per_frame = []
+
+    def copy(self, initial_state, frame_inputs=()):
+        """Another, unbuilt unrolling of the same cone into the same
+        solver, sharing this one's gates (see :class:`Unroller`)."""
+        twin = copy.copy(self)
+        twin.targets = list(self.targets)
+        twin.initial_state = initial_state
+        twin.frame_inputs = frame_inputs
+        twin.frames = 0
+        twin._lit = []
+        twin.vars_per_frame = []
+        return twin
 
     def _cone_inputs(self):
         inputs = []
@@ -89,8 +124,9 @@ class Unroller:
         union cone. Logic already encoded is untouched — existing
         literals, and any solver state derived from them, stay valid
         (the new cone only ever *adds* constraints over fresh
-        variables). This is what lets one session's unrolling serve a
-        register's properties one monitor at a time.
+        variables, and its gates hash into the same memo). This is what
+        lets one session's unrolling serve a register's properties one
+        monitor at a time.
         """
         fresh = [net for net in target_nets if net not in self.targets]
         if not fresh:
@@ -130,8 +166,7 @@ class Unroller:
     def _build_frame(self, t):
         solver = self.solver
         vars_before = solver.num_vars
-        self._lit[(0, t)] = -self.true_lit
-        self._lit[(1, t)] = self.true_lit
+        self._lit.append({0: -self.true_lit, 1: self.true_lit})
         self._encode_members(
             t, self._input_nets, self._flops, self._cells
         )
@@ -147,34 +182,35 @@ class Unroller:
         cell only reads new nets or nets the old cone already encoded).
         """
         buf = ClauseBuffer(self.solver)
-        lit = self._lit
+        lit = self._lit[t]
+        true_lit = self.true_lit
+        supplied = (
+            self.frame_inputs[t] if t < len(self.frame_inputs) else {}
+        )
         for name, bit, net in input_nets:
-            pinned = self.pinned_inputs.get(name)
-            if pinned is not None:
-                lit[(net, t)] = (
-                    self.true_lit if (pinned >> bit) & 1 else -self.true_lit
-                )
-            else:
-                lit[(net, t)] = buf.new_var()
+            given = supplied.get(net)
+            if given is None:
+                pinned = self.pinned_inputs.get(name)
+                if pinned is None:
+                    given = buf.new_var()
+                else:
+                    given = true_lit if (pinned >> bit) & 1 else -true_lit
+            lit[net] = given
+        state = self.initial_state
         for flop in flops:
             if t > 0:
-                lit[(flop.q, t)] = lit[(flop.d, t - 1)]
-            elif self.free_initial_state:
-                lit[(flop.q, 0)] = buf.new_var()
+                lit[flop.q] = self._lit[t - 1][flop.d]
+            elif state is RESET:
+                lit[flop.q] = true_lit if flop.init else -true_lit
+            elif state is FREE:
+                lit[flop.q] = buf.new_var()
             else:
-                lit[(flop.q, 0)] = (
-                    self.true_lit if flop.init else -self.true_lit
-                )
+                lit[flop.q] = state[flop.q]
+        gate = self.gates.gate
         for cell in cells:
-            ins = [lit[(net, t)] for net in cell.inputs]
-            if cell.kind is Kind.BUF:
-                lit[(cell.output, t)] = ins[0]
-            elif cell.kind is Kind.NOT:
-                lit[(cell.output, t)] = -ins[0]
-            else:
-                out = buf.new_var()
-                lit[(cell.output, t)] = out
-                encode_cell(buf, cell.kind, out, ins)
+            lit[cell.output] = gate(
+                buf, cell.kind, [lit[net] for net in cell.inputs]
+            )
         buf.flush(self.solver)
 
     # --------------------------------------------------------------- access
@@ -182,15 +218,28 @@ class Unroller:
     def lit(self, net, frame):
         """SAT literal of ``net`` at ``frame`` (must be in the cone)."""
         try:
-            return self._lit[(net, frame)]
-        except KeyError:
+            return self._lit[frame][net]
+        except (IndexError, KeyError):
             raise EncodingError(
                 "net {} at frame {} not unrolled (cone miss or frame "
                 "not built)".format(net, frame)
             ) from None
 
     def has_lit(self, net, frame):
-        return (net, frame) in self._lit
+        return frame < len(self._lit) and net in self._lit[frame]
+
+    def input_literals(self, frames):
+        """The non-constant input literals of frames ``0..frames-1``,
+        frame-major in port declaration order, then bit order."""
+        true_var = abs(self.true_lit)
+        literals = []
+        for t in range(frames):
+            lit = self._lit[t]
+            for _name, _bit, net in self._input_nets:
+                literal = lit[net]
+                if abs(literal) != true_var:
+                    literals.append(literal)
+        return literals
 
     def input_assignment(self, model, frames=None):
         """Decode a model into per-frame input words.
@@ -203,8 +252,9 @@ class Unroller:
         sequence = []
         for t in range(frames):
             words = {name: 0 for name in self.netlist.inputs}
+            lit = self._lit[t]
             for name, bit, net in self._input_nets:
-                literal = self._lit[(net, t)]
+                literal = lit[net]
                 value = model[abs(literal)]
                 if literal < 0:
                     value = not value

@@ -27,6 +27,16 @@ synthesis (CEGIS):
 (:attr:`RegisterSpec.observe_latency`): how many cycles the environment
 needs to expose R on an output (e.g. a stack pointer needs a RETURN to
 reach the program counter).
+
+Every copy of the design is an :class:`~repro.bmc.unroll.Unroller`:
+the symbolic prefix from reset, and each suffix copy an
+:meth:`~repro.bmc.unroll.Unroller.copy` of one suffix unrolling whose
+frame 0 is the caller's state (R cut to p or q) and whose inputs are
+the sample's constants or shared variables. All copies of one query
+share its constant-true literal and gate memo, so logic R cannot reach
+is encoded once for both copies, and a concrete state or sample folds
+the suffix down to what depends on R. One deadline bounds a check:
+synthesis and verification both draw on what is left of it.
 """
 
 from __future__ import annotations
@@ -37,13 +47,12 @@ from dataclasses import dataclass
 
 from repro.bmc.unroll import Unroller
 from repro.bmc.witness import Witness
-from repro.netlist.cells import Kind
 from repro.netlist.traversal import (
     cone_of_influence,
     transitive_fanout_outputs,
 )
 from repro.sat.solver import SAT, UNSAT, Solver
-from repro.sat.tseitin import encode_cell, encode_xor2
+from repro.sat.tseitin import encode_xor2
 from repro.sim.sequential import SequentialSimulator
 
 VIOLATED = "violated"  # bypass found (Eq. 4 violated)
@@ -89,66 +98,6 @@ class BypassResult:
         )
 
 
-class _SuffixEncoder:
-    """Encodes L frames of the design with the critical register cut."""
-
-    def __init__(self, netlist, r_q_nets, outputs):
-        self.netlist = netlist
-        self.r_q_set = set(r_q_nets)
-        self.r_q_nets = list(r_q_nets)
-        self.outputs = outputs
-        target_nets = []
-        for name in outputs:
-            target_nets.extend(netlist.outputs[name])
-        cone, cell_idxs, flop_idxs = cone_of_influence(netlist, target_nets)
-        self.cone = cone
-        self.cells = [netlist.cells[i] for i in cell_idxs]
-        self.flops = [netlist.flops[i] for i in flop_idxs]
-        self.input_nets = [
-            net for net in sorted(netlist.input_net_set()) if net in cone
-        ]
-        self.state_flops = [f for f in self.flops if f.q not in self.r_q_set]
-
-    def encode(self, solver, true_lit, base_state, r_override, input_lits, frames):
-        """Encode ``frames`` suffix frames; returns output lits per frame.
-
-        ``base_state`` maps non-R flop q nets -> literal at the cut,
-        ``r_override`` maps R q nets -> literal, ``input_lits`` is a list of
-        dicts (net -> literal) per suffix frame.
-        """
-        lit = {}
-        out_lits = []
-        for k in range(frames):
-            lit[(0, k)] = -true_lit
-            lit[(1, k)] = true_lit
-            for net in self.input_nets:
-                lit[(net, k)] = input_lits[k][net]
-            for flop in self.flops:
-                if k == 0:
-                    if flop.q in self.r_q_set:
-                        lit[(flop.q, 0)] = r_override[flop.q]
-                    else:
-                        lit[(flop.q, 0)] = base_state[flop.q]
-                else:
-                    lit[(flop.q, k)] = lit[(flop.d, k - 1)]
-            for cell in self.cells:
-                ins = [lit[(n, k)] for n in cell.inputs]
-                if cell.kind is Kind.BUF:
-                    lit[(cell.output, k)] = ins[0]
-                elif cell.kind is Kind.NOT:
-                    lit[(cell.output, k)] = -ins[0]
-                else:
-                    out = solver.new_var()
-                    lit[(cell.output, k)] = out
-                    encode_cell(solver, cell.kind, out, ins)
-            frame_outputs = []
-            for name in self.outputs:
-                for net in self.netlist.outputs[name]:
-                    frame_outputs.append(lit[(net, k)])
-            out_lits.append(frame_outputs)
-        return out_lits
-
-
 class BypassChecker:
     """Checks Eq. (4) for one critical register."""
 
@@ -161,17 +110,28 @@ class BypassChecker:
             outputs = transitive_fanout_outputs(netlist, self.r_q_nets)
         self.outputs = tuple(sorted(outputs))
         self.latency = max(1, spec.observe_latency)
-        self._suffix = (
-            _SuffixEncoder(netlist, self.r_q_nets, self.outputs)
-            if self.outputs
-            else None
+        # the suffix: L frames of the outputs' cone with R cut at frame 0
+        self._output_nets = [
+            net for name in self.outputs for net in netlist.outputs[name]
+        ]
+        cone, _cells, flop_idxs = cone_of_influence(
+            netlist, self._output_nets
         )
+        r_q_set = set(self.r_q_nets)
+        self._input_nets = [
+            net for net in sorted(netlist.input_net_set()) if net in cone
+        ]
+        self._state_flops = [
+            netlist.flops[i] for i in flop_idxs
+            if netlist.flops[i].q not in r_q_set
+        ]
 
     # ------------------------------------------------------------------ API
 
     def check(self, max_cycles, time_budget=None, max_cegis_iters=64, seed=0):
         """Search prefixes of length 1..max_cycles for a bypass condition."""
         start = time.perf_counter()
+        deadline = None if time_budget is None else start + time_budget
         name = "no-bypass({})".format(self.register)
         if not self.outputs:
             # R drives nothing at all: trivially unobservable.
@@ -190,15 +150,10 @@ class BypassChecker:
         bound = 0
         status = PROVED
         for t in range(1, max_cycles + 1):
-            remaining = None
-            if time_budget is not None:
-                remaining = time_budget - (time.perf_counter() - start)
-                if remaining <= 0:
-                    status = UNKNOWN_STATUS
-                    break
-            outcome = self._check_prefix(
-                t, samples, max_cegis_iters, remaining, rng
-            )
+            if deadline is not None and time.perf_counter() >= deadline:
+                status = UNKNOWN_STATUS
+                break
+            outcome = self._check_prefix(t, samples, max_cegis_iters, deadline)
             iterations += outcome["iterations"]
             if outcome["status"] == VIOLATED:
                 return BypassResult(
@@ -235,7 +190,7 @@ class BypassChecker:
     def _random_sample(self, rng):
         """A random future-input vector: list (len=L) of {net: 0/1}."""
         return [
-            {net: rng.getrandbits(1) for net in self._suffix.input_nets}
+            {net: rng.getrandbits(1) for net in self._input_nets}
             for _ in range(self.latency)
         ]
 
@@ -244,8 +199,10 @@ class BypassChecker:
     # the solving time, so the budget must bound it too.
     MAX_SAMPLES = 12
 
-    def _check_prefix(self, t, samples, max_iters, time_budget, rng):
-        start = time.perf_counter()
+    def _check_prefix(self, t, samples, max_iters, deadline):
+        """One CEGIS loop at prefix length ``t``. ``deadline`` (a
+        ``perf_counter`` time, or None) bounds synthesis and
+        verification together."""
         iterations = 0
         while True:
             if max_iters is not None and iterations >= max_iters:
@@ -254,19 +211,16 @@ class BypassChecker:
                 # keep the most recent counterexamples: they refute the
                 # latest candidates and keep the formula bounded
                 del samples[: len(samples) - self.MAX_SAMPLES]
-            remaining = None
-            if time_budget is not None:
-                remaining = time_budget - (time.perf_counter() - start)
-                if remaining <= 0:
-                    return {"status": UNKNOWN_STATUS, "iterations": iterations}
+            if deadline is not None and time.perf_counter() >= deadline:
+                return {"status": UNKNOWN_STATUS, "iterations": iterations}
             iterations += 1
-            candidate = self._synthesize(t, samples, remaining)
+            candidate = self._synthesize(t, samples, deadline)
             if candidate is None:
                 return {"status": PROVED, "iterations": iterations}
             if candidate == "unknown":
                 return {"status": UNKNOWN_STATUS, "iterations": iterations}
             inputs, p, q = candidate
-            counterexample = self._verify(inputs, p, q, remaining)
+            counterexample = self._verify(inputs, p, q, deadline)
             if counterexample is None:
                 return {
                     "status": VIOLATED,
@@ -279,62 +233,64 @@ class BypassChecker:
                 return {"status": UNKNOWN_STATUS, "iterations": iterations}
             samples.append(counterexample)
 
-    def _synthesize(self, t, samples, time_budget):
+    def _suffix_outputs(self, suffix, state, frame_inputs):
+        """Output literals, frame by frame, of one suffix copy of
+        ``suffix`` started from ``state`` (Q net -> literal, R cut)."""
+        copy = suffix.copy(state, frame_inputs)
+        copy.extend_to(self.latency)
+        return [
+            copy.lit(net, k)
+            for k in range(self.latency)
+            for net in self._output_nets
+        ]
+
+    def _synthesize(self, t, samples, deadline):
         """SAT query: find (S, p, q), p != q, agreeing on every sample.
 
-        The time budget bounds *encoding* as well as solving: building a
+        The deadline bounds *encoding* as well as solving: building a
         sample's two suffix copies on a 10k-cell design is itself costly.
         """
-        start = time.perf_counter()
-        deadline = None if time_budget is None else start + time_budget
         solver = Solver()
-        suffix = self._suffix
         # Symbolic prefix: unroll the D-cones of all suffix-state flops.
-        prefix_targets = [f.d for f in suffix.state_flops]
-        if not prefix_targets:
-            prefix_targets = [0]
-        unroller = Unroller(self.netlist, solver, prefix_targets)
-        unroller.extend_to(t)
-        true_lit = unroller.true_lit
-
-        def state_lit(flop):
-            if unroller.has_lit(flop.d, t - 1):
-                return unroller.lit(flop.d, t - 1)
-            # flop outside the prefix cone: its value is its reset value
-            # only at t == 1; otherwise it is unconstrained — allocate.
-            if t == 1:
-                return true_lit if flop.init else -true_lit
-            return solver.new_var()
-
-        base_state = {f.q: state_lit(f) for f in suffix.state_flops}
-        p_lits = {q: solver.new_var() for q in suffix.r_q_nets}
-        q_lits = {q: solver.new_var() for q in suffix.r_q_nets}
+        prefix_targets = [f.d for f in self._state_flops] or [0]
+        prefix = Unroller(self.netlist, solver, prefix_targets)
+        prefix.extend_to(t)
+        true_lit = prefix.true_lit
+        base_state = {
+            f.q: prefix.lit(f.d, t - 1) for f in self._state_flops
+        }
+        p_lits = {q: solver.new_var() for q in self.r_q_nets}
+        q_lits = {q: solver.new_var() for q in self.r_q_nets}
         # p != q
         diff_bits = []
-        for net in suffix.r_q_nets:
+        for net in self.r_q_nets:
             d = solver.new_var()
             encode_xor2(solver, d, p_lits[net], q_lits[net])
             diff_bits.append(d)
         solver.add_clause(diff_bits)
-        # Each sample: two constant-input suffix copies must agree.
+        # Each sample: two constant-input suffix copies must agree. They
+        # share the prefix's gates, so logic R does not reach is one
+        # copy, and its outputs are one literal.
+        suffix = Unroller(self.netlist, solver, self._output_nets,
+                          gates=prefix.gates)
         for sample in samples:
             if deadline is not None and time.perf_counter() > deadline:
                 return "unknown"
-            input_lits = [
+            frame_inputs = [
                 {
                     net: (true_lit if bits[net] else -true_lit)
-                    for net in suffix.input_nets
+                    for net in self._input_nets
                 }
                 for bits in sample
             ]
-            outs_a = suffix.encode(
-                solver, true_lit, base_state, p_lits, input_lits, self.latency
+            outs_a = self._suffix_outputs(
+                suffix, {**base_state, **p_lits}, frame_inputs
             )
-            outs_b = suffix.encode(
-                solver, true_lit, base_state, q_lits, input_lits, self.latency
+            outs_b = self._suffix_outputs(
+                suffix, {**base_state, **q_lits}, frame_inputs
             )
-            for frame_a, frame_b in zip(outs_a, outs_b):
-                for la, lb in zip(frame_a, frame_b):
+            for la, lb in zip(outs_a, outs_b):
+                if la != lb:
                     solver.add_clause([-la, lb])
                     solver.add_clause([la, -lb])
         solve_budget = None
@@ -346,7 +302,7 @@ class BypassChecker:
         if result.status != SAT:
             return "unknown"
         model = result.model
-        inputs = unroller.input_assignment(model, t)
+        inputs = prefix.input_assignment(model, t)
         p = self._decode_word(model, p_lits)
         q = self._decode_word(model, q_lits)
         return inputs, p, q
@@ -371,57 +327,52 @@ class BypassChecker:
             flop.q: sim.net_value(flop.q) for flop in self.netlist.flops
         }
 
-    def _verify(self, inputs, p, q, time_budget):
+    def _verify(self, inputs, p, q, deadline):
         """Search a future input exposing R; None means bypass confirmed."""
-        suffix = self._suffix
         state = self._state_after(inputs)
         solver = Solver()
-        true_lit = solver.new_var()
-        solver.add_clause([true_lit])
+        suffix = Unroller(self.netlist, solver, self._output_nets)
+        true_lit = suffix.true_lit
 
         def const(bit):
             return true_lit if bit else -true_lit
 
         base_state = {
-            f.q: const(state[f.q]) for f in suffix.state_flops
+            f.q: const(state[f.q]) for f in self._state_flops
         }
-        p_map = {
-            net: const((p >> i) & 1)
-            for i, net in enumerate(suffix.r_q_nets)
-        }
-        q_map = {
-            net: const((q >> i) & 1)
-            for i, net in enumerate(suffix.r_q_nets)
-        }
-        input_lits = [
-            {net: solver.new_var() for net in suffix.input_nets}
+        frame_inputs = [
+            {net: solver.new_var() for net in self._input_nets}
             for _ in range(self.latency)
         ]
-        outs_a = suffix.encode(
-            solver, true_lit, base_state, p_map, input_lits, self.latency
-        )
-        outs_b = suffix.encode(
-            solver, true_lit, base_state, q_map, input_lits, self.latency
-        )
-        diffs = []
-        for frame_a, frame_b in zip(outs_a, outs_b):
-            for la, lb in zip(frame_a, frame_b):
-                d = solver.new_var()
-                encode_xor2(solver, d, la, lb)
-                diffs.append(d)
+        outs = [
+            self._suffix_outputs(suffix, {
+                **base_state,
+                **{net: const((word >> i) & 1)
+                   for i, net in enumerate(self.r_q_nets)},
+            }, frame_inputs)
+            for word in (p, q)
+        ]
+        # the concrete state folds both copies; an output R cannot
+        # reach is one literal in both, and its difference is false
+        diffs = [
+            suffix.gates.xor(solver, (la, lb)) for la, lb in zip(*outs)
+        ]
         solver.add_clause(diffs)
-        result = solver.solve(time_budget=time_budget)
+        solve_budget = None
+        if deadline is not None:
+            solve_budget = deadline - time.perf_counter()
+            if solve_budget <= 0:
+                return "unknown"
+        result = solver.solve(time_budget=solve_budget)
         if result.status == UNSAT:
             return None
         if result.status != SAT:
             return "unknown"
         model = result.model
-        sample = []
-        for frame in input_lits:
-            sample.append(
-                {net: int(model[frame[net]]) for net in suffix.input_nets}
-            )
-        return sample
+        return [
+            {net: int(model[frame[net]]) for net in self._input_nets}
+            for frame in frame_inputs
+        ]
 
 
 def validate_bypass(netlist, result, register, trials=16, seed=1):

@@ -7,6 +7,10 @@ encoded: callers alias the output literal to (the negation of) the input
 literal, which roughly halves variable counts on typical netlists. The same
 applies to NAND/NOR/XNOR: they are encoded as their base gate with an
 inverted output literal by :func:`encode_cell`.
+
+:class:`GateHasher` goes further for the unroller: a gate whose inputs
+are constant, repeated or complementary folds to an existing literal,
+and a gate identical to one already encoded reuses its variable.
 """
 
 from __future__ import annotations
@@ -20,13 +24,6 @@ def encode_and(sink, out, inputs):
     for lit in inputs:
         sink.add_clause([-out, lit])
     sink.add_clause([out] + [-lit for lit in inputs])
-
-
-def encode_or(sink, out, inputs):
-    """out <-> OR(inputs)."""
-    for lit in inputs:
-        sink.add_clause([out, -lit])
-    sink.add_clause([-out] + list(inputs))
 
 
 def encode_xor2(sink, out, a, b):
@@ -67,18 +64,19 @@ def encode_cell(sink, kind, out_lit, in_lits):
     """Encode one combinational cell.
 
     ``NOT``/``BUF`` must be handled by literal aliasing in the caller and
-    are rejected here. NAND/NOR/XNOR encode as the base gate with ``-out``.
+    are rejected here. NAND/NOR/XNOR encode as the base gate with ``-out``,
+    and OR as the AND of the negated inputs.
     """
     if kind is Kind.AND:
         encode_and(sink, out_lit, in_lits)
-    elif kind is Kind.OR:
-        encode_or(sink, out_lit, in_lits)
+    elif kind is Kind.OR:  # De Morgan: the same clauses as a direct OR
+        encode_and(sink, -out_lit, [-lit for lit in in_lits])
     elif kind is Kind.XOR:
         encode_xor(sink, out_lit, in_lits)
     elif kind is Kind.NAND:
         encode_and(sink, -out_lit, in_lits)
     elif kind is Kind.NOR:
-        encode_or(sink, -out_lit, in_lits)
+        encode_and(sink, out_lit, [-lit for lit in in_lits])
     elif kind is Kind.XNOR:
         encode_xor(sink, -out_lit, in_lits)
     elif kind is Kind.MUX:
@@ -89,6 +87,135 @@ def encode_cell(sink, kind, out_lit, in_lits):
         )
     else:  # pragma: no cover - closed enum
         raise EncodingError("unknown cell kind {!r}".format(kind))
+
+
+class GateHasher:
+    """Constant folding and structural hashing over one true literal.
+
+    :meth:`gate` returns the literal of ``kind(inputs)``. It encodes a
+    new gate into the sink only when no existing literal already is
+    that function:
+
+    * *Folding.* AND, OR, XOR and MUX with constant, repeated or
+      complementary inputs reduce to a constant, an input, or a smaller
+      gate. NAND, NOR and XNOR are their base gate negated, and OR is
+      the AND of its negated inputs (De Morgan), so AND, OR, NAND and
+      NOR of the same function share one memo entry.
+    * *Hashing.* ``memo`` maps (kind, canonically ordered inputs) to the
+      output variable of every gate encoded so far, so an identical gate
+      (in any frame, in any copy of the design sharing this hasher)
+      returns that variable.
+
+    Only gate outputs merge: an input literal is never replaced. The
+    constant-true literal must be positive.
+    """
+
+    __slots__ = ("true_lit", "memo")
+
+    def __init__(self, true_lit):
+        if true_lit <= 0:
+            raise EncodingError("the true literal must be positive")
+        self.true_lit = true_lit
+        self.memo = {}
+
+    def gate(self, sink, kind, ins):
+        """Literal of ``kind(ins)``; new variables and clauses go to
+        ``sink``."""
+        if kind is Kind.MUX:
+            return self.mux(sink, ins[0], ins[1], ins[2])
+        if kind is Kind.XOR:
+            return self.xor(sink, ins)
+        if kind is Kind.BUF:
+            return ins[0]
+        if kind is Kind.NOT:
+            return -ins[0]
+        if kind is Kind.AND:
+            return self.and_(sink, ins)
+        if kind is Kind.OR:
+            return -self.and_(sink, [-x for x in ins])
+        if kind is Kind.NAND:
+            return -self.and_(sink, ins)
+        if kind is Kind.NOR:
+            return self.and_(sink, [-x for x in ins])
+        if kind is Kind.XNOR:
+            return -self.xor(sink, ins)
+        raise EncodingError(  # pragma: no cover - closed enum
+            "unknown cell kind {!r}".format(kind))
+
+    def and_(self, sink, ins):
+        """Literal of AND(ins)."""
+        true = self.true_lit
+        lits = []
+        for x in ins:
+            if x == true or x in lits:
+                continue
+            if x == -true or -x in lits:
+                return -true
+            lits.append(x)
+        if len(lits) < 2:
+            return lits[0] if lits else true
+        lits.sort()
+        key = (Kind.AND, *lits)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = sink.new_var()
+            encode_and(sink, out, lits)
+        return out
+
+    def xor(self, sink, ins):
+        """Literal of XOR(ins)."""
+        # XOR(-a, b) = -XOR(a, b): fold every sign, and the constant,
+        # into one output flip; a variable seen twice cancels
+        true = self.true_lit
+        flip = False
+        odd = []
+        for x in ins:
+            if x < 0:
+                flip = not flip
+                x = -x
+            if x == true:
+                flip = not flip
+            elif x in odd:
+                odd.remove(x)
+            else:
+                odd.append(x)
+        if len(odd) < 2:
+            out = odd[0] if odd else -true
+        else:
+            odd.sort()
+            key = (Kind.XOR, *odd)
+            out = self.memo.get(key)
+            if out is None:
+                out = self.memo[key] = sink.new_var()
+                encode_xor(sink, out, odd)
+        return -out if flip else out
+
+    def mux(self, sink, sel, d0, d1):
+        """Literal of ``sel ? d1 : d0``."""
+        true = self.true_lit
+        if sel < 0:
+            sel, d0, d1 = -sel, d1, d0
+        if sel == true or d0 == d1:
+            return d1 if sel == true else d0
+        if d0 == -d1:
+            return self.xor(sink, (sel, d0))
+        if d0 == -true or d0 == sel:  # sel & d1
+            return self.and_(sink, (sel, d1))
+        if d0 == true or d0 == -sel:  # -sel | d1
+            return -self.and_(sink, (sel, -d1))
+        if d1 == -true or d1 == -sel:  # -sel & d0
+            return self.and_(sink, (-sel, d0))
+        if d1 == true or d1 == sel:  # sel | d0
+            return -self.and_(sink, (-sel, -d0))
+        flip = d0 < 0  # MUX(s, -a, -b) = -MUX(s, a, b)
+        if flip:
+            d0, d1 = -d0, -d1
+        key = (Kind.MUX, sel, d0, d1)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = sink.new_var()
+            encode_mux(sink, out, sel, d0, d1)
+        return -out if flip else out
 
 
 class CombEncoder:

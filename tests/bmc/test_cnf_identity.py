@@ -1,23 +1,35 @@
-"""The batched unroller hands the solver exactly the per-clause CNF.
+"""The unroller's CNF: batched like direct writes, equivalent to the
+unfolded per-clause encoding.
 
-:class:`~repro.bmc.unroll.Unroller` stages each frame in a
-:class:`~repro.sat.tseitin.ClauseBuffer` and flushes it in one batch.
-Batching must not change the formula: for every built-in design's
-corruption monitor — over a few frames, through an ``add_targets``
-widening, with pinned inputs, and as k-induction's free-state step
-formula — the solver must receive the same variable count and the same
-clause sequence as the reference below, which sends every variable and
-every clause on its own.
+:class:`~repro.bmc.unroll.Unroller` folds and hashes gates as it
+unrolls, so its formula is smaller than one Tseitin group per gate per
+frame, on purpose. Two checks pin it down, for every built-in design's
+monitors: over a few frames, through an ``add_targets`` widening, with
+pinned inputs, and as k-induction's free-state step formula.
+
+* *Batching.* Each frame is staged in a
+  :class:`~repro.sat.tseitin.ClauseBuffer` and flushed in one batch. The
+  solver must receive the same variable count and the same clause
+  sequence as when the same encoder writes every variable and clause on
+  its own.
+* *Equivalence.* :class:`ReferenceUnroller` below is the unfolded
+  encoding: a fresh variable and its clauses for every gate in every
+  frame, one call each. Built into one solver with the folded encoding,
+  over the same input and free-state literals, a miter asking for any
+  target literal to differ at any frame must be UNSAT.
 """
 
 import pytest
 
 from repro.bmc import Unroller
+from repro.bmc.unroll import FREE, RESET
 from repro.frontend import builtin_names, load_design
 from repro.netlist.cells import Kind
 from repro.netlist.traversal import cone_of_influence
 from repro.properties.monitors import build_corruption_monitor
-from repro.sat.tseitin import encode_cell
+from repro.sat import SAT, UNSAT
+from repro.sat.factory import default_solver
+from repro.sat.tseitin import encode_cell, encode_xor2
 
 
 class RecordingSolver:
@@ -49,22 +61,42 @@ class RecordingSolver:
             i += k + 1
 
 
-class ReferenceUnroller:
-    """One ``new_var``/``add_clause`` call per item, in frame order:
-    inputs, frame-0 flop Qs, then gates in topological order."""
+class DirectBuffer:
+    """Stands in for ``ClauseBuffer``: every variable and clause goes
+    straight to the solver, one call each."""
 
-    def __init__(self, netlist, solver, targets, pinned_inputs=None,
+    def __init__(self, solver):
+        self.solver = solver
+
+    def new_var(self):
+        return self.solver.new_var()
+
+    def add_clause(self, literals):
+        self.solver.add_clause(literals)
+
+    def flush(self, solver):
+        pass
+
+
+class ReferenceUnroller:
+    """The unfolded encoding, one ``new_var``/``add_clause`` call per
+    item in frame order: inputs, frame-0 flop Qs, then every gate in
+    topological order. Input and free-state literals come from
+    ``shared``, an unroller over the same solver, so both encodings
+    read the same variables."""
+
+    def __init__(self, netlist, solver, targets, shared, pinned_inputs=None,
                  free_initial_state=False):
         self.netlist = netlist
         self.solver = solver
+        self.shared = shared
         self.pinned = dict(pinned_inputs or {})
         self.free = free_initial_state
         self.targets = list(targets)
         self.members = self._members(self.targets)
         self.lits = {}
         self.frames = 0
-        self.true_lit = solver.new_var()
-        solver.add_clause([self.true_lit])
+        self.true_lit = shared.true_lit
 
     def _members(self, targets):
         cone, cell_idxs, flop_idxs = cone_of_influence(self.netlist, targets)
@@ -100,7 +132,7 @@ class ReferenceUnroller:
         for name, bit, net in inputs:
             word = self.pinned.get(name)
             if word is None:
-                lit[(net, t)] = solver.new_var()
+                lit[(net, t)] = self.shared.lit(net, t)
             else:
                 lit[(net, t)] = true_lit if (word >> bit) & 1 else -true_lit
         for idx in flop_idxs:
@@ -108,7 +140,7 @@ class ReferenceUnroller:
             if t > 0:
                 lit[(flop.q, t)] = lit[(flop.d, t - 1)]
             elif self.free:
-                lit[(flop.q, 0)] = solver.new_var()
+                lit[(flop.q, 0)] = self.shared.lit(flop.q, 0)
             else:
                 lit[(flop.q, 0)] = true_lit if flop.init else -true_lit
         for idx in cell_idxs:
@@ -137,72 +169,162 @@ def _monitors(design):
     ]
 
 
-def _assert_same_cnf(batched, reference, unroller, ref, nets, frames):
-    assert batched.num_vars == reference.num_vars
-    assert batched.clauses == reference.clauses
-    # frames crossed as batches: only the constant-true unit went alone
-    assert batched.single_adds == 1
-    assert batched.batches >= frames
-    for t in range(frames):
-        for net in nets:
-            assert unroller.lit(net, t) == ref.lits[(net, t)]
+# ------------------------------------------------------------ the modes
+#
+# Each mode returns ``(netlist, nets, frames, free, build)``. ``build``
+# takes a factory ``make(netlist, targets, pinned_inputs)``, makes one
+# unroller with it and grows it the mode's way; both encodings are
+# built by the same ``build``. ``nets`` are compared at every one of
+# the ``frames``, and ``free`` says whether frame 0 is a free state.
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_monitor_unrolling_matches_per_clause_reference(name):
+def _widening(name):
+    """Reset state, three frames, an ``add_targets`` widening into them,
+    then a fourth frame over the union cone."""
     design = load_design(name)
     aug, monitors = _monitors(design)
     first, widened = monitors[0], monitors[-1]
-    batched, reference = RecordingSolver(), RecordingSolver()
-    unroller = Unroller(aug, batched, [first.objective_net])
-    ref = ReferenceUnroller(aug, reference, [first.objective_net])
-    unroller.extend_to(3)
-    ref.extend_to(3)
-    # widening re-encodes the second monitor's new cone members into
-    # the three built frames, then one more frame covers the union
-    unroller.add_targets([widened.objective_net])
-    ref.add_targets([widened.objective_net])
-    unroller.extend_to(4)
-    ref.extend_to(4)
-    _assert_same_cnf(batched, reference, unroller, ref,
-                     [first.objective_net, widened.objective_net], 4)
+    nets = [first.objective_net, widened.objective_net]
+
+    def build(make):
+        unroller = make(aug, [first.objective_net], {})
+        unroller.extend_to(3)
+        unroller.add_targets([widened.objective_net])
+        unroller.extend_to(4)
+        return unroller
+
+    return aug, nets, 4, False, build
 
 
-@pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
-def test_pinned_unrolling_matches_per_clause_reference(name):
+def _pinned(name):
     design = load_design(name)
     aug, (monitor, *_) = _monitors(design)
     pinned = design.spec.pinned_inputs
     assert pinned  # every built-in spec holds reset inactive
-    batched, reference = RecordingSolver(), RecordingSolver()
-    unroller = Unroller(aug, batched, [monitor.objective_net],
-                        pinned_inputs=pinned)
-    ref = ReferenceUnroller(aug, reference, [monitor.objective_net],
-                            pinned_inputs=pinned)
-    unroller.extend_to(4)
-    ref.extend_to(4)
-    _assert_same_cnf(batched, reference, unroller, ref,
-                     [monitor.objective_net], 4)
+
+    def build(make):
+        unroller = make(aug, [monitor.objective_net], pinned)
+        unroller.extend_to(4)
+        return unroller
+
+    return aug, [monitor.objective_net], 4, False, build
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_induction_step_formula_matches_per_clause_reference(name):
+def _step(name):
     """k-induction's step formula: frame 0 is a free state."""
     design = load_design(name)
     aug, (monitor, *_) = _monitors(design)
     pinned = design.spec.pinned_inputs
-    batched, reference = RecordingSolver(), RecordingSolver()
-    unroller = Unroller(aug, batched, [monitor.violation_net],
-                        pinned_inputs=pinned, free_initial_state=True)
-    ref = ReferenceUnroller(aug, reference, [monitor.violation_net],
-                            pinned_inputs=pinned, free_initial_state=True)
-    unroller.extend_to(3)
-    ref.extend_to(3)
-    _assert_same_cnf(batched, reference, unroller, ref,
-                     [monitor.violation_net], 3)
-    # the free state is real: frame 0 allocates a variable per cone flop
-    flops = unroller.cone_size[1]
-    reset = Unroller(aug, RecordingSolver(), [monitor.violation_net],
-                     pinned_inputs=pinned)
-    reset.extend_to(1)
-    assert unroller.vars_per_frame[0] == reset.vars_per_frame[0] + flops
+
+    def build(make):
+        unroller = make(aug, [monitor.violation_net], pinned)
+        unroller.extend_to(3)
+        return unroller
+
+    return aug, [monitor.violation_net], 3, True, build
+
+
+def _folded(solver, free):
+    def make(netlist, targets, pinned):
+        return Unroller(netlist, solver, targets, pinned_inputs=pinned,
+                        initial_state=FREE if free else RESET)
+    return make
+
+
+# ------------------------------------------------------------- batching
+
+
+def _assert_batched_like_direct(mode, monkeypatch):
+    _aug, _nets, frames, free, build = mode
+    batched, direct = RecordingSolver(), RecordingSolver()
+    build(_folded(batched, free))
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.bmc.unroll.ClauseBuffer", DirectBuffer)
+        build(_folded(direct, free))
+    assert batched.num_vars == direct.num_vars
+    assert batched.clauses == direct.clauses
+    # frames crossed as batches: only the constant-true unit went alone
+    assert batched.single_adds == 1
+    assert batched.batches >= frames
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_monitor_unrolling_batches_like_direct_writes(name, monkeypatch):
+    _assert_batched_like_direct(_widening(name), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
+def test_pinned_unrolling_batches_like_direct_writes(name, monkeypatch):
+    _assert_batched_like_direct(_pinned(name), monkeypatch)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_induction_step_batches_like_direct_writes(name, monkeypatch):
+    _assert_batched_like_direct(_step(name), monkeypatch)
+
+
+# ---------------------------------------------------------- equivalence
+
+
+def _xor(solver, a, b):
+    diff = solver.new_var()
+    encode_xor2(solver, diff, a, b)
+    return diff
+
+
+def _assert_equivalent_to_reference(mode):
+    aug, nets, frames, free, build = mode
+    solver = default_solver()
+    unroller = build(_folded(solver, free))
+    reference = {}
+
+    def make_reference(netlist, targets, pinned_words):
+        reference["unroller"] = ReferenceUnroller(
+            netlist, solver, targets, unroller, pinned_inputs=pinned_words,
+            free_initial_state=free,
+        )
+        return reference["unroller"]
+
+    build(make_reference)
+    ref = reference["unroller"]
+    assert solver.solve().status == SAT  # no vacuous UNSAT below
+    # Sweep first: prove each gate output equal in topological order and
+    # keep the equality, so every step (and the final miter) is easy for
+    # the solver even from a free state, where a bare miter over two
+    # copies of an AES round is not.
+    cells = cone_of_influence(aug, unroller.targets)[1]
+    for t in range(frames):
+        for idx in cells:
+            net = aug.cells[idx].output
+            diff = _xor(solver, unroller.lit(net, t), ref.lits[(net, t)])
+            assert solver.solve(assumptions=[diff]).status == UNSAT
+            solver.add_clause([-diff])
+    diffs = []
+    for t in range(frames):
+        for net in nets:
+            diffs.append(_xor(solver, unroller.lit(net, t), ref.lits[(net, t)]))
+    solver.add_clause(diffs)
+    assert solver.solve().status == UNSAT
+    return unroller
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_monitor_unrolling_matches_per_clause_reference(name):
+    _assert_equivalent_to_reference(_widening(name))
+
+
+@pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
+def test_pinned_unrolling_matches_per_clause_reference(name):
+    _assert_equivalent_to_reference(_pinned(name))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_induction_step_formula_matches_per_clause_reference(name):
+    unroller = _assert_equivalent_to_reference(_step(name))
+    # the free state is real: every cone flop starts on its own variable
+    free = {
+        abs(unroller.lit(flop.q, 0))
+        for flop in unroller.netlist.flops if unroller.has_lit(flop.q, 0)
+    }
+    assert len(free) == unroller.cone_size[1]
+    assert abs(unroller.true_lit) not in free

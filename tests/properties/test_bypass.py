@@ -74,3 +74,36 @@ def test_witness_prefix_arms_trigger():
         for frame in result.witness.inputs
     )
     assert armed
+
+
+def test_no_solve_outlives_the_check_budget(monkeypatch):
+    """Synthesis and verification share one deadline: time spent
+    synthesizing a candidate is gone for verifying it."""
+    import time
+
+    from repro.properties import bypass
+    from repro.sat.solver import Solver
+
+    grants = []
+
+    class RecordingSolver(Solver):
+        def solve(self, *args, time_budget=None, **kwargs):
+            grants.append((time.perf_counter(), time_budget))
+            return super().solve(*args, time_budget=time_budget, **kwargs)
+
+    synthesize = bypass.BypassChecker._synthesize
+
+    def slow_synthesize(self, *args):
+        time.sleep(0.5)
+        return synthesize(self, *args)
+
+    monkeypatch.setattr(bypass, "Solver", RecordingSolver)
+    monkeypatch.setattr(bypass.BypassChecker, "_synthesize", slow_synthesize)
+    nl = build_secret_design(trojan=False, bypass=True)
+    checker = BypassChecker(nl, secret_spec())
+    start = time.perf_counter()
+    checker.check(max_cycles=6, time_budget=2.0)
+    assert len(grants) >= 2  # a synthesis solve and a verification solve
+    for granted_at, budget in grants:
+        assert budget is not None
+        assert granted_at + budget <= start + 2.0 + 0.01

@@ -3,11 +3,11 @@ plus a hypothesis equivalence sweep on random circuits."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netlist import Circuit, Kind
-from repro.sat import SAT, CombEncoder, Solver
+from repro.sat import SAT, UNSAT, CombEncoder, Solver
 from repro.sim import SequentialSimulator
 
 
@@ -109,3 +109,100 @@ def test_encoder_requires_cone_membership():
     encoder = CombEncoder(nl, solver)
     with pytest.raises(EncodingError):
         encoder.lit(987654)
+
+
+# ------------------------------------------------------ folding and hashing
+
+GATE_KINDS = [Kind.AND, Kind.OR, Kind.XOR, Kind.NAND, Kind.NOR, Kind.XNOR,
+              Kind.MUX, Kind.NOT, Kind.BUF]
+PERMUTABLE = {Kind.AND, Kind.OR, Kind.XOR, Kind.NAND, Kind.NOR, Kind.XNOR}
+FREE_VARS = 3
+TRUE = FREE_VARS + 1  # the constant-true variable
+
+
+def truth(kind, values):
+    if kind is Kind.MUX:
+        return values[2] if values[0] else values[1]
+    base = {
+        Kind.AND: all, Kind.NAND: all,
+        Kind.OR: any, Kind.NOR: any,
+        Kind.XOR: lambda bits: sum(bits) % 2 == 1,
+        Kind.XNOR: lambda bits: sum(bits) % 2 == 1,
+        Kind.BUF: all, Kind.NOT: all,
+    }[kind](values)
+    return not base if kind in (Kind.NAND, Kind.NOR, Kind.XNOR,
+                                Kind.NOT) else base
+
+
+def literal_value(lit, bits):
+    var = abs(lit)
+    value = True if var == TRUE else bool(bits[var - 1])
+    return value if lit > 0 else not value
+
+
+# free variables in both polarities, drawn with repeats, plus both
+# constants (the true variable in both polarities)
+LITERALS = st.sampled_from(
+    [sign * var for var in range(1, TRUE + 1) for sign in (1, -1)]
+)
+
+
+@st.composite
+def gates(draw):
+    kind = draw(st.sampled_from(GATE_KINDS))
+    if kind is Kind.MUX:
+        count = 3
+    elif kind in (Kind.NOT, Kind.BUF):
+        count = 1
+    else:
+        count = draw(st.integers(1, 5))
+    return kind, draw(st.lists(LITERALS, min_size=count, max_size=count))
+
+
+def hashed_solver():
+    from repro.sat.tseitin import GateHasher
+
+    solver = Solver()
+    for _ in range(TRUE):
+        solver.new_var()
+    solver.add_clause([TRUE])
+    return solver, GateHasher(TRUE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(gates(), min_size=1, max_size=4))
+@example(drawn=[(Kind.AND, [1, 2]), (Kind.XOR, [1, 2]),
+                (Kind.AND, [1, 2, 3]), (Kind.MUX, [1, 2, 3])])
+def test_folded_gates_match_truth_tables(drawn):
+    # several gates through one hasher: a memo entry of one kind must
+    # never answer for another
+    solver, hasher = hashed_solver()
+    outs = [hasher.gate(solver, kind, ins) for kind, ins in drawn]
+    for word in range(1 << FREE_VARS):
+        bits = [(word >> i) & 1 for i in range(FREE_VARS)]
+        fixed = [var if bit else -var
+                 for var, bit in zip(range(1, TRUE), bits)]
+        assert solver.solve(assumptions=fixed).status == SAT
+        for (kind, ins), out in zip(drawn, outs):
+            expected = truth(kind, [literal_value(lit, bits) for lit in ins])
+            wrong = -out if expected else out
+            assert solver.solve(assumptions=fixed + [wrong]).status == UNSAT
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(gates(), min_size=1, max_size=4), data=st.data())
+def test_reencoded_gates_allocate_nothing(drawn, data):
+    solver, hasher = hashed_solver()
+    outs = [hasher.gate(solver, kind, ins) for kind, ins in drawn]
+    variables, clauses = solver.num_vars, len(solver.clauses)
+    for (kind, ins), out in zip(drawn, outs):
+        if kind in PERMUTABLE:
+            again = data.draw(st.permutations(ins))
+        elif kind is Kind.MUX:
+            # sel ? d1 : d0 is also -sel ? d0 : d1
+            sel, d0, d1 = ins
+            again = data.draw(st.sampled_from([ins, [-sel, d1, d0]]))
+        else:
+            again = ins
+        assert hasher.gate(solver, kind, again) == out
+    assert (solver.num_vars, len(solver.clauses)) == (variables, clauses)
