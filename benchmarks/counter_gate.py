@@ -27,11 +27,8 @@ import argparse
 import json
 import sys
 
-#: Run-record fields the baseline pins besides the counters.
-RUN_KEYS = ("workload", "seed", "quick", "sat_backend")
-
-
 def run_key(record):
+    """The run-record fields the baseline pins besides the counters."""
     return {
         "workload": record["workload"],
         "seed": record["seed"],
@@ -48,22 +45,41 @@ def counters(record):
     }
 
 
-def compare(record, baseline):
-    """List of problems (empty when the run matches the baseline)."""
-    problems = []
-    if not record["correct"]:
-        problems.append("the run's outputs are not all correct")
-    key = run_key(record)
-    for field in RUN_KEYS:
-        if key[field] != baseline["run"][field]:
-            problems.append("{}: run has {!r}, baseline {!r}".format(
-                field, key[field], baseline["run"][field]))
-    got, want = counters(record), baseline["counters"]
-    for name in sorted(set(got) | set(want)):
-        if got.get(name) != want.get(name):
-            problems.append("{}: run {}, baseline {}".format(
-                name, got.get(name, "missing"), want.get(name, "missing")))
-    return problems
+def mismatches(got, want):
+    """One line per key whose value differs between a run's map and the
+    baseline's, a key missing on either side included."""
+    return [
+        "{}: run {}, baseline {}".format(
+            name, got.get(name, "missing"), want.get(name, "missing"))
+        for name in sorted(set(got) | set(want))
+        if got.get(name) != want.get(name)
+    ]
+
+
+def gate(path, run, section, values, update=False, problems=()):
+    """Check a run against the baseline JSON file ``path``: ``run`` must
+    equal its ``"run"`` map and ``values`` its ``section`` map. With
+    ``update``, write both into the file instead. Prints the outcome and
+    returns the exit status; ``problems`` are failures the caller found
+    itself, reported with the differences.
+    """
+    with open(path, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    if update:
+        baseline.update({"run": run, section: values})
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(baseline, handle, indent=1)
+            handle.write("\n")
+        print("{}: {} {} written".format(path, len(values), section))
+        return 0
+    problems = [*problems, *mismatches(run, baseline["run"]),
+                *mismatches(values, baseline[section])]
+    for problem in problems:
+        print("MISMATCH " + problem)
+    print("{}: {} {}, {}".format(
+        path, len(baseline[section]), section,
+        "{} mismatches".format(len(problems)) if problems else "all equal"))
+    return 1 if problems else 0
 
 
 def main(argv=None):
@@ -75,25 +91,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(args.record, encoding="utf-8") as handle:
         record = json.load(handle)
-    if args.update:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        baseline.update(run=run_key(record), counters=counters(record))
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            json.dump(baseline, handle, indent=1)
-            handle.write("\n")
-        print("{}: {} counters written".format(
-            args.baseline, len(baseline["counters"])))
-        return 0
-    with open(args.baseline, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    problems = compare(record, baseline)
-    for problem in problems:
-        print("MISMATCH " + problem)
-    print("{}: {} counters, {}".format(
-        args.baseline, len(baseline["counters"]),
-        "{} mismatches".format(len(problems)) if problems else "all equal"))
-    return 1 if problems else 0
+    problems = [] if record["correct"] else [
+        "the run's outputs are not all correct"]
+    return gate(args.baseline, run_key(record), "counters", counters(record),
+                args.update, problems)
 
 
 if __name__ == "__main__":

@@ -4,12 +4,18 @@ A :class:`Witness` is the "set of input sequences" the paper's Algorithm 1
 prints when a register can be corrupted: one dict of input-port words per
 clock cycle. Witnesses are replayed on the logic simulator so detection
 results never rest on the solver alone.
+
+:func:`confirms_violation` replays only the violation net's sequential
+cone, the slice the solver unrolled: nothing outside it affects that
+net, and the simulator checks the cone is fan-in closed before the
+first cycle (DESIGN.md decision 24).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.netlist.traversal import cone_of_influence
 from repro.sim.sequential import SequentialSimulator
 
 
@@ -71,33 +77,15 @@ def replay(netlist, witness, observe_registers=(), observe_outputs=(), net_probe
     registers/outputs; with ``net_probe`` (a net id) also returns the
     per-cycle value of that net, as ``(trace, probe_values)``.
     """
-    sim = SequentialSimulator(netlist)
-    probe_values = []
-    trace = None
-    if net_probe is None:
-        trace = sim.run(
-            witness.inputs,
-            observe_registers=observe_registers,
-            observe_outputs=observe_outputs,
-        )
-        return trace
-    from repro.sim.sequential import Trace
-
-    trace = Trace(
-        registers={name: [] for name in observe_registers},
-        outputs={name: [] for name in observe_outputs},
+    trace = SequentialSimulator(netlist).run(
+        witness.inputs,
+        observe_registers=observe_registers,
+        observe_outputs=observe_outputs,
+        observe_nets=() if net_probe is None else (net_probe,),
     )
-    for words in witness.inputs:
-        for name, word in words.items():
-            sim.set_input(name, word)
-        sim.propagate()
-        probe_values.append(sim.net_value(net_probe))
-        for name in observe_outputs:
-            trace.outputs[name].append(sim.output_value(name))
-        sim.clock()
-        for name in observe_registers:
-            trace.registers[name].append(sim.register_value(name))
-    return trace, probe_values
+    if net_probe is None:
+        return trace
+    return trace, trace.nets[net_probe]
 
 
 def witness_to_vcd(netlist, witness, path, registers=None, outputs=None):
@@ -135,7 +123,10 @@ def confirms_violation(netlist, witness, violation_net):
     """True iff replaying the witness drives ``violation_net`` to 1.
 
     ``violation_net`` is the monitor's combinational violation signal; it
-    must be 1 during the witness's violation cycle.
+    must be 1 during the witness's violation cycle. Only its cone is
+    simulated.
     """
-    _trace, probe = replay(netlist, witness, net_probe=violation_net)
-    return any(probe)
+    cone = cone_of_influence(netlist, [violation_net])
+    sim = SequentialSimulator(netlist, cone=cone)
+    trace = sim.run(witness.inputs, observe_nets=(violation_net,))
+    return any(trace.nets[violation_net])

@@ -49,14 +49,13 @@ def _reroute_fanout(netlist, old_nets, new_nets, skip_cells=(),
     cell inputs, flop D pins, and output ports (Figures 2/3 replace the
     critical register's *entire* fan-out)."""
     remap = dict(zip(old_nets, new_nets))
-    from repro.netlist.cells import Cell
-
     for index, cell in enumerate(netlist.cells):
         if index in skip_cells:
             continue
         if any(net in remap for net in cell.inputs):
-            new_inputs = tuple(remap.get(net, net) for net in cell.inputs)
-            netlist.cells[index] = Cell(cell.kind, new_inputs, cell.output)
+            netlist.rewire_cell_inputs(
+                index, [remap.get(net, net) for net in cell.inputs]
+            )
     for index, flop in enumerate(netlist.flops):
         if index in skip_flops:
             continue

@@ -32,24 +32,38 @@ from __future__ import annotations
 import hashlib
 
 _FINGERPRINT_VERSION = "nlfp1"
+# cells (or flops) serialized per ``update`` call: one call per part is
+# slow, and one string for a whole AES monitor costs megabytes of peak
+# memory; the byte stream is the same either way
+CHUNK = 256
 
 
 def _hash_update(h, *parts):
-    for part in parts:
-        h.update(str(part).encode("utf-8"))
-        h.update(b"\x1f")  # unit separator: no concatenation ambiguity
+    """Feed each part followed by the unit separator, in one call."""
+    if parts:
+        h.update(("\x1f".join(map(str, parts)) + "\x1f").encode("utf-8"))
 
 
 def netlist_fingerprint(netlist):
     """Stable hex digest of a netlist's structure (names excluded)."""
     h = hashlib.sha256()
     _hash_update(h, _FINGERPRINT_VERSION, netlist.num_nets)
-    _hash_update(h, "cells", len(netlist.cells))
-    for cell in netlist.cells:
-        _hash_update(h, cell.kind.name, cell.output, *cell.inputs)
-    _hash_update(h, "flops", len(netlist.flops))
-    for flop in netlist.flops:
-        _hash_update(h, flop.d, flop.q, flop.init)
+    cells = netlist.cells
+    _hash_update(h, "cells", len(cells))
+    for start in range(0, len(cells), CHUNK):
+        parts = []
+        for cell in cells[start:start + CHUNK]:
+            parts.append(cell.kind.name)
+            parts.append(cell.output)
+            parts.extend(cell.inputs)
+        _hash_update(h, *parts)
+    flops = netlist.flops
+    _hash_update(h, "flops", len(flops))
+    for start in range(0, len(flops), CHUNK):
+        parts = []
+        for flop in flops[start:start + CHUNK]:
+            parts.extend((flop.d, flop.q, flop.init))
+        _hash_update(h, *parts)
     for section in ("inputs", "outputs"):
         ports = getattr(netlist, section)
         _hash_update(h, section, len(ports))

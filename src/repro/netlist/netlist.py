@@ -40,6 +40,10 @@ class Netlist:
             CONST0: ("const", 0),
             CONST1: ("const", 1),
         }
+        # how many leading cells are known free of combinational loops
+        # (repro.netlist.traversal.check_loops); cells added later are
+        # checked on their own, rewire_cell_inputs starts over
+        self.loop_free_cells = 0
 
     # ------------------------------------------------------------------ nets
 
@@ -143,6 +147,18 @@ class Netlist:
         self.flops.append(flop)
         return q
 
+    def rewire_cell_inputs(self, index, inputs):
+        """Replace the inputs of a cell (used by Trojan payload insertion).
+
+        The new inputs may close a loop through cells already checked,
+        so the whole netlist is checked again on the next query.
+        """
+        for net in inputs:
+            self._check_net(net)
+        old = self.cells[index]
+        self.cells[index] = Cell(old.kind, tuple(inputs), old.output)
+        self.loop_free_cells = 0
+
     def rewire_flop_d(self, flop_index, new_d):
         """Replace the D input of a flop (used by Trojan payload insertion)."""
         self._check_net(new_d)
@@ -242,6 +258,7 @@ class Netlist:
         twin.registers = {k: list(v) for k, v in self.registers.items()}
         twin.probes = {k: list(v) for k, v in self.probes.items()}
         twin._driver = dict(self._driver)
+        twin.loop_free_cells = self.loop_free_cells
         return twin
 
     # ----------------------------------------------------------------- query

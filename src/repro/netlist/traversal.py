@@ -6,10 +6,17 @@ structural queries everything else is built on:
 
 * :func:`topological_cells` — combinational cells in evaluation order
   (raises on combinational loops),
+* :func:`check_loops` — the whole-netlist loop check, incremental,
 * :func:`levelize` — per-net logic depth,
 * :func:`fanin_cone` / :func:`fanout_cone` — combinational cones,
 * :func:`cone_of_influence` — sequential COI (follows flops backwards),
 * :func:`transitive_fanout_outputs` — output ports reachable from nets.
+
+The cone, not the netlist, is the unit of a per-check query: a monitor
+netlist carries the whole design, and a property's cone is often a
+tenth of it. One FIFO Kahn sort serves all three orderings: every cell
+(:func:`topological_cells`), a cone's cells (:func:`cone_of_influence`)
+and the cells added since the last loop check (:func:`check_loops`).
 """
 
 from __future__ import annotations
@@ -19,24 +26,29 @@ from collections import deque
 from repro.errors import CombinationalLoopError
 
 
-def topological_cells(netlist):
-    """Indexes of combinational cells in a valid evaluation order.
+def _kahn(netlist, indexes, first=0):
+    """FIFO Kahn sort of the cells ``indexes`` (ascending).
 
-    Kahn's algorithm over the cell dependency graph. Inputs, constants and
-    flop Q pins are sources. Raises :class:`CombinationalLoopError` if the
-    combinational logic is cyclic.
+    Only edges from cells with index ``first`` or above count, so the
+    other cells act as sources. The queue starts with the cells of no
+    counted in-degree in index order and walks each popped cell's
+    consumers in index order. Raises :class:`CombinationalLoopError` if
+    some cells never become ready.
     """
     cells = netlist.cells
+    driver_of = netlist.driver_of
     # net -> list of cell indexes that consume it
     consumers = {}
-    indegree = [0] * len(cells)
-    for idx, cell in enumerate(cells):
-        for net in set(cell.inputs):
-            kind, _ = netlist.driver_of(net)
-            if kind == "cell":
-                indegree[idx] += 1
+    indegree = {}
+    for idx in indexes:
+        degree = 0
+        for net in set(cells[idx].inputs):
+            kind, payload = driver_of(net)
+            if kind == "cell" and payload >= first:
+                degree += 1
                 consumers.setdefault(net, []).append(idx)
-    ready = deque(idx for idx, deg in enumerate(indegree) if deg == 0)
+        indegree[idx] = degree
+    ready = deque(idx for idx, degree in indegree.items() if degree == 0)
     order = []
     while ready:
         idx = ready.popleft()
@@ -45,10 +57,39 @@ def topological_cells(netlist):
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
                 ready.append(consumer)
-    if len(order) != len(cells):
-        looped = [cells[i].output for i, d in enumerate(indegree) if d > 0]
+    if len(order) != len(indegree):
+        looped = [cells[i].output for i, d in indegree.items() if d > 0]
         raise CombinationalLoopError(looped)
     return order
+
+
+def topological_cells(netlist):
+    """Indexes of combinational cells in a valid evaluation order.
+
+    Kahn's algorithm over the cell dependency graph. Inputs, constants and
+    flop Q pins are sources. Raises :class:`CombinationalLoopError` if the
+    combinational logic is cyclic; otherwise the whole netlist counts as
+    checked (see :func:`check_loops`).
+    """
+    order = _kahn(netlist, range(len(netlist.cells)))
+    netlist.loop_free_cells = len(netlist.cells)
+    return order
+
+
+def check_loops(netlist):
+    """Raise :class:`CombinationalLoopError` if the netlist has a
+    combinational loop; only the cells added since the last check are
+    sorted.
+
+    The first ``netlist.loop_free_cells`` cells read only nets driven
+    when they were checked, and no net is ever re-driven, so a loop
+    made later runs through new cells alone (DESIGN.md decision 24).
+    """
+    done = netlist.loop_free_cells
+    total = len(netlist.cells)
+    if done < total:
+        _kahn(netlist, range(done, total), first=done)
+        netlist.loop_free_cells = total
 
 
 def levelize(netlist, order=None):
@@ -95,16 +136,24 @@ def cone_of_influence(netlist, nets):
     Returns ``(net_set, cell_indexes, flop_indexes)`` where ``cell_indexes``
     is in topological order restricted to the cone. This is the slice of the
     design the BMC/ATPG engines unroll for a property over ``nets``.
+
+    The whole netlist is checked for combinational loops first
+    (:func:`check_loops`, incremental), but only the cone's cells are
+    sorted. The cone is fan-in closed, so the cone-local Kahn sort pops
+    them in exactly the order the whole-netlist sort would.
     """
     net_set = fanin_cone(netlist, nets, through_flops=True)
-    flop_indexes = [
-        idx for idx, flop in enumerate(netlist.flops) if flop.q in net_set
-    ]
-    order = topological_cells(netlist)
-    cell_indexes = [
-        idx for idx in order if netlist.cells[idx].output in net_set
-    ]
-    return net_set, cell_indexes, flop_indexes
+    check_loops(netlist)
+    cell_indexes, flop_indexes = [], []
+    for net in net_set:
+        kind, payload = netlist.driver_of(net)
+        if kind == "cell":
+            cell_indexes.append(payload)
+        elif kind == "flop":
+            flop_indexes.append(payload)
+    cell_indexes.sort()
+    flop_indexes.sort()
+    return net_set, _kahn(netlist, cell_indexes), flop_indexes
 
 
 def fanout_map(netlist):

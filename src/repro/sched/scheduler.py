@@ -62,7 +62,8 @@ from repro.core.detector import (
 )
 from repro.core.report import DetectionReport, RegisterFinding
 from repro.core.registers import pseudo_critical_candidates
-from repro.errors import CheckpointWriteError, ReproError
+from repro.errors import CheckpointWriteError, NetlistError, ReproError
+from repro.netlist.traversal import check_loops
 from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
@@ -696,6 +697,12 @@ class AuditScheduler:
     def _setup_audit(self, index, request):
         det = request.detector
         config = det.config
+        try:
+            # once per design: monitor clones inherit the mark, so each
+            # cone query sorts only a monitor's own cells for loops
+            check_loops(det.netlist)
+        except NetlistError:
+            pass  # left unmarked: every check raises it in its runner
         report = DetectionReport(
             design=det.netlist.name,
             engine=config.engine,

@@ -153,15 +153,20 @@ def _pack_lanes(words, width):
 
 
 class CombEvaluator:
-    """Evaluates the combinational portion of a netlist, bit-parallel."""
+    """Evaluates the combinational portion of a netlist, bit-parallel.
 
-    def __init__(self, netlist, lanes=1):
+    ``cells`` lists the cell indexes to evaluate, in evaluation order
+    (a cone from :func:`~repro.netlist.traversal.cone_of_influence`);
+    by default it evaluates every cell, levelized here.
+    """
+
+    def __init__(self, netlist, lanes=1, cells=None):
         if lanes < 1:
             raise SimulationError("lanes must be >= 1")
         self.netlist = netlist
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
-        self._order = topological_cells(netlist)
+        self._order = topological_cells(netlist) if cells is None else cells
         # Pre-decode cells into a flat program of (opcode, inputs, output)
         self._program = [
             (cell.kind, cell.inputs, cell.output)

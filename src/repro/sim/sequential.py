@@ -5,6 +5,10 @@ words, evaluate the combinational logic, sample outputs/registers, then
 advance every flop. It supports bit-parallel lanes (simulate many stimulus
 sequences at once) and trace capture for counterexample replay — every
 witness produced by the BMC/ATPG engines is validated by replaying it here.
+
+A simulator may run one cone instead of the whole netlist. The cone
+is checked to be fan-in closed before the first cycle, and reading a
+net outside it raises, so a wrong cone is never read as a stale 0.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.netlist.cells import CONST0, CONST1
 from repro.sim.engine import CombEvaluator
 
 
@@ -27,6 +32,7 @@ class Trace:
 
     registers: dict = field(default_factory=dict)  # name -> [value per cycle]
     outputs: dict = field(default_factory=dict)  # name -> [value per cycle]
+    nets: dict = field(default_factory=dict)  # net id -> [bit per cycle]
     complete: bool = False
 
     def cycles(self):
@@ -38,6 +44,7 @@ class Trace:
         """
         lengths = {len(series) for series in self.registers.values()}
         lengths.update(len(series) for series in self.outputs.values())
+        lengths.update(len(series) for series in self.nets.values())
         if not lengths:
             return 0
         if self.complete and len(lengths) > 1:
@@ -48,16 +55,44 @@ class Trace:
 
 
 class SequentialSimulator:
-    """Clocked simulator with named-port stimulus and register observation."""
+    """Clocked simulator with named-port stimulus and register observation.
 
-    def __init__(self, netlist, lanes=1):
+    ``cone``, a ``(nets, cells, flops)`` triple from
+    :func:`~repro.netlist.traversal.cone_of_influence`, restricts it to
+    that cone's cells and flops; by default it simulates every cell and
+    flop.
+    """
+
+    def __init__(self, netlist, lanes=1, cone=None):
         self.netlist = netlist
-        self.evaluator = CombEvaluator(netlist, lanes=lanes)
-        self._flop_q = [flop.q for flop in netlist.flops]
-        self._flop_d = [flop.d for flop in netlist.flops]
+        self._flops = netlist.flops
+        # nets a cone computes; None when the whole netlist is simulated
+        self._nets = None
+        if cone is None:
+            self.evaluator = CombEvaluator(netlist, lanes=lanes)
+        else:
+            _nets, cells, flops = cone
+            self.evaluator = CombEvaluator(netlist, lanes=lanes, cells=cells)
+            self._flops = [netlist.flops[i] for i in flops]
+            self._nets = self._closed_nets(cells)
+        self._flop_q = [flop.q for flop in self._flops]
+        self._flop_d = [flop.d for flop in self._flops]
         self.values = self.evaluator.fresh_values()
         self.cycle = 0
         self.reset()
+
+    def _closed_nets(self, order):
+        """The nets the cone computes, ports and constants included;
+        raises unless every cell reads only nets computed before it and
+        every flop's D is one of them."""
+        nets = {CONST0, CONST1, *self.netlist.input_net_set()}
+        nets.update(flop.q for flop in self._flops)
+        for idx in order:
+            cell = self.netlist.cells[idx]
+            self._readable(cell.inputs, nets)
+            nets.add(cell.output)
+        self._readable([flop.d for flop in self._flops], nets)
+        return nets
 
     # ----------------------------------------------------------------- state
 
@@ -70,7 +105,7 @@ class SequentialSimulator:
         old stimulus.
         """
         self.values = self.evaluator.fresh_values()
-        for flop in self.netlist.flops:
+        for flop in self._flops:
             self.values[flop.q] = self.evaluator.mask if flop.init else 0
         self.cycle = 0
 
@@ -117,16 +152,18 @@ class SequentialSimulator:
         self.propagate()
         self.clock()
 
-    def run(self, stimulus, observe_registers=(), observe_outputs=()):
+    def run(self, stimulus, observe_registers=(), observe_outputs=(),
+            observe_nets=()):
         """Run a list of per-cycle input dicts, capturing a :class:`Trace`.
 
         The trace records values *after* each cycle's clock edge for
         registers (their new contents) and *before* the edge for outputs
-        (their combinational value during the cycle).
+        and single nets (their combinational value during the cycle).
         """
         trace = Trace(
             registers={name: [] for name in observe_registers},
             outputs={name: [] for name in observe_outputs},
+            nets={net: [] for net in observe_nets},
         )
         for cycle_inputs in stimulus:
             for name, word in cycle_inputs.items():
@@ -134,6 +171,8 @@ class SequentialSimulator:
             self.propagate()
             for name in observe_outputs:
                 trace.outputs[name].append(self.output_value(name))
+            for net in observe_nets:
+                trace.nets[net].append(self.net_value(net))
             self.clock()
             for name in observe_registers:
                 trace.registers[name].append(self.register_value(name))
@@ -144,7 +183,7 @@ class SequentialSimulator:
 
     def register_value(self, name, lane=0):
         """Current contents of a named register as an integer."""
-        nets = self.netlist.register_q_nets(name)
+        nets = self._readable(self.netlist.register_q_nets(name))
         return self.evaluator.get_word(self.values, nets, lane)
 
     def output_value(self, name, lane=0):
@@ -153,10 +192,26 @@ class SequentialSimulator:
             nets = self.netlist.outputs[name]
         except KeyError:
             raise SimulationError("no output port {!r}".format(name)) from None
-        return self.evaluator.get_word(self.values, nets, lane)
+        return self.evaluator.get_word(self.values, self._readable(nets), lane)
 
     def net_value(self, net, lane=0):
+        self._readable((net,))
         return (self.values[net] >> lane) & 1
+
+    def _readable(self, nets, computed=None):
+        """``nets``, unless one lies outside the simulated cone (or
+        outside ``computed``)."""
+        if computed is None:
+            computed = self._nets
+        if computed is not None:
+            for net in nets:
+                if net not in computed:
+                    raise SimulationError(
+                        "{} is outside the simulated cone".format(
+                            self.netlist.net_name(net)
+                        )
+                    )
+        return nets
 
     def state(self):
         """Snapshot of all register values (lane 0), by name."""

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.frontend import build_builtin, builtin_names
 from repro.netlist import (
     Circuit,
     config_fingerprint,
@@ -10,6 +17,7 @@ from repro.netlist import (
 )
 from repro.properties.monitors import build_corruption_monitor
 from tests.conftest import build_counter, build_secret_design, secret_spec
+from tests.netlist.test_cone_local import feedback_netlist
 
 
 def test_same_build_same_fingerprint():
@@ -77,3 +85,59 @@ def test_config_fingerprint_keys_engine_and_options():
     assert config_fingerprint("bmc") != config_fingerprint(
         "bmc", use_coi=False
     )
+
+
+def _reference_update(h, *parts):
+    for part in parts:
+        h.update(str(part).encode("utf-8"))
+        h.update(b"\x1f")
+
+
+def reference_fingerprint(netlist):
+    """The per-part serialization: two ``update`` calls per part."""
+    h = hashlib.sha256()
+    _reference_update(h, "nlfp1", netlist.num_nets)
+    _reference_update(h, "cells", len(netlist.cells))
+    for cell in netlist.cells:
+        _reference_update(h, cell.kind.name, cell.output, *cell.inputs)
+    _reference_update(h, "flops", len(netlist.flops))
+    for flop in netlist.flops:
+        _reference_update(h, flop.d, flop.q, flop.init)
+    for section in ("inputs", "outputs"):
+        ports = getattr(netlist, section)
+        _reference_update(h, section, len(ports))
+        for name, nets in ports.items():
+            _reference_update(h, name, *nets)
+    _reference_update(h, "registers", len(netlist.registers))
+    for idxs in netlist.registers.values():
+        _reference_update(h, "r", *idxs)
+    _reference_update(h, "probes", len(netlist.probes))
+    for nets in netlist.probes.values():
+        _reference_update(h, "p", *nets)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_streamed_digest_equals_per_part_digest_on_builtins(name):
+    netlist, spec = build_builtin(name)
+    assert netlist_fingerprint(netlist) == reference_fingerprint(netlist)
+    for reg_spec in spec.critical.values():
+        for functional in (False, True):
+            monitor = build_corruption_monitor(
+                netlist, reg_spec, functional=functional
+            ).netlist
+            assert netlist_fingerprint(monitor) == reference_fingerprint(
+                monitor
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), cells=st.integers(0, 700),
+       flops=st.integers(0, 300))
+def test_streamed_digest_equals_per_part_digest_on_random(seed, cells, flops):
+    # sizes cross the chunk boundaries of cells and of flops
+    nl, nets = feedback_netlist(seed, cells=cells, flops=flops)
+    nl.add_output("y", nets[-3:])
+    nl.add_register("r", range(min(flops, 3)))
+    nl.add_probe("p", nets[:2])
+    assert netlist_fingerprint(nl) == reference_fingerprint(nl)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.netlist import Circuit
+from repro.netlist import Circuit, cone_of_influence
 from repro.sim import SequentialSimulator
 
 from tests.conftest import build_counter
@@ -130,3 +130,44 @@ def test_accumulator_matches_golden_model(stimulus):
         if do_load:
             golden = (golden + value) & 0xFF
         assert sim.register_value("acc") == golden
+
+
+class TestCone:
+    def test_cone_simulation_matches_whole_netlist(self):
+        nl = build_counter(4)
+        target = nl.register_q_nets("count")[2]
+        cone_triple = cone_of_influence(nl, [target])
+        assert len(cone_triple[1]) < len(nl.cells)
+        cone = SequentialSimulator(nl, cone=cone_triple)
+        whole = SequentialSimulator(nl)
+        stimulus = [{"en": bit} for bit in (1, 1, 0, 1, 1, 1, 0, 1, 1)]
+        assert cone.run(stimulus, observe_nets=[target]).nets == (
+            whole.run(stimulus, observe_nets=[target]).nets
+        )
+
+    def test_reading_outside_the_cone_raises(self):
+        nl = build_counter(4)
+        sim = SequentialSimulator(nl, cone=cone_of_influence(
+            nl, [nl.register_q_nets("count")[0]]
+        ))
+        sim.step({"en": 1})
+        with pytest.raises(SimulationError, match="outside the simulated"):
+            sim.register_value("count")
+        with pytest.raises(SimulationError, match="outside the simulated"):
+            sim.net_value(nl.register_q_nets("count")[3])
+
+    def test_cone_must_be_fan_in_closed_and_ordered(self):
+        nl = build_counter(4)
+        nets, cells, flops = cone_of_influence(
+            nl, [nl.register_q_nets("count")[3]]
+        )
+        with pytest.raises(SimulationError, match="outside the simulated cone"):
+            SequentialSimulator(nl, cone=(nets, cells[::-1], flops))
+        with pytest.raises(SimulationError, match="outside the simulated cone"):
+            SequentialSimulator(nl, cone=(nets, cells, flops[1:]))
+        nets, low_cells, _flops = cone_of_influence(
+            nl, [nl.register_q_nets("count")[0]]
+        )
+        every_flop = list(range(len(nl.flops)))
+        with pytest.raises(SimulationError, match="outside the simulated cone"):
+            SequentialSimulator(nl, cone=(nets, low_cells, every_flop))
