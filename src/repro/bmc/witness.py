@@ -70,22 +70,17 @@ class Witness:
         return "\n".join(lines)
 
 
-def replay(netlist, witness, observe_registers=(), observe_outputs=(), net_probe=None):
+def replay(netlist, witness, observe_registers=(), observe_outputs=()):
     """Replay a witness on the simulator.
 
     Returns a :class:`~repro.sim.sequential.Trace` over the requested
-    registers/outputs; with ``net_probe`` (a net id) also returns the
-    per-cycle value of that net, as ``(trace, probe_values)``.
+    registers/outputs.
     """
-    trace = SequentialSimulator(netlist).run(
+    return SequentialSimulator(netlist).run(
         witness.inputs,
         observe_registers=observe_registers,
         observe_outputs=observe_outputs,
-        observe_nets=() if net_probe is None else (net_probe,),
     )
-    if net_probe is None:
-        return trace
-    return trace, trace.nets[net_probe]
 
 
 def witness_to_vcd(netlist, witness, path, registers=None, outputs=None):

@@ -149,7 +149,7 @@ def analyze_design(
         }
         divergences: dict = {}  # (register, rule) -> _Divergence
         # one simulator for every phase: it levelizes the augmented netlist
-        # once, and its evaluator sees enough passes to tier up once
+        # and flattens its kernel program once
         sim = SequentialSimulator(augmented, lanes=config.lanes)
         for phase in phases:
             with tracer.span("diff.phase", phase=phase.name) as pspan:

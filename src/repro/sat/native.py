@@ -3,12 +3,12 @@
 The pure-Python solver in :mod:`repro.sat.solver` is the reference
 implementation and always works; this module provides a drop-in
 accelerated backend when a C compiler is available. The C source ships
-in the package and is compiled *at runtime* — once per source revision,
-cached as a shared object keyed by the source hash — so the repository
-needs no build step, no setuptools extension, and no wheel story. On
-any failure (no compiler, compile error, load error) the backend simply
-reports itself unavailable and callers fall back to the Python solver;
-nothing in the pipeline requires it.
+in the package and is compiled *at runtime* by :mod:`repro.ckernel` —
+once per source revision, cached as a shared object keyed by the source
+hash — so the repository needs no build step, no setuptools extension,
+and no wheel story. On any failure (no compiler, compile error, load
+error) the backend simply reports itself unavailable and callers fall
+back to the Python solver; nothing in the pipeline requires it.
 
 :class:`NativeSolver` mirrors the subset of the Python ``Solver``
 surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
@@ -44,15 +44,12 @@ and adds nothing — and then adds the clauses one by one through
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
+import functools
 import time
 from array import array
 from pathlib import Path
 
+from repro import ckernel
 from repro.sat.solver import (
     SAT,
     UNKNOWN,
@@ -70,57 +67,9 @@ _SOURCE = Path(__file__).with_name("_native.c")
 # otherwise the loaded ctypes library.
 _LIB = None
 
-
-def _cache_dir():
-    base = os.environ.get("XDG_CACHE_HOME")
-    if base:
-        return Path(base) / "repro-sat"
-    home = Path.home()
-    if os.access(home, os.W_OK):
-        return home / ".cache" / "repro-sat"
-    return Path(tempfile.gettempdir()) / "repro-sat"
-
-
-def compile_kernel(out, flags=()):
-    """Compile ``_native.c`` to the shared object ``out``; True on success.
-
-    The compiler is ``$CC``, else ``cc`` or ``gcc`` on the path; ``flags``
-    go before the source (a test build passes ``-DCHRONO_T=0``).
-    """
-    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if cc is None or not _SOURCE.exists():
-        return False
-    proc = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", *flags, "-o", str(out), str(_SOURCE)],
-        capture_output=True,
-        timeout=120,
-    )
-    return proc.returncode == 0
-
-
-def _compile_library():
-    """Compile ``_native.c`` to a cached .so; return its path or None."""
-    if not _SOURCE.exists():
-        return None
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    cache = _cache_dir()
-    target = cache / "librsat-{}.so".format(digest)
-    if target.exists():
-        return target
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        # Compile to a temp name and rename: concurrent processes racing
-        # to build the same revision each land a complete .so.
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
-        os.close(fd)
-        if not compile_kernel(tmp):
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, target)
-        return target
-    except (OSError, subprocess.SubprocessError):
-        return None
+#: ``compile_kernel(out, flags=())`` builds this kernel's source into
+#: ``out`` (a test build passes ``-DCHRONO_T=0``)
+compile_kernel = functools.partial(ckernel.compile_kernel, _SOURCE)
 
 
 def _bind(lib):
@@ -160,14 +109,8 @@ def _load_library():
     global _LIB
     if _LIB is None:
         # batches cross as array("i") buffers read as int32_t
-        path = _compile_library() if array("i").itemsize == 4 else None
-        if path is None:
-            _LIB = False
-        else:
-            try:
-                _LIB = _bind(ctypes.CDLL(str(path)))
-            except OSError:
-                _LIB = False
+        _LIB = (array("i").itemsize == 4
+                and ckernel.load_library(_SOURCE, "librsat", _bind)) or False
     return _LIB or None
 
 

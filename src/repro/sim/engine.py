@@ -1,132 +1,88 @@
 """Levelized bit-parallel logic simulation.
 
-Net values are Python integers used as *pattern vectors*: bit ``k`` of every
-net's word is the value of that net under stimulus pattern ``k``. A
-:class:`CombEvaluator` with ``lanes = 1`` is an ordinary single-pattern
-simulator; with ``lanes = 64`` (or any width — Python ints are unbounded) it
-evaluates 64 patterns per pass, which is what makes the FANCI sampling and
-fault-simulation substrates tractable in pure Python.
+Net values are *pattern vectors*: bit ``k`` of every net's word is the
+value of that net under stimulus pattern ``k``. A :class:`CombEvaluator`
+with ``lanes = 1`` is an ordinary single-pattern simulator; with
+``lanes = 64`` it evaluates 64 patterns per pass, which is what makes
+the differential screen, VeriTrust sampling and fault simulation
+tractable.
 
-The evaluator levelizes once per netlist: cells are stored in topological
-order and every gate evaluates every pass — no event wheel. For the design
-sizes in this repository (10^3–10^5 gates) the oblivious approach beats an
-event-driven one in CPython by a wide margin.
+The evaluator levelizes once per netlist: cells are stored in
+topological order and every gate evaluates every pass — no event wheel.
+For the design sizes in this repository (10^3–10^5 gates) the oblivious
+approach beats an event-driven one by a wide margin.
 
-Passes run in one of two tiers, chosen from the number of passes the
-evaluator has seen:
+Passes run on one of two paths, chosen from observable facts only:
 
-* *interpreted* — the first ``COMPILE_AFTER - 1`` passes walk the decoded
-  ``(kind, inputs, output)`` program and dispatch on each cell's kind;
-* *compiled* — pass ``COMPILE_AFTER`` generates straight-line Python for
-  the same program, one ``v[out] = <expr>`` statement per cell with the
-  lane mask as an argument, compiles it in chunks of at most
-  ``CHUNK_CELLS`` cells, and it and every later pass run those chunks.
+* *the C kernel* (``_native.c``, built at runtime and cached by
+  :mod:`repro.ckernel`) when it loads and ``lanes <= 64``. Value arrays
+  are then ``array("Q")``, one machine word per net; the program is
+  flattened once, at construction, into ``int32`` cells ``[kind, out,
+  n, in_0 .. in_n-1]``; and every :meth:`CombEvaluator.propagate`,
+  :meth:`CombEvaluator.set_word_lanes` and flop update is one C call.
+* *the interpreter* otherwise (no C compiler, more lanes than a word
+  holds, or a value array that is not an ``array("Q")``):
+  :meth:`CombEvaluator.interpret` walks the decoded ``(kind, inputs,
+  output)`` program over Python integers. It is also the reference the
+  kernel is tested against.
 
-Compiling costs about as much as 25–46 interpreted passes and then makes
-each pass about eight times cheaper, so short runs (witness replays of a
-few dozen cycles) never pay for it and long ones (the differential
-screen's hundreds of cycles per design) do so once. Chunking bounds the
-compiler's transient memory, and wide reductions are folded through an
-accumulator so no expression nests deep enough to overflow CPython's
-compiler. Both tiers compute identical integers; the interpreted loop is
-the reference the compiled one is tested against.
+Both compute identical words. Before any kernel call the evaluator
+checks the value array's length against the largest net id its
+program, ports and flops touch, so no call reads or writes outside it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import sys
 from array import array
+from pathlib import Path
 
+from repro import ckernel
 from repro.errors import SimulationError
-from repro.netlist.cells import Kind
+from repro.netlist.cells import CONST1, Kind
 from repro.netlist.traversal import topological_cells
-from repro.obs.tracer import get_tracer
 
-# the pass that tiers up: earlier passes interpret, it and later ones run
-# compiled code (DESIGN.md decision 18 has the measurements behind it)
-COMPILE_AFTER = 64
-# cells per compiled function: compile() holds ~7 KB per statement while it
-# runs, so one whole-netlist compile would spike the process's peak memory
-CHUNK_CELLS = 128
-# operands per expression: ``v[a] & v[b] & ...`` nests one syntax-tree level
-# per operand, and CPython's compiler overflows its recursion limit at a few
-# thousand, so wider reductions fold through an accumulator
-FOLD_OPERANDS = 64
+_SOURCE = Path(__file__).with_name("_native.c")
 
-_OPERATOR = {
-    Kind.AND: "&",
-    Kind.NAND: "&",
-    Kind.OR: "|",
-    Kind.NOR: "|",
-    Kind.XOR: "^",
-    Kind.XNOR: "^",
+# Cached per-process: None = not tried yet, False = unavailable,
+# otherwise the loaded ctypes library.
+_LIB = None
+
+# cell kinds as _native.c numbers them; bit 3 marks the inverting kinds
+_KIND_CODE = {
+    Kind.AND: 0, Kind.OR: 1, Kind.XOR: 2, Kind.BUF: 3, Kind.MUX: 4,
+    Kind.NAND: 8, Kind.NOR: 9, Kind.XNOR: 10, Kind.NOT: 11,
 }
-_INVERTING = frozenset((Kind.NAND, Kind.NOR, Kind.XNOR))
 
 
-def _cell_statements(kind, ins, out):
-    """Python statements that compute one cell into ``v[out]``.
-
-    ``v`` is the value array and ``m`` the lane mask; ``t`` accumulates
-    reductions wider than ``FOLD_OPERANDS``. Net ids are formatted with
-    ``:d``, so nothing but an integer can reach the generated source.
-    """
-    if kind is Kind.BUF:
-        return ["v[{:d}] = v[{:d}]".format(out, ins[0])]
-    if kind is Kind.NOT:
-        return ["v[{:d}] = ~v[{:d}] & m".format(out, ins[0])]
-    if kind is Kind.MUX:
-        # bit for bit the interpreter's (d0 & ~sel) | (d1 & sel) on any
-        # integers, but one operation shorter and with no negative
-        # intermediate, which matters on mux-tree logic such as S-boxes
-        sel, d0, d1 = ins
-        return [
-            "v[{:d}] = v[{:d}] ^ ((v[{:d}] ^ v[{:d}]) & v[{:d}])".format(
-                out, d0, d0, d1, sel
-            )
-        ]
-    if kind not in _OPERATOR:  # pragma: no cover - closed enum
-        raise SimulationError("unknown cell kind {!r}".format(kind))
-    op = _OPERATOR[kind]
-    pieces = [
-        " {} ".format(op).join(
-            "v[{:d}]".format(net) for net in ins[i:i + FOLD_OPERANDS]
-        )
-        for i in range(0, len(ins), FOLD_OPERANDS)
-    ]
-    statements = []
-    if len(pieces) == 1:
-        expr = pieces[0]
-    else:
-        statements.append("t = " + pieces[0])
-        statements.extend("t {}= {}".format(op, piece) for piece in pieces[1:])
-        expr = "t"
-    if kind in _INVERTING:
-        statements.append("v[{:d}] = ~({}) & m".format(out, expr))
-    else:
-        statements.append("v[{:d}] = {}".format(out, expr))
-    return statements
+def _bind(lib):
+    ptr = ctypes.c_void_p
+    i32 = ctypes.c_int32
+    i64 = ctypes.c_int64
+    sigs = {
+        "rsim_eval": ([ptr, ptr, i64, ctypes.c_uint64], None),
+        "rsim_clock": ([ptr, ptr, ptr, i32, ptr], None),
+        "rsim_set_lanes": ([ptr, i64, ptr, i32, ptr, i32, i32], i32),
+    }
+    for name, (argtypes, restype) in sigs.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
+    return lib
 
 
-def _compile_program(program):
-    """Straight-line Python for a decoded program, as chunk functions.
-
-    Returns a list of ``kernel(v, m)`` functions; calling them in order
-    over a value array ``v`` with lane mask ``m`` does what one
-    interpreted pass over ``program`` does.
-    """
-    kernels = []
-    for start in range(0, len(program), CHUNK_CELLS):
-        lines = ["def kernel(v, m):"]
-        for kind, ins, out in program[start:start + CHUNK_CELLS]:
-            lines.extend(
-                "    " + statement
-                for statement in _cell_statements(kind, ins, out)
-            )
-        namespace = {}
-        exec(compile("\n".join(lines), "<sim-kernel>", "exec"), namespace)
-        kernels.append(namespace["kernel"])
-    return kernels
+def kernel():
+    """The simulation kernel, built and loaded on first use; None when
+    no C compiler, build or load succeeds."""
+    global _LIB
+    if _LIB is None:
+        # words cross as array("Q") buffers read as uint64_t, net ids as
+        # array("i") buffers read as int32_t
+        native = array("Q").itemsize == 8 and array("i").itemsize == 4
+        _LIB = (native
+                and ckernel.load_library(_SOURCE, "librsim", _bind)) or False
+    return _LIB or None
 
 
 # array typecodes by item width in bits, narrowest first
@@ -172,38 +128,73 @@ class CombEvaluator:
             (cell.kind, cell.inputs, cell.output)
             for cell in (netlist.cells[i] for i in self._order)
         ]
-        self._passes = 0
-        self._kernels = None  # compiled tier, built on pass COMPILE_AFTER
+        # the loaded kernel when it runs this evaluator's passes: its
+        # words hold 64 lanes, so wider evaluators interpret
+        self.kernel = kernel() if lanes <= 64 else None
+        # the kernel's program, and the largest net id a pass or a port
+        # write touches
+        flat = []
+        self._top = max(netlist.input_net_set(), default=CONST1)
+        if self.kernel is not None:
+            for kind, ins, out in self._program:
+                flat += (_KIND_CODE[kind], out, len(ins), *ins)
+                self._top = max(self._top, out, *ins)
+        self._flat = array("i", flat)
+        self._flat_address = self._flat.buffer_info()[0]
+
+    def kernel_address(self, values, top):
+        """The address of ``values``'s first word when the kernel runs
+        this evaluator and ``values`` is an ``array("Q")``, as
+        :meth:`fresh_values` makes them; else None.
+
+        Raises :class:`SimulationError` when that array holds no word for
+        net ``top``, so no kernel call reads or writes outside it.
+        """
+        if (self.kernel is None or type(values) is not array
+                or values.typecode != "Q"):
+            return None
+        address, length = values.buffer_info()
+        if length <= top:
+            raise SimulationError(
+                "value array of {} words has no word for net {}".format(
+                    length, top
+                )
+            )
+        return address
 
     def fresh_values(self):
-        """A value array with constants set; everything else 0."""
-        values = [0] * self.netlist.num_nets
+        """A value array with constants set; everything else 0.
+
+        An ``array("Q")`` when the kernel runs this evaluator, else a
+        list of Python integers.
+        """
+        size = self.netlist.num_nets
+        if self.kernel is not None:
+            values = array("Q", bytes(8 * size))
+        else:
+            values = [0] * size
         values[1] = self.mask
         return values
 
     def propagate(self, values):
-        """Evaluate all combinational cells in place over ``values``.
+        """Evaluate all combinational cells in place over ``values``;
+        returns ``values``.
 
         ``values`` must already hold the input-port nets and flop Q nets.
-        Passes before ``COMPILE_AFTER`` run :meth:`interpret`; that pass
-        compiles the program and it and every later pass run the
-        compiled chunks.
+        One kernel pass when the kernel runs this evaluator and
+        ``values`` is an ``array("Q")``; an interpreted pass otherwise.
         """
-        kernels = self._kernels
-        if kernels is None:
-            self._passes += 1
-            if self._passes < COMPILE_AFTER:
-                return self.interpret(values)
-            kernels = self._kernels = _compile_program(self._program)
-            get_tracer().metrics.counter("sim.compiles").inc()
-        mask = self.mask
-        for kernel in kernels:
-            kernel(values, mask)
+        address = self.kernel_address(values, self._top)
+        if address is None:
+            return self.interpret(values)
+        self.kernel.rsim_eval(
+            address, self._flat_address, len(self._flat), self.mask
+        )
         return values
 
     def interpret(self, values):
-        """One interpreted pass: the short-run tier and the reference the
-        compiled tier must match."""
+        """One interpreted pass: the fallback, and the reference the
+        kernel must match."""
         mask = self.mask
         for kind, ins, out in self._program:
             if kind is Kind.AND:
@@ -268,13 +259,42 @@ class CombEvaluator:
             raise SimulationError(
                 "{} words but only {} lanes".format(len(words), self.lanes)
             )
+        address = self.kernel_address(values, self._top)
+        if address is not None:
+            # The kernel transposes fixed-slot little-endian lane words. A
+            # port of up to 64 bits hands them over as array("Q"), with no
+            # per-word masking; a wider port, or a word array("Q") refuses
+            # (negative, or 2**64 and over), goes through _pack_lanes'
+            # low-width-bits slots.
+            width = len(nets)
+            packed = None
+            if width <= 64:
+                try:
+                    packed = array("Q", words)
+                except OverflowError:
+                    pass
+            if packed is None:
+                data, slot = _pack_lanes(words, width)
+                slot //= 8
+            else:
+                if sys.byteorder == "big":
+                    packed.byteswap()
+                data, slot = packed.buffer_info()[0], 8
+            ids = array("i", nets)
+            if self.kernel.rsim_set_lanes(
+                address, len(values), ids.buffer_info()[0], width, data,
+                slot, len(words),
+            ):
+                raise SimulationError("a net lies outside the value array")
+            return
         if not words:
             for net in nets:
                 values[net] = 0
             return
-        # Transpose in C: lay lane k's word out at bits [k*slot, (k+1)*slot)
-        # of one integer, render it in binary (lane 0 last), and read bit i
-        # of every lane as one strided slice, highest lane first.
+        # Transpose with CPython's own conversions: lay lane k's word out
+        # at bits [k*slot, (k+1)*slot) of one integer, render it in binary
+        # (lane 0 last), and read bit i of every lane as one strided
+        # slice, highest lane first.
         data, slot = _pack_lanes(words, len(nets))
         total = slot * len(words)
         bits = format(int.from_bytes(data, "little"), "0{}b".format(total))

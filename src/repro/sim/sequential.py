@@ -13,6 +13,7 @@ net outside it raises, so a wrong cone is never read as a stale 0.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -77,6 +78,18 @@ class SequentialSimulator:
             self._nets = self._closed_nets(cells)
         self._flop_q = [flop.q for flop in self._flops]
         self._flop_d = [flop.d for flop in self._flops]
+        # the largest net id a flop update touches
+        self._flop_top = max(self._flop_d + self._flop_q, default=CONST1)
+        if self.evaluator.kernel is not None:
+            # the kernel's flop update reads D and Q ids and samples into
+            # scratch words, all by address, so the arrays stay referenced
+            d_ids, q_ids = array("i", self._flop_d), array("i", self._flop_q)
+            sampled = array("Q", bytes(8 * len(self._flops)))
+            self._clock_buffers = (d_ids, q_ids, sampled)
+            self._clock_args = (
+                d_ids.buffer_info()[0], q_ids.buffer_info()[0],
+                len(self._flops), sampled.buffer_info()[0],
+            )
         self.values = self.evaluator.fresh_values()
         self.cycle = 0
         self.reset()
@@ -134,10 +147,15 @@ class SequentialSimulator:
     def clock(self):
         """Advance all flops: Q <= D. Call after :meth:`propagate`."""
         values = self.values
-        # sample every D before writing any Q: a D may be another flop's Q
-        sampled = [values[d] for d in self._flop_d]
-        for q, v in zip(self._flop_q, sampled):
-            values[q] = v
+        address = self.evaluator.kernel_address(values, self._flop_top)
+        if address is not None:
+            self.evaluator.kernel.rsim_clock(address, *self._clock_args)
+        else:
+            # sample every D before writing any Q: a D may be another
+            # flop's Q
+            sampled = [values[d] for d in self._flop_d]
+            for q, v in zip(self._flop_q, sampled):
+                values[q] = v
         self.cycle += 1
 
     def step(self, inputs=None):

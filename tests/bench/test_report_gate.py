@@ -1,5 +1,6 @@
-"""The report gate: every built-in's scrubbed bound-48 report digest
-equals a committed baseline, and the committed baseline's shape."""
+"""The report gate: every built-in's scrubbed bound-48 report digest,
+and every (built-in, screen) pair's scrubbed screen report digest,
+equals a committed baseline; and the committed baselines' shapes."""
 
 import importlib.util
 import json
@@ -8,11 +9,15 @@ from pathlib import Path
 import pytest
 
 from repro.frontend import builtin_names
+from repro.report.screen import SCREENS
 
 ROOT = Path(__file__).resolve().parents[2]
 BASELINE = ROOT / "tests" / "data" / "reports" / "native-bound48.json"
+SCREENS_BASELINE = ROOT / "tests" / "data" / "reports" / "screens.json"
 RUN = {"max_cycles": 48, "sat_backend": "native"}
 DIGESTS = {"router": "ab" * 32, "risc": "cd" * 32}
+SCREEN_RUN = {"screens": ["lint", "ift", "diff"]}
+SCREEN_DIGESTS = {"router/lint": "ab" * 32, "router/diff": "ef" * 32}
 
 
 def _gate(monkeypatch, run=RUN, digests=DIGESTS):
@@ -59,3 +64,31 @@ def test_committed_baseline_covers_every_builtin():
     assert sorted(baseline["digests"]) == builtin_names()
     assert all(len(digest) == 64 for digest in baseline["digests"].values())
     assert "report_gate.py" in baseline["command"]
+
+
+def test_screens_mode_gates_the_screen_digests(tmp_path, monkeypatch, capsys):
+    module = _gate(monkeypatch)
+    monkeypatch.setattr(module, "screen_run_key", lambda: dict(SCREEN_RUN))
+    monkeypatch.setattr(module, "screen_digests",
+                        lambda: dict(SCREEN_DIGESTS))
+    path = tmp_path / "screens.json"
+    path.write_text(json.dumps({"run": {}, "digests": {}}))
+    assert module.main([str(path), "--screens", "--update"]) == 0
+    written = json.loads(path.read_text())
+    assert written == {"run": SCREEN_RUN, "digests": SCREEN_DIGESTS}
+    assert module.main([str(path), "--screens"]) == 0
+    assert "all equal" in capsys.readouterr().out
+    # without --screens the audit digests are gated, and they differ
+    assert module.main([str(path)]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_committed_screens_baseline_covers_every_builtin_and_screen():
+    baseline = json.loads(SCREENS_BASELINE.read_text())
+    assert baseline["run"] == {"screens": list(SCREENS)}
+    assert sorted(baseline["digests"]) == sorted(
+        "{}/{}".format(design, screen)
+        for design in builtin_names() for screen in SCREENS
+    )
+    assert all(len(digest) == 64 for digest in baseline["digests"].values())
+    assert "report_gate.py --screens" in baseline["command"]

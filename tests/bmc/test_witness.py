@@ -50,7 +50,9 @@ def test_replay_with_probe():
     nl = build_counter(4)
     probe_net = nl.register_q_nets("count")[1]  # bit 1
     w = Witness(inputs=[{"en": 1}] * 3, violation_cycle=2)
-    _trace, probe = replay(nl, w, net_probe=probe_net)
+    probe = SequentialSimulator(nl).run(
+        w.inputs, observe_nets=(probe_net,)
+    ).nets[probe_net]
     # count values during cycles: 0,1,2 -> bit1 = 0,0,1
     assert probe == [0, 0, 1]
 
@@ -70,10 +72,11 @@ def test_witness_to_vcd(tmp_path):
 def test_probe_replay_trace_is_complete():
     nl = build_counter(4)
     w = Witness(inputs=[{"en": 1}] * 3, violation_cycle=2)
-    trace, probe = replay(
-        nl, w, observe_registers=["count"],
-        net_probe=nl.register_q_nets("count")[1],
+    probe_net = nl.register_q_nets("count")[1]
+    trace = SequentialSimulator(nl).run(
+        w.inputs, observe_registers=["count"], observe_nets=(probe_net,)
     )
+    probe = trace.nets[probe_net]
     assert trace.complete
     assert trace.cycles() == len(probe) == 3
 

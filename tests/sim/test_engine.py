@@ -130,11 +130,13 @@ class TestMultiLane:
         expected = ev.fresh_values()
         for net in nets:
             expected[net] = stale
-        actual = list(expected)
+        # a copy of the same kind: an array("Q") runs the kernel's port
+        # write, a list the interpreter's
+        actual = expected[:]
         if len(words) > lanes:
             with pytest.raises(SimulationError):
                 ev.set_word_lanes(actual, nets, words)
             return
         bit_loop_set_word_lanes(expected, nets, words)
         ev.set_word_lanes(actual, nets, words)
-        assert actual == expected
+        assert list(actual) == list(expected)
