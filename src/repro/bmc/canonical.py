@@ -2,10 +2,11 @@
 
 A SAT solver's model depends on its search history — restarts, phase
 saving, learnt clauses — so the *same* violated property yields
-different (all valid) witnesses from a cold solver and from a session
-that already proved two sibling properties. That breaks the audit
-pipeline's byte-identity guarantees: fresh-engine and persistent-session
-runs must produce identical scrubbed reports.
+different (all valid) witnesses from a cold solver and from a
+shared-cone group's solver that already checked sibling objectives.
+That breaks the audit pipeline's byte-identity guarantees: cold-engine
+and grouped runs, and the two SAT backends, must produce identical
+scrubbed reports.
 
 :func:`canonicalize_model` fixes the model, not the guarantee: it
 minimizes the witness's input bits lexicographically (frame-major, then
@@ -13,8 +14,8 @@ port declaration order, then bit order) under the same objective
 assumption. The lex-minimal satisfying input assignment is a property of
 the *formula*, not of the solver state — learnt clauses and promoted
 units are implied by the formula, so they never exclude a model — which
-makes the canonical witness identical across cold engines, warm
-sessions, and solver backends.
+makes the canonical witness identical across cold engines, shared-cone
+groups, and solver backends.
 
 The search is one ``lexmin`` call on the solver (see
 :meth:`repro.sat.solver.Solver.lexmin`, the one loop both backends

@@ -15,6 +15,12 @@ objective be 1 at frame t?".
   every T cycles).
 * Budget exhausted → ``unknown``, reporting the deepest proved bound
   (the "max # of clock cycles" columns of Tables 1 and 3).
+
+Each engine owns its solver and unrolling: one engine, one objective.
+Audits reach it through :func:`repro.core.backends.run_objective`,
+which tries a k-induction shortcut before building the engine for an
+Eq. 2 check; direct callers (the benchmark harness, the depth and
+ablation tables) measure pure BMC.
 """
 
 from __future__ import annotations
@@ -77,9 +83,9 @@ class BmcResult:
         head = "[{}] {} at bound {}".format(
             self.property_name or "bmc", self.status, self.bound
         )
-        # Deltas alone are misleading under session reuse (the second
-        # property of a warm session adds near-zero clauses), so the
-        # cumulative solver totals are always shown alongside.
+        # Deltas alone are misleading when one solver serves several
+        # checks (a shared-cone group's later members add few clauses),
+        # so the cumulative solver totals are always shown alongside.
         tail = (
             " ({:.2f}s, {} conflicts, {} vars, {} clauses,"
             " {} total vars, {} total clauses, cone={})".format(
@@ -94,25 +100,18 @@ class BmcEngine:
     """Incremental BMC over a 1-bit objective net."""
 
     def __init__(self, netlist, objective_net, property_name="", use_coi=True,
-                 solver=None, pinned_inputs=None, unroller=None):
+                 solver=None, pinned_inputs=None):
         self.netlist = netlist
         self.objective_net = objective_net
         self.property_name = property_name
-        if unroller is not None:
-            # Session path: share an existing solver+unroller (the
-            # unroller's cone must already cover the objective — see
-            # SolverSession, which extends it via add_targets).
-            self.solver = unroller.solver
-            self.unroller = unroller
-        else:
-            self.solver = solver if solver is not None else default_solver()
-            self.unroller = Unroller(
-                netlist,
-                self.solver,
-                [objective_net],
-                use_coi=use_coi,
-                pinned_inputs=pinned_inputs,
-            )
+        self.solver = solver if solver is not None else default_solver()
+        self.unroller = Unroller(
+            netlist,
+            self.solver,
+            [objective_net],
+            use_coi=use_coi,
+            pinned_inputs=pinned_inputs,
+        )
 
     def check(self, max_cycles, time_budget=None, conflict_budget=None,
               measure_memory=False, start_cycle=1):
@@ -225,8 +224,7 @@ class BmcEngine:
                         # UNSAT under [objective_lit] means the formula
                         # implies ¬objective@t-1; promoting it to a unit
                         # lets BCP kill the whole sticky chain backward,
-                        # strengthening later bounds and later session
-                        # checks for free.
+                        # strengthening later bounds for free.
                         self.solver.add_clause([-objective_lit])
                 if stop:
                     break

@@ -50,7 +50,9 @@ class Unroller:
     supplies input literals per frame (a list of ``{net: literal}``);
     any other cone input is pinned or gets a fresh variable. ``gates``
     shares another unrolling's :class:`GateHasher`, and with it its
-    constant-true literal and every gate it has encoded.
+    constant-true literal and every gate it has encoded. The cone is
+    fixed at construction: an unrolling serving several objectives (a
+    shared-cone group) is built over all of their target nets at once.
     """
 
     def __init__(self, netlist, solver, target_nets, use_coi=True,
@@ -72,8 +74,6 @@ class Unroller:
             cell_idxs = topological_cells(netlist)
             flop_idxs = list(range(len(netlist.flops)))
             self.cone = None  # everything
-        self._cell_idxs = list(cell_idxs)
-        self._flop_idxs = list(flop_idxs)
         self._cells = [netlist.cells[i] for i in cell_idxs]
         self._flops = [netlist.flops[i] for i in flop_idxs]
         self._input_nets = self._cone_inputs()
@@ -91,7 +91,6 @@ class Unroller:
         """Another, unbuilt unrolling of the same cone into the same
         solver, sharing this one's gates (see :class:`Unroller`)."""
         twin = copy.copy(self)
-        twin.targets = list(self.targets)
         twin.initial_state = initial_state
         twin.frame_inputs = frame_inputs
         twin.frames = 0
@@ -115,79 +114,17 @@ class Unroller:
             self._build_frame(self.frames)
             self.frames += 1
 
-    def add_targets(self, target_nets):
-        """Widen the cone to cover additional target nets.
-
-        Newly reachable inputs, flops and cells are encoded into every
-        already-built frame, so literals for the new targets exist at all
-        current frames and future :meth:`extend_to` calls cover the
-        union cone. Logic already encoded is untouched — existing
-        literals, and any solver state derived from them, stay valid
-        (the new cone only ever *adds* constraints over fresh
-        variables, and its gates hash into the same memo). This is what
-        lets one session's unrolling serve a register's properties one
-        monitor at a time.
-        """
-        fresh = [net for net in target_nets if net not in self.targets]
-        if not fresh:
-            return
-        self.targets.extend(fresh)
-        if self.cone is None:
-            return  # use_coi=False: everything is already encoded
-        cone, cell_idxs, flop_idxs = cone_of_influence(
-            self.netlist, self.targets
-        )
-        old_cells = set(self._cell_idxs)
-        old_flops = set(self._flop_idxs)
-        new_cells = [
-            self.netlist.cells[i] for i in cell_idxs if i not in old_cells
-        ]
-        new_flops = [
-            self.netlist.flops[i] for i in flop_idxs if i not in old_flops
-        ]
-        old_input_nets = {net for _, _, net in self._input_nets}
-        self.cone = cone
-        self._cell_idxs = list(cell_idxs)
-        self._flop_idxs = list(flop_idxs)
-        self._cells = [self.netlist.cells[i] for i in cell_idxs]
-        self._flops = [self.netlist.flops[i] for i in flop_idxs]
-        self._input_nets = self._cone_inputs()
-        new_inputs = [
-            entry for entry in self._input_nets
-            if entry[2] not in old_input_nets
-        ]
-        if not (new_cells or new_flops or new_inputs):
-            return
-        for t in range(self.frames):
-            vars_before = self.solver.num_vars
-            self._encode_members(t, new_inputs, new_flops, new_cells)
-            self.vars_per_frame[t] += self.solver.num_vars - vars_before
-
     def _build_frame(self, t):
         solver = self.solver
         vars_before = solver.num_vars
-        self._lit.append({0: -self.true_lit, 1: self.true_lit})
-        self._encode_members(
-            t, self._input_nets, self._flops, self._cells
-        )
-        self.vars_per_frame.append(solver.num_vars - vars_before)
-
-    def _encode_members(self, t, input_nets, flops, cells):
-        """Encode a (sub)set of the cone's members at frame ``t``.
-
-        ``cells`` must be in topological order and closed under fan-in
-        relative to what is already encoded at this frame — true both
-        for a full frame build and for the new-members slice
-        :meth:`add_targets` computes (a cone is fan-in closed, so a new
-        cell only reads new nets or nets the old cone already encoded).
-        """
-        buf = ClauseBuffer(self.solver)
-        lit = self._lit[t]
+        buf = ClauseBuffer(solver)
+        lit = {0: -self.true_lit, 1: self.true_lit}
+        self._lit.append(lit)
         true_lit = self.true_lit
         supplied = (
             self.frame_inputs[t] if t < len(self.frame_inputs) else {}
         )
-        for name, bit, net in input_nets:
+        for name, bit, net in self._input_nets:
             given = supplied.get(net)
             if given is None:
                 pinned = self.pinned_inputs.get(name)
@@ -197,7 +134,7 @@ class Unroller:
                     given = true_lit if (pinned >> bit) & 1 else -true_lit
             lit[net] = given
         state = self.initial_state
-        for flop in flops:
+        for flop in self._flops:
             if t > 0:
                 lit[flop.q] = self._lit[t - 1][flop.d]
             elif state is RESET:
@@ -207,11 +144,12 @@ class Unroller:
             else:
                 lit[flop.q] = state[flop.q]
         gate = self.gates.gate
-        for cell in cells:
+        for cell in self._cells:
             lit[cell.output] = gate(
                 buf, cell.kind, [lit[net] for net in cell.inputs]
             )
-        buf.flush(self.solver)
+        buf.flush(solver)
+        self.vars_per_frame.append(solver.num_vars - vars_before)
 
     # --------------------------------------------------------------- access
 

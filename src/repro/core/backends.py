@@ -15,6 +15,11 @@ through either engine:
 All three consume a 1-bit sticky objective net and return result objects
 sharing the ``status`` / ``bound`` / ``witness`` / ``detected`` /
 ``elapsed`` / ``peak_memory`` shape.
+
+Every BMC check that carries its monitor's violation net (the Eq. 2
+tasks) goes through :func:`run_objective`'s k-induction shortcut
+first, wherever the task runs: inline, in a pool worker or in a
+process-isolated attempt.
 """
 
 from __future__ import annotations
@@ -25,13 +30,22 @@ from repro.atpg.podem_seq import PodemJustifier
 from repro.atpg.portfolio import PortfolioJustifier
 from repro.atpg.sequential import SequentialJustifier
 from repro.bmc.engine import BmcEngine
+from repro.bmc.session import induction_first
 from repro.errors import EngineArgumentError, ReproError
 
-ENGINES = ("bmc", "atpg", "atpg-podem", "atpg-backward")
+_ENGINE_CLASSES = {
+    "bmc": BmcEngine,
+    "atpg": PortfolioJustifier,
+    "atpg-podem": PodemJustifier,
+    "atpg-backward": SequentialJustifier,
+}
+ENGINES = tuple(_ENGINE_CLASSES)
 
 
 def validate_check_kwargs(name, engine, check_kwargs):
     """Reject check kwargs the engine's ``check`` does not accept.
+
+    ``engine`` is an engine or its class.
 
     Engines differ in their knobs (``conflict_budget`` is BMC-only,
     ``backtrack_budget`` is ATPG-only); without validation a misspelled
@@ -68,66 +82,56 @@ def validate_check_kwargs(name, engine, check_kwargs):
         )
 
 
-def make_engine(name, netlist, objective_net, property_name="",
-                pinned_inputs=None, use_coi=True, session=None):
-    """Instantiate a formal engine by name.
+def _engine_class(name):
+    """The engine class registered under ``name``."""
+    try:
+        return _ENGINE_CLASSES[name]
+    except KeyError:
+        raise ReproError(
+            "unknown engine {!r}; pick one of {}".format(name, ENGINES)
+        ) from None
 
-    ``session`` is a :class:`~repro.bmc.session.SessionObjective`
-    execution hint. It only applies to the BMC engine — the other
-    engines keep no reusable solver state worth sharing — and it
-    redirects the check onto the session's warm solver and stacked
-    netlist clone. Verdicts and witnesses are identical either way;
-    the hint trades encoding/search time, not meaning.
-    """
-    if name == "bmc":
-        if session is not None:
-            return session
-        return BmcEngine(
-            netlist,
-            objective_net,
-            property_name=property_name,
-            pinned_inputs=pinned_inputs,
-            use_coi=use_coi,
-        )
-    if name == "atpg":
-        return PortfolioJustifier(
-            netlist,
-            objective_net,
-            property_name=property_name,
-            pinned_inputs=pinned_inputs,
-            use_coi=use_coi,
-        )
-    if name == "atpg-podem":
-        return PodemJustifier(
-            netlist,
-            objective_net,
-            property_name=property_name,
-            pinned_inputs=pinned_inputs,
-            use_coi=use_coi,
-        )
-    if name == "atpg-backward":
-        return SequentialJustifier(
-            netlist,
-            objective_net,
-            property_name=property_name,
-            pinned_inputs=pinned_inputs,
-            use_coi=use_coi,
-        )
-    raise ReproError(
-        "unknown engine {!r}; pick one of {}".format(name, ENGINES)
+
+def make_engine(name, netlist, objective_net, property_name="",
+                pinned_inputs=None, use_coi=True):
+    """Instantiate a formal engine by name."""
+    return _engine_class(name)(
+        netlist,
+        objective_net,
+        property_name=property_name,
+        pinned_inputs=pinned_inputs,
+        use_coi=use_coi,
     )
 
 
 def run_objective(name, netlist, objective_net, max_cycles, property_name="",
-                  pinned_inputs=None, use_coi=True, session=None,
+                  pinned_inputs=None, use_coi=True, violation_net=None,
                   **check_kwargs):
     """One-shot: build the named engine and run its bounded check.
 
-    When ``session`` is given (BMC only) the check runs on the
-    session's persistent solver instead of a cold engine; ``netlist``
-    and ``objective_net`` still describe the standalone monitor build
-    and keep defining the check's identity (cache fingerprints).
+    ``violation_net`` is the monitor's per-cycle violation net, which
+    Eq. 2 tasks carry. With it, a BMC check first tries the k-induction
+    shortcut (:func:`~repro.bmc.session.induction_first`) and builds
+    the engine only when that settles nothing, handing it what is left
+    of ``time_budget``. The check kwargs are validated before either
+    runs, so a bad one raises :class:`EngineArgumentError` even for a
+    property the shortcut would prove.
     """
+    validate_check_kwargs(name, _engine_class(name), check_kwargs)
+    if name == "bmc" and violation_net is not None:
+        result, budget = induction_first(
+            netlist,
+            violation_net,
+            max_cycles,
+            property_name=property_name,
+            pinned_inputs=pinned_inputs,
+            time_budget=check_kwargs.get("time_budget"),
+            start_cycle=check_kwargs.get("start_cycle", 1),
+        )
+        if result is not None:
+            return result
+        if budget is not None:
+            check_kwargs["time_budget"] = budget
     engine = make_engine(
         name,
         netlist,
@@ -135,7 +139,5 @@ def run_objective(name, netlist, objective_net, max_cycles, property_name="",
         property_name=property_name,
         pinned_inputs=pinned_inputs,
         use_coi=use_coi,
-        session=session,
     )
-    validate_check_kwargs(name, engine, check_kwargs)
     return engine.check(max_cycles, **check_kwargs)

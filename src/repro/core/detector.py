@@ -54,7 +54,10 @@ class AuditConfig:
     of ``N`` worker processes (``jobs=1`` is the inline *schedule* on
     pool infrastructure — useful for byte-comparing parallel runs
     against a one-worker baseline, since both execute checks in worker
-    processes).
+    processes). Both modes run every check the same way: each Eq. 2
+    BMC check tries the k-induction shortcut first and then a cold
+    engine, and ``share_cones`` is the one field that makes checks
+    share solver state.
     """
 
     max_cycles: int = 40
@@ -70,13 +73,6 @@ class AuditConfig:
     share_cones: bool = False
     trace: object = None
     jobs: int | None = None
-    #: Keep one solver+unrolling alive per critical register across its
-    #: corruption / tracking / shadow checks (inline BMC only; worker
-    #: pools cannot share a live solver across processes). Verdicts,
-    #: witnesses and cache fingerprints are identical with or without
-    #: sessions — this trades repeated cone re-encoding for incremental
-    #: solver reuse, nothing more.
-    sessions: bool = True
 
     def __post_init__(self):
         if self.jobs is not None and self.jobs < 1:
@@ -177,9 +173,9 @@ class TrojanDetector:
         shared-cone groups (BMC only): the candidates' monitors are
         stacked on one clone and served by one unrolling per group
         (:class:`~repro.bmc.group.MultiObjectiveBmc`). Each group is one
-        supervised check; grouped checks skip the outcome cache and the
-        register's solver session, trading both for not re-encoding the
-        shared cone once per candidate.
+        supervised check; grouped checks skip the outcome cache, trading
+        it for not re-encoding the shared cone once per candidate. This
+        is the one way an audit shares solver state between checks.
     trace:
         Structured-telemetry sink for the audit: a path (a JSONL
         :class:`~repro.obs.tracer.Tracer` is created there and closed
@@ -276,32 +272,17 @@ class TrojanDetector:
             observe_latency=spec.observe_latency,
         )
 
-    def corruption_task(self, spec, functional=None, way_delay=1,
-                        session=None):
+    def corruption_task(self, spec, functional=None, way_delay=1):
         """``(task, check name)`` for Eq. (2) on one register spec.
 
-        The standalone monitor build always comes first and alone
-        defines the task (and its cache fingerprint). A ``session``
-        additionally stacks the *same* monitor onto the session's
-        netlist clone and attaches the resulting objective as an
-        execution hint — fingerprints ignore net names, so the two
-        builds hash identically.
+        The task carries the monitor's per-cycle violation net, so a
+        BMC check tries the k-induction shortcut before climbing its
+        bounds, wherever it runs (:func:`~repro.core.backends.run_objective`).
         """
         config = self.config
         if functional is None:
             functional = config.functional
         monitor = self._monitor_for(spec, functional, way_delay)
-        live = None
-        if session is not None and config.engine == "bmc":
-            stacked = build_corruption_monitor(
-                self.netlist, spec, functional=functional,
-                way_delay=way_delay, into=session.netlist,
-            )
-            live = session.objective(
-                stacked.objective_net,
-                violation_net=stacked.violation_net,
-                property_name=stacked.property_name,
-            )
         task = ObjectiveTask(
             engine=config.engine,
             netlist=monitor.netlist,
@@ -311,27 +292,20 @@ class TrojanDetector:
             pinned_inputs=self.spec.pinned_inputs,
             check_kwargs={"time_budget": config.time_budget},
             cache_dir=config.cache_dir,
-            session=live,
+            violation_net=monitor.violation_net,
         )
         return task, "corruption({})".format(spec.register)
 
-    def tracking_task(self, spec, candidate, direction, session=None):
-        """``(task, check name)`` for Eq. (3) on one candidate/direction."""
+    def tracking_task(self, spec, candidate, direction):
+        """``(task, check name)`` for Eq. (3) on one candidate/direction.
+
+        No violation net: tracking properties are not inductive in
+        practice, so these checks go straight to BMC.
+        """
         config = self.config
         monitor = build_tracking_monitor(
             self.netlist, spec, candidate, direction=direction
         )
-        live = None
-        if session is not None and config.engine == "bmc":
-            stacked = build_tracking_monitor(
-                self.netlist, spec, candidate, direction=direction,
-                into=session.netlist,
-            )
-            live = session.objective(
-                stacked.objective_net,
-                violation_net=stacked.violation_net,
-                property_name=stacked.property_name,
-            )
         task = ObjectiveTask(
             engine=config.engine,
             netlist=monitor.netlist,
@@ -341,7 +315,6 @@ class TrojanDetector:
             pinned_inputs=self.spec.pinned_inputs,
             check_kwargs={"time_budget": config.time_budget},
             cache_dir=config.cache_dir,
-            session=live,
         )
         name = "tracking({}->{},{})".format(
             spec.register, candidate, direction

@@ -128,6 +128,11 @@ class Cell:
     def is_inverting(self):
         return self.kind in (Kind.NOT, Kind.NAND, Kind.NOR, Kind.XNOR)
 
+    def __reduce__(self):
+        # one constructor call per cell, not dataclasses' per-field
+        # state: a monitor crosses a pool's pipe with every task
+        return Cell, (self.kind, self.inputs, self.output)
+
 
 @dataclass(frozen=True, slots=True)
 class Flop:
@@ -145,3 +150,6 @@ class Flop:
     def __post_init__(self):
         if self.init not in (0, 1):
             raise NetlistError("flop init must be 0 or 1, got {!r}".format(self.init))
+
+    def __reduce__(self):
+        return Flop, (self.d, self.q, self.init)

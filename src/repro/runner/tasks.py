@@ -21,6 +21,11 @@ from dataclasses import dataclass, field, replace
 class ObjectiveTask:
     """One Eq. (2)/(3) bounded check of a 1-bit objective net.
 
+    The task runs the same way wherever it executes: the supervisor's
+    own process, a pool worker or a process-isolated attempt. An Eq. 2
+    task carries its monitor's ``violation_net`` and so tries the
+    k-induction shortcut first in each of them.
+
     With ``cache_dir`` set, the task participates in the outcome cache
     (:mod:`repro.cache`): the supervisor consults the store before the
     task runs, and the task writes its verdict back *from wherever it
@@ -42,22 +47,12 @@ class ObjectiveTask:
     check_kwargs: dict = field(default_factory=dict)
     cache_dir: str | None = None
     cache_resume_base: int = 0
-    #: Execution hint only (see repro.bmc.session.SessionObjective):
-    #: routes the check onto a live per-register solver session when one
-    #: exists in this process. Excluded from equality so session and
-    #: fresh builds of the same check compare equal, and dropped by
-    #: pickling so worker processes fall back to cold engines — a live
-    #: solver cannot cross a process boundary.
-    session: object = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["session"] = None
-        return state
-
-    def __setstate__(self, state):
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
+    #: The monitor's per-cycle violation net, set on Eq. 2 tasks only:
+    #: a BMC check then tries the k-induction shortcut before climbing
+    #: its bounds (see :func:`repro.core.backends.run_objective`). A
+    #: proof by the shortcut reports what the full ascent would, so the
+    #: cache key leaves it out.
+    violation_net: int | None = None
 
     @property
     def time_budget(self):
@@ -124,7 +119,7 @@ class ObjectiveTask:
             property_name=self.property_name,
             pinned_inputs=self.pinned_inputs,
             use_coi=self.use_coi,
-            session=self.session,
+            violation_net=self.violation_net,
             **self.check_kwargs,
         )
         try:

@@ -10,9 +10,7 @@ and runs exactly that node in this process, through the detector's
 :class:`~repro.runner.supervisor.CheckRunner` (retries, outcome cache,
 inline or process isolation, spans). Execution therefore follows
 Algorithm 1's order and never runs a check whose result would be
-dropped. A register is set up when the frontier first reaches it, and
-its :class:`~repro.bmc.session.SolverSession` (BMC, ``sessions=True``,
-inline runner) serves its checks until it commits.
+dropped. A register is set up when the frontier first reaches it.
 
 **Pool** (``jobs=N``). Checks run concurrently across registers *and*
 across designs on one :class:`~repro.sched.pool.PersistentWorkerPool`.
@@ -28,6 +26,12 @@ decided later. The moment an outcome proves a node's result can never
 be consumed — a committed Trojan at an earlier register, a detected
 corruption ahead of its speculative bypass — the node's worker is
 killed and the node dropped, *without* waiting.
+
+**Same checks in both modes.** Inline and pool execution run the same
+task objects. Every Eq. 2 BMC check (corruption and pseudo-critical
+shadow) tries the k-induction shortcut before a cold engine, in this
+process, a pool worker or a process-isolated attempt alike; the only
+solver state checks share is a ``share_cones`` group's.
 
 **Replay assembly.** In both modes a register's finding is assembled
 in one place, :meth:`AuditScheduler._try_assemble`, which walks
@@ -70,7 +74,7 @@ from repro.runner.checkpoint import warn_checkpoint_lost
 from repro.runner.execution import CONCLUSIVE, CheckExecution
 from repro.runner.outcome import AttemptRecord, CheckOutcome
 from repro.runner.policy import CRASHED, EXHAUSTED, OK
-from repro.runner.supervisor import INLINE, PROCESS, absorb_message
+from repro.runner.supervisor import PROCESS, absorb_message
 from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
 
@@ -156,7 +160,6 @@ class _RegisterState:
         self.spec = None  # set by _init_register
         self.started = 0.0
         self.error = None  # raised when the commit loop reaches it
-        self.session = None  # inline: live SolverSession, until commit
         self.span = None  # inline: the open audit.register span
         self.candidates = []
         self.tracking = {}  # (candidate, direction) -> node
@@ -451,29 +454,6 @@ class AuditScheduler:
         if not self.inline:  # inline execution pulls nodes on demand
             heapq.heappush(self._ready, (node.priority, node))
 
-    def _session(self, reg):
-        """The register's :class:`~repro.bmc.session.SolverSession`,
-        built on first use, or ``None``.
-
-        Sessions only pay off where a live solver can actually be
-        reused: inline execution with the BMC engine and an inline
-        runner. A pool worker or a process-isolated attempt would drop
-        the hint at the process boundary, so no session is built there.
-        """
-        det = reg.audit.detector
-        if reg.session is None and (
-            self.inline
-            and det.config.sessions
-            and det.config.engine == "bmc"
-            and getattr(det.runner, "isolation", INLINE) == INLINE
-        ):
-            from repro.bmc.session import SolverSession
-
-            reg.session = SolverSession(
-                det.netlist.clone(), pinned_inputs=det.spec.pinned_inputs
-            )
-        return reg.session
-
     def _run_inline(self, node):
         """Run one demanded node in this process, through the runner."""
         task = node.task if node.task is not None else node.factory()
@@ -669,7 +649,8 @@ class AuditScheduler:
         and the valid-way window shifts by the copy's delay relative to
         the critical register (way_delay 2 for "after" copies, 0 for
         "before" ones). Its cone overlaps the critical register's
-        heavily, so inline it rides the register's session.
+        heavily; like the register's own corruption check it tries the
+        k-induction shortcut before BMC.
         """
         det = reg.audit.detector
         if reg.suppress_shadows or candidate in reg.shadows:
@@ -684,7 +665,6 @@ class AuditScheduler:
             reg, SHADOW, "corruption({})".format(candidate),
             factory=lambda: det.corruption_task(
                 shadow_spec, functional=False, way_delay=way_delay,
-                session=self._session(reg),
             )[0],
             ready=True,
         )
@@ -758,9 +738,7 @@ class AuditScheduler:
         reg.started = time.perf_counter()
         reg.corruption = self._add_node(
             reg, CORRUPTION, "corruption({})".format(reg.register),
-            factory=lambda: det.corruption_task(
-                reg.spec, session=self._session(reg)
-            )[0],
+            factory=lambda: det.corruption_task(reg.spec)[0],
             ready=True,
         )
         if config.check_pseudo_critical:
@@ -780,10 +758,7 @@ class AuditScheduler:
                                 reg.register, candidate, direction
                             ),
                             factory=lambda c=candidate, d=direction: (
-                                det.tracking_task(
-                                    reg.spec, c, d,
-                                    session=self._session(reg),
-                                )[0]
+                                det.tracking_task(reg.spec, c, d)[0]
                             ),
                             ready=(direction == "after"),
                         )
@@ -983,7 +958,6 @@ class AuditScheduler:
                 audit.store = None  # keep auditing, uncheckpointed
                 warn_checkpoint_lost(exc, self.tracer)
         reg.committed = True
-        reg.session = None  # free the register's live solver
         if self.inline:
             return  # inline ran nothing Algorithm 1 did not consume
         # anything this register solved speculatively but Algorithm 1

@@ -4,8 +4,8 @@ unfolded per-clause encoding.
 :class:`~repro.bmc.unroll.Unroller` folds and hashes gates as it
 unrolls, so its formula is smaller than one Tseitin group per gate per
 frame, on purpose. Two checks pin it down, for every built-in design's
-monitors: over a few frames, through an ``add_targets`` widening, with
-pinned inputs, and as k-induction's free-state step formula.
+monitors: over a few frames of two monitors' union cone, with pinned
+inputs, and as k-induction's free-state step formula.
 
 * *Batching.* Each frame is staged in a
   :class:`~repro.sat.tseitin.ClauseBuffer` and flushed in one batch. The
@@ -116,17 +116,6 @@ class ReferenceUnroller:
             self._encode(t, *self.members)
             self.frames += 1
 
-    def add_targets(self, targets):
-        old = [set(group) for group in self.members]
-        self.targets += targets
-        self.members = self._members(self.targets)
-        fresh = [
-            [item for item in group if item not in seen]
-            for group, seen in zip(self.members, old)
-        ]
-        for t in range(self.frames):
-            self._encode(t, *fresh)
-
     def _encode(self, t, inputs, flop_idxs, cell_idxs):
         solver, lit, true_lit = self.solver, self.lits, self.true_lit
         for name, bit, net in inputs:
@@ -158,7 +147,7 @@ class ReferenceUnroller:
 
 def _monitors(design):
     """Corruption monitors of the design's first two critical registers,
-    stacked on one clone (as a solver session stacks them)."""
+    stacked on one clone (as a shared-cone group stacks its monitors)."""
     aug = design.netlist.clone()
     return aug, [
         build_corruption_monitor(
@@ -178,18 +167,14 @@ def _monitors(design):
 # the ``frames``, and ``free`` says whether frame 0 is a free state.
 
 
-def _widening(name):
-    """Reset state, three frames, an ``add_targets`` widening into them,
-    then a fourth frame over the union cone."""
+def _union(name):
+    """Reset state, four frames over two monitors' union cone."""
     design = load_design(name)
     aug, monitors = _monitors(design)
-    first, widened = monitors[0], monitors[-1]
-    nets = [first.objective_net, widened.objective_net]
+    nets = [monitors[0].objective_net, monitors[-1].objective_net]
 
     def build(make):
-        unroller = make(aug, [first.objective_net], {})
-        unroller.extend_to(3)
-        unroller.add_targets([widened.objective_net])
+        unroller = make(aug, nets, {})
         unroller.extend_to(4)
         return unroller
 
@@ -250,7 +235,7 @@ def _assert_batched_like_direct(mode, monkeypatch):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_monitor_unrolling_batches_like_direct_writes(name, monkeypatch):
-    _assert_batched_like_direct(_widening(name), monkeypatch)
+    _assert_batched_like_direct(_union(name), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
@@ -310,7 +295,7 @@ def _assert_equivalent_to_reference(mode):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_monitor_unrolling_matches_per_clause_reference(name):
-    _assert_equivalent_to_reference(_widening(name))
+    _assert_equivalent_to_reference(_union(name))
 
 
 @pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])

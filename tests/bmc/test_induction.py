@@ -236,21 +236,23 @@ def test_conflict_budget_stops_the_attempt_on_any_host():
 
 
 def test_session_shortcut_uses_the_conflict_budget(monkeypatch):
+    # the shortcut lives in repro.bmc.session; run_objective takes it
+    # for any BMC check given its monitor's violation net
     from repro.bmc import session as session_mod
-    from repro.bmc.session import SolverSession
+    from repro.core.backends import run_objective
+
+    netlist = build_secret_design(trojan=False)
+    monitor = build_corruption_monitor(netlist, secret_spec())
 
     def check(budget):
         monkeypatch.setattr(session_mod, "INDUCTION_CONFLICTS", budget)
-        netlist = build_secret_design(trojan=False)
-        session = SolverSession(netlist)
-        monitor = build_corruption_monitor(
-            netlist, secret_spec(), into=netlist)
-        result = session.check(monitor.objective_net, 6,
-                               violation_net=monitor.violation_net)
-        return result, session.induction_wins
+        return run_objective("bmc", monitor.netlist, monitor.objective_net,
+                             6, violation_net=monitor.violation_net)
 
-    result, wins = check(session_mod.INDUCTION_CONFLICTS)
-    assert (result.status, result.bound, wins) == ("proved", 6, 1)
+    result = check(session_mod.INDUCTION_CONFLICTS)
+    assert (result.status, result.bound) == ("proved", 6)
+    assert result.per_bound_elapsed == []  # no bound was solved
     # out of conflicts, the shortcut proves nothing and BMC still does
-    result, wins = check(1)
-    assert (result.status, result.bound, wins) == ("proved", 6, 0)
+    result = check(1)
+    assert (result.status, result.bound) == ("proved", 6)
+    assert len(result.per_bound_elapsed) == 6

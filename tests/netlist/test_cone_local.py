@@ -9,6 +9,7 @@ variables in cone order.
 import pickle
 import random
 from collections import deque
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.errors import CombinationalLoopError
 from repro.frontend import build_builtin, builtin_names
 from repro.netlist import Kind, Netlist, cone_of_influence, fanin_cone
 from repro.netlist.cells import CONST0, CONST1, Cell
+from repro.netlist.fingerprint import netlist_fingerprint
 from repro.netlist.traversal import check_loops
 from repro.properties import build_corruption_monitor
 from repro.properties.monitors import build_tracking_monitor
@@ -181,6 +183,30 @@ class TestLoopCheck:
         check_loops(nl)
         copy = pickle.loads(pickle.dumps(nl))
         assert copy.loop_free_cells == len(copy.cells) == len(nl.cells)
+        # what a pool's pipe carries, an Eq. 2 monitor of every
+        # built-in, and a netlist holding one cell of every kind survive
+        # pickle and deepcopy whole
+        every_kind = Netlist("every_kind")
+        ins = every_kind.add_input("a", 3)
+        for kind in Kind:
+            arity = {Kind.NOT: 1, Kind.BUF: 1, Kind.MUX: 3}.get(kind, 2)
+            every_kind.add_cell(kind, tuple(ins[:arity]))
+        netlists = [every_kind]
+        for name in builtin_names():
+            netlist, spec = build_builtin(name)
+            check_loops(netlist)
+            register = sorted(spec.critical)[0]
+            netlists.append(build_corruption_monitor(
+                netlist, spec.critical[register]).netlist)
+        assert {cell.kind for cell in every_kind.cells} == set(Kind)
+        for netlist in netlists:
+            for twin in (pickle.loads(pickle.dumps(netlist)),
+                         deepcopy(netlist)):
+                assert twin.cells == netlist.cells
+                assert twin.flops == netlist.flops
+                assert twin.loop_free_cells == netlist.loop_free_cells
+                assert netlist_fingerprint(twin) == (
+                    netlist_fingerprint(netlist))
 
 
 def test_audit_checks_its_design_once_and_monitors_inherit_the_mark():

@@ -1,8 +1,11 @@
 """Worker count must not leak into the report: jobs=4 == jobs=1 == inline."""
 
+import json
+
 import pytest
 
 from repro.core import AuditConfig, TrojanDetector
+from repro.core.report import scrub_volatile
 from repro.properties import DesignSpec
 from repro.runner import CheckRunner
 
@@ -55,3 +58,29 @@ def test_scrub_keeps_witnesses_and_statuses():
     assert "elapsed" not in data
     # unscubbed dict keeps the timing fields
     assert "elapsed" in report.to_dict()["findings"]["secret"]
+
+
+def _scrubbed(trojan, **config_kwargs):
+    netlist = build_secret_design(trojan=trojan)
+    spec = DesignSpec(name=netlist.name, critical={"secret": secret_spec()})
+    report = TrojanDetector(
+        netlist, spec, config=AuditConfig(**config_kwargs)
+    ).run()
+    return json.dumps(scrub_volatile(report.to_dict()), sort_keys=True)
+
+
+def test_one_worker_vs_many_workers_byte_identical():
+    # jobs=1 and jobs=N both execute in worker processes, so their
+    # scrubbed reports must match to the byte — including the runner's
+    # mode metadata.
+    one = _scrubbed(True, jobs=1)
+    many = _scrubbed(True, jobs=3)
+    assert one == many
+
+
+def test_inline_vs_worker_pool_same_verdicts():
+    # inline (this process) vs pooled (worker processes): identical up
+    # to the runner's execution-mode tag
+    serial = _scrubbed(True).replace('"inline"', '"X"')
+    pooled = _scrubbed(True, jobs=2).replace('"process"', '"X"')
+    assert serial == pooled

@@ -196,25 +196,3 @@ class TestInlineExecutor:
                        for finding in report.findings.values())
         counters = buffer.metrics.snapshot()["counters"]
         assert counters["runner.checks"] == recorded
-
-    def test_sessions_serve_inline_checks_only(self, monkeypatch):
-        import repro.bmc.session
-
-        built = []
-
-        class SpySession(repro.bmc.session.SolverSession):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(repro.bmc.session, "SolverSession", SpySession)
-        kwargs = dict(check_pseudo_critical=True, stop_on_first=False)
-        inline = audit("pseudo", jobs=None, **kwargs)
-        assert built
-        assert sum(session.checks_served for session in built) >= len(
-            inline.findings["secret"].check_outcomes
-        )
-        del built[:]
-        pooled = audit("pseudo", jobs=2, **kwargs)
-        assert built == []
-        assert comparable(pooled) == comparable(inline)
