@@ -100,18 +100,20 @@ class BmcEngine:
     """Incremental BMC over a 1-bit objective net."""
 
     def __init__(self, netlist, objective_net, property_name="", use_coi=True,
-                 solver=None, pinned_inputs=None):
+                 pinned_inputs=None):
         self.netlist = netlist
         self.objective_net = objective_net
         self.property_name = property_name
-        self.solver = solver if solver is not None else default_solver()
-        self.unroller = Unroller(
-            netlist,
-            self.solver,
-            [objective_net],
-            use_coi=use_coi,
-            pinned_inputs=pinned_inputs,
-        )
+        self.solver = default_solver()
+        # the cone and its compiled program: encoding work, done once
+        with get_tracer().span("bmc.encode", property=property_name):
+            self.unroller = Unroller(
+                netlist,
+                self.solver,
+                [objective_net],
+                use_coi=use_coi,
+                pinned_inputs=pinned_inputs,
+            )
 
     def check(self, max_cycles, time_budget=None, conflict_budget=None,
               measure_memory=False, start_cycle=1):

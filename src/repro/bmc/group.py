@@ -92,7 +92,7 @@ class MultiObjectiveBmc:
     """
 
     def __init__(self, netlist, objective_nets, property_names=None,
-                 use_coi=True, solver=None, pinned_inputs=None):
+                 use_coi=True, pinned_inputs=None):
         if not objective_nets:
             raise ReproError("MultiObjectiveBmc needs at least one objective")
         self.netlist = netlist
@@ -106,14 +106,15 @@ class MultiObjectiveBmc:
                 )
             )
         self.property_names = list(property_names)
-        self.solver = solver if solver is not None else default_solver()
-        self.unroller = Unroller(
-            netlist,
-            self.solver,
-            self.objective_nets,
-            use_coi=use_coi,
-            pinned_inputs=pinned_inputs,
-        )
+        self.solver = default_solver()
+        with get_tracer().span("bmc.encode", properties=len(objective_nets)):
+            self.unroller = Unroller(
+                netlist,
+                self.solver,
+                self.objective_nets,
+                use_coi=use_coi,
+                pinned_inputs=pinned_inputs,
+            )
 
     def check_all(self, max_cycles, time_budget=None, conflict_budget=None,
                   start_cycle=1):

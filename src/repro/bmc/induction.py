@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bmc.engine import BmcEngine
-from repro.bmc.unroll import FREE, Unroller
+from repro.bmc.unroll import FREE
 from repro.obs.tracer import get_tracer
 from repro.sat.factory import default_solver
 from repro.sat.solver import UNKNOWN, UNSAT
@@ -126,13 +126,7 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
         property_name=property_name + ":base",
         pinned_inputs=pinned_inputs,
     )
-    step_solver = default_solver()
-    # the step formula: frame 0 is an arbitrary state, not reset
-    step = Unroller(
-        netlist, step_solver, [objective_net], pinned_inputs=pinned_inputs,
-        initial_state=FREE,
-    )
-
+    step = None
     step_frames_constrained = 0
     for k in range(1, max_k + 1):
         left, conflicts = remaining(), conflicts_left()
@@ -154,6 +148,10 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
             return unknown(k)
         # step: k clean frames from an arbitrary state, then a violation
         with tracer.span("induction.encode", k=k):
+            if step is None:
+                # the step formula: the base case's cone and program,
+                # into a solver of its own, from an arbitrary state
+                step = base_engine.unroller.copy(FREE, solver=default_solver())
             step.extend_to(k + 1)
         # The step solver is incremental across k: frames 0..k-2 already
         # carry their ¬violation clause from earlier iterations, so only
@@ -161,12 +159,12 @@ def _prove_by_induction(netlist, objective_net, max_k, time_budget,
         # each round made the problem-clause count quadratic in k and
         # skewed every clause-growth statistic derived from it.)
         for frame in range(step_frames_constrained, k):
-            step_solver.add_clause([-step.lit(objective_net, frame)])
+            step.solver.add_clause([-step.lit(objective_net, frame)])
         step_frames_constrained = k
         left, conflicts = remaining(), conflicts_left()
         if out_of_budget(left, conflicts):
             return unknown(k)
-        result = step_solver.solve(
+        result = step.solver.solve(
             assumptions=[step.lit(objective_net, k)],
             conflict_budget=conflicts,
             time_budget=left,

@@ -23,22 +23,56 @@ BMC viable:
 
 The paper notes BMC "makes multiple copies of the design for the number of
 clock cycles unrolled" and burns GBs; this class is that copying machinery,
-with its growth measurable per frame (see :attr:`vars_per_frame`). Each
-copy is staged in a :class:`~repro.sat.tseitin.ClauseBuffer` and crosses
-into the solver in one batch, not one call per variable and per clause.
+with its growth measurable per frame (see :attr:`vars_per_frame`).
+
+Into the compiled kernel's solver, a frame is one kernel call: the cone is
+compiled once into flat slot tables (:class:`~repro.sat.native.FrameProgram`)
+and :class:`~repro.sat.native.NativeGateHasher` folds, hashes and encodes
+every gate of the frame in C. Into any other solver the Python
+:class:`~repro.sat.tseitin.GateHasher` does it gate by gate, staging the
+frame in a :class:`~repro.sat.tseitin.ClauseBuffer`. Both give the solver
+the same variables and the same clauses in the same order (DESIGN.md
+decision 27); the Python loop is also the tests' reference.
 """
 
 from __future__ import annotations
 
 import copy
+from array import array
 
 from repro.errors import EncodingError
 from repro.netlist.traversal import cone_of_influence, topological_cells
+from repro.sat.native import FrameProgram, NativeGateHasher, NativeSolver
 from repro.sat.tseitin import ClauseBuffer, GateHasher
 
 #: Frame-0 state kinds that are not a mapping of supplied literals.
 RESET = "reset"
 FREE = "free"
+
+
+def gate_hasher(solver, true_lit):
+    """The hasher an unrolling into ``solver`` encodes with: the
+    kernel's when the solver is the kernel's, else the Python one."""
+    if isinstance(solver, NativeSolver):
+        return NativeGateHasher(true_lit)
+    return GateHasher(true_lit)
+
+
+class _SlotFrame:
+    """One frame encoded by the kernel: net -> literal through the
+    program's slot map (the Python encoder's frames are plain dicts)."""
+
+    __slots__ = ("slots", "lits")
+
+    def __init__(self, slots, lits):
+        self.slots = slots
+        self.lits = lits
+
+    def __getitem__(self, net):
+        return self.lits[self.slots[net]]
+
+    def __contains__(self, net):
+        return net in self.slots
 
 
 class Unroller:
@@ -49,17 +83,17 @@ class Unroller:
     Q net to a literal of the same solver. ``frame_inputs`` optionally
     supplies input literals per frame (a list of ``{net: literal}``);
     any other cone input is pinned or gets a fresh variable. ``gates``
-    shares another unrolling's :class:`GateHasher`, and with it its
-    constant-true literal and every gate it has encoded. The cone is
-    fixed at construction: an unrolling serving several objectives (a
-    shared-cone group) is built over all of their target nets at once.
+    shares another unrolling's hasher (into the same solver), and with
+    it its constant-true literal and every gate it has encoded. The
+    cone is fixed at construction: an unrolling serving several
+    objectives (a shared-cone group) is built over all of their target
+    nets at once. :meth:`copy` makes further unrollings of the same cone.
     """
 
     def __init__(self, netlist, solver, target_nets, use_coi=True,
                  pinned_inputs=None, initial_state=RESET, frame_inputs=(),
                  gates=None):
         self.netlist = netlist
-        self.solver = solver
         self.use_coi = use_coi
         self.initial_state = initial_state
         self.frame_inputs = frame_inputs
@@ -77,25 +111,40 @@ class Unroller:
         self._cells = [netlist.cells[i] for i in cell_idxs]
         self._flops = [netlist.flops[i] for i in flop_idxs]
         self._input_nets = self._cone_inputs()
-        if gates is None:
-            true_lit = solver.new_var()
-            solver.add_clause([true_lit])
-            gates = GateHasher(true_lit)
-        self.gates = gates
-        self.true_lit = gates.true_lit
+        self._program = None
+        self._retarget(solver, gates)
         self.frames = 0
         self._lit = []  # per frame: net -> literal
         self.vars_per_frame = []
 
-    def copy(self, initial_state, frame_inputs=()):
-        """Another, unbuilt unrolling of the same cone into the same
-        solver, sharing this one's gates (see :class:`Unroller`)."""
+    def _retarget(self, solver, gates=None):
+        """Unroll into ``solver`` through ``gates``, else through a
+        hasher of its own over a new constant-true variable."""
+        if gates is None:
+            true_lit = solver.new_var()
+            solver.add_clause([true_lit])
+            gates = gate_hasher(solver, true_lit)
+        self.solver = solver
+        self.gates = gates
+        self.true_lit = gates.true_lit
+        if isinstance(gates, NativeGateHasher) and self._program is None:
+            self._program = FrameProgram.from_cone(
+                self._input_nets, self.pinned_inputs, self._flops,
+                self._cells)
+
+    def copy(self, initial_state, frame_inputs=(), solver=None):
+        """Another, unbuilt unrolling of the same cone (and compiled
+        program). It shares this one's solver and gates, or, given
+        ``solver``, unrolls into that one over its own constant-true
+        variable, allocated first, and its own gates."""
         twin = copy.copy(self)
         twin.initial_state = initial_state
         twin.frame_inputs = frame_inputs
         twin.frames = 0
         twin._lit = []
         twin.vars_per_frame = []
+        if solver is not None:
+            twin._retarget(solver)
         return twin
 
     def _cone_inputs(self):
@@ -110,8 +159,11 @@ class Unroller:
 
     def extend_to(self, frame_count):
         """Ensure frames ``0..frame_count-1`` are encoded."""
+        build = (self._build_frame_native
+                 if isinstance(self.gates, NativeGateHasher)
+                 else self._build_frame)
         while self.frames < frame_count:
-            self._build_frame(self.frames)
+            build(self.frames)
             self.frames += 1
 
     def _build_frame(self, t):
@@ -150,6 +202,27 @@ class Unroller:
             )
         buf.flush(solver)
         self.vars_per_frame.append(solver.num_vars - vars_before)
+
+    def _build_frame_native(self, t):
+        program, slots = self._program
+        lits = array("i", bytes(4 * program.n_slots))
+        supplied = state = None
+        if t < len(self.frame_inputs):
+            given = self.frame_inputs[t]
+            supplied = array("i", [given.get(net, 0)
+                                   for _name, _bit, net in self._input_nets])
+        if t == 0 and self.initial_state is not RESET \
+                and self.initial_state is not FREE:
+            state = array("i", [self.initial_state[flop.q]
+                                for flop in self._flops])
+        count = self.gates.encode_frame(
+            program, self.solver, lits,
+            prev=self._lit[t - 1].lits if t else None,
+            supplied=supplied, state=state,
+            free=self.initial_state is FREE,
+        )
+        self._lit.append(_SlotFrame(slots, lits))
+        self.vars_per_frame.append(count)
 
     # --------------------------------------------------------------- access
 

@@ -108,6 +108,9 @@ typedef struct {
      * may keep instead of replaying. */
     int32_t *kept;
     int32_t kept_sz;
+    /* rsat_add_clause scratch */
+    int32_t *add_buf;
+    int32_t add_cap;
 } CSolver;
 
 /* ------------------------------------------------------------- helpers */
@@ -235,6 +238,7 @@ void rsat_free(CSolver *s) {
     free(s->lbd_stamp);
     free(s->core);
     free(s->kept);
+    free(s->add_buf);
     free(s);
 }
 
@@ -593,8 +597,12 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
     /* a kept level's propagations must be complete for the formula */
     backtrack(s, 0);
     s->kept_sz = 0;
-    /* dedup / tautology / root-simplify using seen[] as scratch */
-    int32_t *tmp = (int32_t *)xrealloc(NULL, (n ? n : 1) * sizeof(int32_t));
+    /* dedup / tautology / root-simplify into add_buf */
+    if (n > s->add_cap) {
+        s->add_cap = n;
+        s->add_buf = (int32_t *)xrealloc(s->add_buf, n * sizeof(int32_t));
+    }
+    int32_t *tmp = s->add_buf;
     int32_t m = 0;
     int taut = 0;
     for (int32_t i = 0; i < n && !taut; i++) {
@@ -612,18 +620,13 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
         else
             tmp[m++] = l;
     }
-    if (taut) {
-        free(tmp);
-        return 1;
-    }
+    if (taut) return 1;
     if (m == 0) {
-        free(tmp);
         s->root_unsat = 1;
         return 0;
     }
     if (m == 1) {
         enqueue(s, tmp[0], -1, 0);
-        free(tmp);
         if (propagate(s) >= 0) {
             s->root_unsat = 1;
             return 0;
@@ -631,7 +634,6 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
         return 1;
     }
     int32_t cref = alloc_clause(s, tmp, m, -1);
-    free(tmp);
     if (s->n_clauses == s->clauses_cap) {
         s->clauses_cap = s->clauses_cap ? s->clauses_cap * 2 : 1024;
         s->clauses = (int32_t *)xrealloc(s->clauses,
@@ -937,3 +939,514 @@ int64_t rsat_num_clauses(CSolver *s) { return s->n_clauses; }
 int64_t rsat_num_learnts(CSolver *s) { return s->n_learnts; }
 int32_t rsat_num_vars(CSolver *s) { return s->nvars; }
 int32_t rsat_root_unsat(CSolver *s) { return s->root_unsat; }
+
+/* ------------------------------------------------------ frame encoder
+ *
+ * One rsat_encode_frame call encodes one time frame of a cone compiled
+ * by repro.bmc.unroll: it assigns the frame's input and flop-Q
+ * literals, folds and hashes every gate by exactly the rules and memo
+ * keys of repro.sat.tseitin.GateHasher, stages the Tseitin clauses of
+ * each new gate as that module's encode_* helpers write them, and
+ * hands the frame to the solver with ClauseBuffer.flush's split: the
+ * variables staged before the first clause, that clause, the other
+ * variables, the other clauses. Gate for gate it returns the literal
+ * GateHasher returns and allocates what it allocates, in the same
+ * order, so the solver receives the Python encoder's formula exactly
+ * (DESIGN.md decision 27). Without a solver the frame stays staged for
+ * the caller to copy out.
+ *
+ * A program lives in slots: slot 0 is the constant-0 net, slot 1 the
+ * constant-1 net, and every other net of the cone has one slot; a
+ * frame's literals are one int32 per slot. rsat_program_new checks
+ * every slot, kind and arity once, so no frame reads or writes outside
+ * its arrays. */
+
+/* cell kinds of a program */
+enum { G_AND, G_OR, G_NAND, G_NOR, G_XOR, G_XNOR, G_BUF, G_NOT, G_MUX,
+       G_KINDS };
+/* memo key tags: AND (OR, NAND and NOR by De Morgan), XOR (XNOR), MUX */
+enum { M_AND = 1, M_XOR = 2, M_MUX = 3 };
+/* frame-0 flop Qs */
+enum { S_RESET, S_FREE, S_GIVEN };
+
+typedef struct {
+    int32_t n_slots, n_inputs, n_flops, max_arity;
+    int32_t *inputs; /* [slot, pin] per input bit; pin -1 = fresh */
+    int32_t *flops;  /* [q, d, init] per flop */
+    int32_t *cells;  /* [kind, out, n, in_0 .. in_n-1] per cell */
+    int64_t cells_len;
+    /* first cell input read before anything writes it, and first flop
+     * whose D nothing writes; -1 when none. A frame that would read
+     * such a slot is refused before it changes anything. */
+    int64_t bad_read;
+    int32_t bad_d;
+} RProgram;
+
+typedef struct {
+    int32_t true_lit;
+    /* memo: entries [tag, n, out, key_1 .. key_n] in one arena; an
+     * open-addressed table of arena offset + 1 (0 = empty) beside each
+     * entry's hash */
+    int32_t *keys;
+    int64_t keys_sz, keys_cap;
+    int64_t *slot_off;
+    uint32_t *slot_hash;
+    int64_t table_cap, count;
+    /* the staged frame: clauses [k, l_1 .. l_k, k, ...] and variables
+     * base+1 .. base+staged, lead of them staged before the first
+     * clause */
+    int32_t *packed;
+    int64_t packed_sz, packed_cap;
+    int32_t base, staged, lead;
+    /* one gate's input literals and its canonical key */
+    int32_t *ins, *key;
+    int32_t scratch_cap;
+} RGates;
+
+static int32_t *ints_dup(const int32_t *src, int64_t n) {
+    int32_t *dst = (int32_t *)xrealloc(NULL, (size_t)n * sizeof(int32_t));
+    if (n) memcpy(dst, src, (size_t)n * sizeof(int32_t));
+    return dst;
+}
+
+void rsat_program_free(RProgram *p) {
+    if (!p) return;
+    free(p->inputs);
+    free(p->flops);
+    free(p->cells);
+    free(p);
+}
+
+/* Copy and check a compiled cone. Returns NULL, with *bad set to the
+ * offset of the offending int in inputs ++ flops ++ cells, when a slot
+ * is out of range (or a write targets a constant slot), a kind or pin
+ * is unknown, or an arity is wrong. */
+RProgram *rsat_program_new(const int32_t *inputs, int32_t n_inputs,
+                           const int32_t *flops, int32_t n_flops,
+                           const int32_t *cells, int64_t cells_len,
+                           int32_t n_slots, int64_t *bad) {
+    int64_t base_flops = 2 * (int64_t)n_inputs;
+    int64_t base_cells = base_flops + 3 * (int64_t)n_flops;
+    *bad = -1;
+    if (n_slots < 2 || n_inputs < 0 || n_flops < 0 || cells_len < 0) {
+        *bad = 0;
+        return NULL;
+    }
+    uint8_t *written = (uint8_t *)calloc((size_t)n_slots, 1);
+    if (!written) abort();
+    RProgram *p = (RProgram *)calloc(1, sizeof(RProgram));
+    if (!p) abort();
+    p->n_slots = n_slots;
+    p->n_inputs = n_inputs;
+    p->n_flops = n_flops;
+    p->max_arity = 3;
+    p->bad_read = -1;
+    p->bad_d = -1;
+    written[0] = written[1] = 1;
+    for (int32_t i = 0; i < n_inputs && *bad < 0; i++) {
+        int32_t slot = inputs[2 * i], pin = inputs[2 * i + 1];
+        if (slot < 2 || slot >= n_slots) *bad = 2 * i;
+        else if (pin < -1 || pin > 1) *bad = 2 * i + 1;
+        else written[slot] = 1;
+    }
+    for (int32_t i = 0; i < n_flops && *bad < 0; i++) {
+        const int32_t *f = flops + 3 * i;
+        if (f[0] < 2 || f[0] >= n_slots) *bad = base_flops + 3 * i;
+        else if (f[1] < 0 || f[1] >= n_slots) *bad = base_flops + 3 * i + 1;
+        else if (f[2] != 0 && f[2] != 1) *bad = base_flops + 3 * i + 2;
+        else written[f[0]] = 1;
+    }
+    for (int64_t i = 0; i < cells_len && *bad < 0;) {
+        if (cells_len - i < 3) {
+            *bad = base_cells + i;
+            break;
+        }
+        int32_t kind = cells[i], out = cells[i + 1], n = cells[i + 2];
+        if (kind < 0 || kind >= G_KINDS) *bad = base_cells + i;
+        else if (out < 2 || out >= n_slots) *bad = base_cells + i + 1;
+        else if (n < 1 || n > cells_len - i - 3 ||
+                 ((kind == G_BUF || kind == G_NOT) && n != 1) ||
+                 (kind == G_MUX && n != 3))
+            *bad = base_cells + i + 2;
+        if (*bad >= 0) break;
+        for (int32_t j = 0; j < n; j++) {
+            int32_t in = cells[i + 3 + j];
+            if (in < 0 || in >= n_slots) {
+                *bad = base_cells + i + 3 + j;
+                break;
+            }
+            if (!written[in] && p->bad_read < 0) p->bad_read = i + 3 + j;
+        }
+        written[out] = 1;
+        if (n > p->max_arity) p->max_arity = n;
+        i += 3 + (int64_t)n;
+    }
+    for (int32_t i = 0; i < n_flops && *bad < 0 && p->bad_d < 0; i++)
+        if (!written[flops[3 * i + 1]]) p->bad_d = i;
+    free(written);
+    if (*bad >= 0) {
+        free(p);
+        return NULL;
+    }
+    p->inputs = ints_dup(inputs, 2 * (int64_t)n_inputs);
+    p->flops = ints_dup(flops, 3 * (int64_t)n_flops);
+    p->cells = ints_dup(cells, cells_len);
+    p->cells_len = cells_len;
+    return p;
+}
+
+int32_t rsat_program_slots(const RProgram *p) { return p->n_slots; }
+
+RGates *rsat_gates_new(int32_t true_lit) {
+    RGates *g = (RGates *)calloc(1, sizeof(RGates));
+    if (!g) abort();
+    g->true_lit = true_lit;
+    g->table_cap = 1024;
+    g->slot_off = (int64_t *)calloc((size_t)g->table_cap, sizeof(int64_t));
+    g->slot_hash = (uint32_t *)calloc((size_t)g->table_cap, sizeof(uint32_t));
+    if (!g->slot_off || !g->slot_hash) abort();
+    return g;
+}
+
+void rsat_gates_free(RGates *g) {
+    if (!g) return;
+    free(g->keys);
+    free(g->slot_off);
+    free(g->slot_hash);
+    free(g->packed);
+    free(g->ins);
+    free(g->key);
+    free(g);
+}
+
+/* number of gates in the memo */
+int64_t rsat_gates_count(const RGates *g) { return g->count; }
+
+static uint32_t key_hash(int32_t tag, const int32_t *key, int32_t n) {
+    uint64_t h = 0x9e3779b97f4a7c15ull * (uint64_t)(tag + 1);
+    for (int32_t i = 0; i < n; i++) {
+        h ^= (uint32_t)key[i];
+        h *= 0xff51afd7ed558ccdull;
+        h ^= h >> 32;
+    }
+    return (uint32_t)h;
+}
+
+static void memo_grow(RGates *g) {
+    int64_t cap = g->table_cap * 2;
+    int64_t *off = (int64_t *)calloc((size_t)cap, sizeof(int64_t));
+    uint32_t *hash = (uint32_t *)calloc((size_t)cap, sizeof(uint32_t));
+    if (!off || !hash) abort();
+    for (int64_t i = 0; i < g->table_cap; i++) {
+        if (!g->slot_off[i]) continue;
+        int64_t j = g->slot_hash[i] & (cap - 1);
+        while (off[j]) j = (j + 1) & (cap - 1);
+        off[j] = g->slot_off[i];
+        hash[j] = g->slot_hash[i];
+    }
+    free(g->slot_off);
+    free(g->slot_hash);
+    g->slot_off = off;
+    g->slot_hash = hash;
+    g->table_cap = cap;
+}
+
+static int32_t stage_var(RGates *g) {
+    if (!g->packed_sz) g->lead++;
+    return g->base + ++g->staged;
+}
+
+/* room for one staged clause of n literals; returns where they go */
+static int32_t *stage_clause(RGates *g, int32_t n) {
+    if (g->packed_sz + n + 1 > g->packed_cap) {
+        int64_t cap = g->packed_cap ? g->packed_cap : 1 << 12;
+        while (cap < g->packed_sz + n + 1) cap *= 2;
+        g->packed = (int32_t *)xrealloc(g->packed, cap * sizeof(int32_t));
+        g->packed_cap = cap;
+    }
+    int32_t *c = g->packed + g->packed_sz;
+    c[0] = n;
+    g->packed_sz += n + 1;
+    return c + 1;
+}
+
+/* tseitin.encode_and: out <-> AND(lits) */
+static void encode_and(RGates *g, int32_t out, const int32_t *lits,
+                       int32_t n) {
+    for (int32_t i = 0; i < n; i++) {
+        int32_t *c = stage_clause(g, 2);
+        c[0] = -out;
+        c[1] = lits[i];
+    }
+    int32_t *c = stage_clause(g, n + 1);
+    c[0] = out;
+    for (int32_t i = 0; i < n; i++) c[i + 1] = -lits[i];
+}
+
+static void encode_xor2(RGates *g, int32_t out, int32_t a, int32_t b) {
+    int32_t *c = stage_clause(g, 3);
+    c[0] = -out, c[1] = a, c[2] = b;
+    c = stage_clause(g, 3);
+    c[0] = -out, c[1] = -a, c[2] = -b;
+    c = stage_clause(g, 3);
+    c[0] = out, c[1] = -a, c[2] = b;
+    c = stage_clause(g, 3);
+    c[0] = out, c[1] = a, c[2] = -b;
+}
+
+/* tseitin.encode_xor: a chain of 2-input XORs, links allocated as it
+ * goes, the last one out */
+static void encode_xor(RGates *g, int32_t out, const int32_t *lits,
+                       int32_t n) {
+    int32_t acc = lits[0];
+    for (int32_t i = 1; i < n; i++) {
+        int32_t next = i == n - 1 ? out : stage_var(g);
+        encode_xor2(g, next, acc, lits[i]);
+        acc = next;
+    }
+}
+
+static void encode_mux(RGates *g, int32_t out, int32_t sel, int32_t d0,
+                       int32_t d1) {
+    const int32_t rows[6][3] = {
+        {-sel, -d1, out}, {-sel, d1, -out}, {sel, -d0, out},
+        {sel, d0, -out},  {d0, d1, -out},   {-d0, -d1, out},
+    };
+    for (int i = 0; i < 6; i++) memcpy(stage_clause(g, 3), rows[i], 12);
+}
+
+/* The variable of the gate (tag, key[0..n-1]): the memo's, or a new
+ * staged one with its clauses. */
+static int32_t memo_gate(RGates *g, int32_t tag, const int32_t *key,
+                         int32_t n) {
+    if ((g->count + 1) * 2 > g->table_cap) memo_grow(g);
+    uint32_t h = key_hash(tag, key, n);
+    int64_t mask = g->table_cap - 1, i = h & mask;
+    for (; g->slot_off[i]; i = (i + 1) & mask) {
+        const int32_t *e = g->keys + g->slot_off[i] - 1;
+        if (g->slot_hash[i] == h && e[0] == tag && e[1] == n &&
+            !memcmp(e + 3, key, (size_t)n * sizeof(int32_t)))
+            return e[2];
+    }
+    int32_t out = stage_var(g);
+    if (g->keys_sz + n + 3 > g->keys_cap) {
+        int64_t cap = g->keys_cap ? g->keys_cap : 1 << 12;
+        while (cap < g->keys_sz + n + 3) cap *= 2;
+        g->keys = (int32_t *)xrealloc(g->keys, cap * sizeof(int32_t));
+        g->keys_cap = cap;
+    }
+    int32_t *e = g->keys + g->keys_sz;
+    e[0] = tag;
+    e[1] = n;
+    e[2] = out;
+    memcpy(e + 3, key, (size_t)n * sizeof(int32_t));
+    g->slot_off[i] = g->keys_sz + 1;
+    g->slot_hash[i] = h;
+    g->keys_sz += n + 3;
+    g->count++;
+    if (tag == M_AND) encode_and(g, out, key, n);
+    else if (tag == M_XOR) encode_xor(g, out, key, n);
+    else encode_mux(g, out, key[0], key[1], key[2]);
+    return out;
+}
+
+static int int_cmp(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* ascending, as Python sorts ints */
+static void sort_lits(int32_t *a, int32_t n) {
+    if (n > 16) {
+        qsort(a, (size_t)n, sizeof(int32_t), int_cmp);
+        return;
+    }
+    for (int32_t i = 1; i < n; i++) {
+        int32_t x = a[i], j = i;
+        for (; j > 0 && a[j - 1] > x; j--) a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* GateHasher.and_: true inputs and repeats drop, a false input or a
+ * complementary pair makes it false, one input left is that input; the
+ * key is the rest, ascending */
+static int32_t gate_and(RGates *g, const int32_t *ins, int32_t n) {
+    int32_t t = g->true_lit, *k = g->key, m = 0, w = 0;
+    for (int32_t i = 0; i < n; i++) {
+        if (ins[i] == t) continue;
+        if (ins[i] == -t) return -t;
+        k[m++] = ins[i];
+    }
+    sort_lits(k, m);
+    for (int32_t i = 0; i < m; i++)
+        if (!w || k[w - 1] != k[i]) k[w++] = k[i];
+    /* negatives run toward zero, then positives away from it: walk
+     * both outward from zero, by magnitude, for a complementary pair */
+    int32_t neg = 0;
+    while (neg < w && k[neg] < 0) neg++;
+    for (int32_t i = neg - 1, j = neg; i >= 0 && j < w;) {
+        if (-k[i] == k[j]) return -t;
+        if (-k[i] < k[j]) i--;
+        else j++;
+    }
+    if (w < 2) return w ? k[0] : t;
+    return memo_gate(g, M_AND, k, w);
+}
+
+/* GateHasher.xor: signs and constants fold into one output flip, and a
+ * variable seen an even number of times cancels */
+static int32_t gate_xor(RGates *g, const int32_t *ins, int32_t n) {
+    int32_t t = g->true_lit, *k = g->key, m = 0, w = 0, flip = 0;
+    for (int32_t i = 0; i < n; i++) {
+        int32_t x = ins[i];
+        if (x < 0) {
+            flip ^= 1;
+            x = -x;
+        }
+        if (x == t) flip ^= 1;
+        else k[m++] = x;
+    }
+    sort_lits(k, m);
+    for (int32_t i = 0, j; i < m; i = j) {
+        for (j = i; j < m && k[j] == k[i]; j++) {}
+        if ((j - i) & 1) k[w++] = k[i];
+    }
+    int32_t out = w < 2 ? (w ? k[0] : -t) : memo_gate(g, M_XOR, k, w);
+    return flip ? -out : out;
+}
+
+/* GateHasher.mux: sel ? d1 : d0 */
+static int32_t gate_mux(RGates *g, int32_t sel, int32_t d0, int32_t d1) {
+    int32_t t = g->true_lit;
+    if (sel < 0) {
+        int32_t x = d0;
+        sel = -sel;
+        d0 = d1;
+        d1 = x;
+    }
+    if (sel == t || d0 == d1) return sel == t ? d1 : d0;
+    if (d0 == -d1) {
+        int32_t pair[2] = {sel, d0};
+        return gate_xor(g, pair, 2);
+    }
+    if (d0 == -t || d0 == sel) { /* sel & d1 */
+        int32_t pair[2] = {sel, d1};
+        return gate_and(g, pair, 2);
+    }
+    if (d0 == t || d0 == -sel) { /* -sel | d1 */
+        int32_t pair[2] = {sel, -d1};
+        return -gate_and(g, pair, 2);
+    }
+    if (d1 == -t || d1 == -sel) { /* -sel & d0 */
+        int32_t pair[2] = {-sel, d0};
+        return gate_and(g, pair, 2);
+    }
+    if (d1 == t || d1 == sel) { /* sel | d0 */
+        int32_t pair[2] = {-sel, -d0};
+        return -gate_and(g, pair, 2);
+    }
+    int flip = d0 < 0; /* MUX(s, -a, -b) = -MUX(s, a, b) */
+    int32_t key[3] = {sel, flip ? -d0 : d0, flip ? -d1 : d1};
+    int32_t out = memo_gate(g, M_MUX, key, 3);
+    return flip ? -out : out;
+}
+
+static int lit_ok(int32_t lit, int32_t nvars) {
+    return lit != 0 && lit <= nvars && lit >= -nvars;
+}
+
+/* Encode one frame of p into lits (n_slots ints). prev is the previous
+ * frame's lits, NULL for frame 0; supplied (one literal per input bit,
+ * 0 = none) may be NULL; state (one literal per flop) is read only for
+ * frame 0 in mode S_GIVEN. With a solver s the frame is added to it
+ * and nvars is ignored; without one it stays staged over variables
+ * from nvars + 1 on (rsat_gates_staged). Returns the number of new
+ * variables; -1 when the frame would read a net nothing drives, -2
+ * when the true, a supplied, a state or a previous literal is zero or
+ * names an unallocated variable. An error changes nothing. */
+int64_t rsat_encode_frame(RGates *g, const RProgram *p, CSolver *s,
+                          int32_t nvars, int32_t *lits, const int32_t *prev,
+                          const int32_t *supplied, const int32_t *state,
+                          int32_t mode) {
+    int32_t t = g->true_lit;
+    if (s) nvars = s->nvars;
+    if (p->bad_read >= 0 || (prev && p->bad_d >= 0)) return -1;
+    if (!lit_ok(t, nvars) || t < 0) return -2;
+    for (int32_t i = 0; supplied && i < p->n_inputs; i++)
+        if (supplied[i] && !lit_ok(supplied[i], nvars)) return -2;
+    for (int32_t i = 0; i < p->n_flops; i++) {
+        if (prev ? !lit_ok(prev[p->flops[3 * i + 1]], nvars)
+                 : mode == S_GIVEN && !lit_ok(state[i], nvars))
+            return -2;
+    }
+    if (p->max_arity > g->scratch_cap) {
+        g->scratch_cap = p->max_arity;
+        g->ins = (int32_t *)xrealloc(g->ins, p->max_arity * sizeof(int32_t));
+        g->key = (int32_t *)xrealloc(g->key, p->max_arity * sizeof(int32_t));
+    }
+    g->base = nvars;
+    g->staged = g->lead = 0;
+    g->packed_sz = 0;
+    memset(lits, 0, (size_t)p->n_slots * sizeof(int32_t));
+    lits[0] = -t;
+    lits[1] = t;
+    for (int32_t i = 0; i < p->n_inputs; i++) {
+        int32_t pin = p->inputs[2 * i + 1];
+        int32_t x = supplied ? supplied[i] : 0;
+        if (!x) x = pin < 0 ? stage_var(g) : pin ? t : -t;
+        lits[p->inputs[2 * i]] = x;
+    }
+    for (int32_t i = 0; i < p->n_flops; i++) {
+        const int32_t *f = p->flops + 3 * i;
+        int32_t x;
+        if (prev) x = prev[f[1]];
+        else if (mode == S_RESET) x = f[2] ? t : -t;
+        else if (mode == S_FREE) x = stage_var(g);
+        else x = state[i];
+        lits[f[0]] = x;
+    }
+    int32_t *x = g->ins;
+    for (int64_t i = 0; i < p->cells_len;) {
+        int32_t kind = p->cells[i], n = p->cells[i + 2];
+        const int32_t *in = p->cells + i + 3;
+        int32_t r;
+        if (kind == G_OR || kind == G_NOR)
+            for (int32_t j = 0; j < n; j++) x[j] = -lits[in[j]];
+        else
+            for (int32_t j = 0; j < n; j++) x[j] = lits[in[j]];
+        switch (kind) {
+        case G_AND: r = gate_and(g, x, n); break;
+        case G_OR: r = -gate_and(g, x, n); break;
+        case G_NAND: r = -gate_and(g, x, n); break;
+        case G_NOR: r = gate_and(g, x, n); break;
+        case G_XOR: r = gate_xor(g, x, n); break;
+        case G_XNOR: r = -gate_xor(g, x, n); break;
+        case G_BUF: r = x[0]; break;
+        case G_NOT: r = -x[0]; break;
+        default: r = gate_mux(g, x[0], x[1], x[2]); break;
+        }
+        lits[p->cells[i + 1]] = r;
+        i += 3 + (int64_t)n;
+    }
+    if (s) {
+        const int32_t *c = g->packed;
+        int64_t head = g->packed_sz ? c[0] + 1 : 0;
+        rsat_new_vars(s, g->lead);
+        if (head) rsat_add_clause(s, c + 1, c[0]);
+        rsat_new_vars(s, g->staged - g->lead);
+        for (int64_t i = head; i < g->packed_sz; i += c[i] + 1)
+            rsat_add_clause(s, c + i + 1, c[i]);
+    }
+    return g->staged;
+}
+
+/* The staged frame of a solver-less rsat_encode_frame: its lead
+ * variable count, and its clauses copied into out (room for
+ * rsat_gates_staged_len ints). */
+int32_t rsat_gates_lead(const RGates *g) { return g->lead; }
+int64_t rsat_gates_staged_len(const RGates *g) { return g->packed_sz; }
+void rsat_gates_staged(const RGates *g, int32_t *out) {
+    if (g->packed_sz)
+        memcpy(out, g->packed, (size_t)g->packed_sz * sizeof(int32_t));
+}

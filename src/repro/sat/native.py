@@ -39,6 +39,14 @@ or wider-than-int32 literal raises :class:`~repro.sat.solver.SolverError`
 and adds nothing — and then adds the clauses one by one through
 ``rsat_add_clause``, so the solver state is exactly that of single adds.
 ``add_clause`` is a batch of one.
+
+The kernel also encodes whole unrolled frames: :class:`FrameProgram` is
+a cone compiled into flat slot tables, and :class:`NativeGateHasher`
+folds, hashes and Tseitin-encodes a frame of it in one
+``rsat_encode_frame`` call, by exactly the rules and memo keys of
+:class:`~repro.sat.tseitin.GateHasher`, adding the frame to a
+:class:`NativeSolver` inside the same call (``repro.bmc.unroll`` uses
+it whenever its solver is one).
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ from array import array
 from pathlib import Path
 
 from repro import ckernel
+from repro.errors import EncodingError
+from repro.netlist.cells import Kind
 from repro.sat.solver import (
     SAT,
     UNKNOWN,
@@ -60,6 +70,7 @@ from repro.sat.solver import (
     SolveResult,
     traced_solve,
 )
+from repro.sat.tseitin import ClauseBuffer
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
@@ -97,6 +108,18 @@ def _bind(lib):
         "rsat_num_learnts": ([P], i64),
         "rsat_num_vars": ([P], i32),
         "rsat_root_unsat": ([P], i32),
+        "rsat_program_new": ([ctypes.POINTER(i32), i32, ctypes.POINTER(i32),
+                              i32, ctypes.POINTER(i32), i64, i32,
+                              ctypes.POINTER(i64)], P),
+        "rsat_program_free": ([P], None),
+        "rsat_gates_new": ([i32], P),
+        "rsat_gates_free": ([P], None),
+        "rsat_gates_count": ([P], i64),
+        "rsat_encode_frame": ([P, P, P, i32] + [ctypes.POINTER(i32)] * 4
+                              + [i32], i64),
+        "rsat_gates_lead": ([P], i32),
+        "rsat_gates_staged_len": ([P], i64),
+        "rsat_gates_staged": ([P, ctypes.POINTER(i32)], None),
     }
     for name, (argtypes, restype) in sigs.items():
         fn = getattr(lib, name)
@@ -309,3 +332,168 @@ class NativeSolver:
             elapsed=elapsed,
             core=core,
         )
+
+
+#: A frame program's cell kind codes (the kernel's ``G_*``).
+GATE_CODES = {
+    Kind.AND: 0, Kind.OR: 1, Kind.NAND: 2, Kind.NOR: 3, Kind.XOR: 4,
+    Kind.XNOR: 5, Kind.BUF: 6, Kind.NOT: 7, Kind.MUX: 8,
+}
+
+# frame-0 flop Qs (the kernel's S_*)
+_S_RESET, _S_FREE, _S_GIVEN = 0, 1, 2
+
+
+class _Slots(dict):
+    """Net -> slot, numbering each new net on first sight."""
+
+    def __missing__(self, net):
+        slot = self[net] = len(self)
+        return slot
+
+
+class FrameProgram:
+    """A cone compiled for the kernel's frame encoder.
+
+    Nets live in slots: slot 0 is the constant-0 net, slot 1 the
+    constant-1 net, and each other net of the cone has one slot.
+    ``inputs`` holds ``[slot, pin]`` per input bit (``pin`` 0 or 1 for a
+    pinned bit, -1 for one that gets a variable), ``flops`` ``[q, d,
+    init]`` per flop, and ``cells`` ``[code, out, n, in_0 .. in_n-1]``
+    per cell in topological order (codes in :data:`GATE_CODES`). The
+    kernel copies and checks them once: a slot out of range, a write to
+    a constant slot, an unknown kind or pin, or a wrong arity raises
+    :class:`~repro.errors.EncodingError`.
+    """
+
+    def __init__(self, inputs, flops, cells, n_slots):
+        lib = _load_library()
+        if lib is None:
+            raise SolverError("native SAT backend unavailable")
+        inputs, flops, cells = (array("i", part)
+                                for part in (inputs, flops, cells))
+        if len(inputs) % 2 or len(flops) % 3:
+            raise EncodingError("frame program: ragged input or flop table")
+        bad = ctypes.c_int64(-1)
+        handle = lib.rsat_program_new(
+            _int_ptr(inputs), len(inputs) // 2, _int_ptr(flops),
+            len(flops) // 3, _int_ptr(cells), len(cells), n_slots,
+            ctypes.byref(bad),
+        )
+        if not handle:
+            raise EncodingError(
+                "frame program rejected at int {} of inputs + flops + "
+                "cells".format(bad.value))
+        self._lib = lib
+        self._handle = handle
+        self.n_slots = n_slots
+        self.n_inputs = len(inputs) // 2
+        self.n_flops = len(flops) // 3
+
+    @classmethod
+    def from_cone(cls, input_nets, pinned_inputs, flops, cells):
+        """A cone's program and its net -> slot map. ``input_nets`` are
+        ``(port, bit, net)`` in frame order, ``pinned_inputs`` maps a
+        port to its pinned word, and ``cells`` are in topological
+        order."""
+        slots = _Slots({0: 0, 1: 1})
+        inputs = []
+        for name, bit, net in input_nets:
+            pinned = pinned_inputs.get(name)
+            inputs += (slots[net],
+                       -1 if pinned is None else (pinned >> bit) & 1)
+        flop_table = []
+        for flop in flops:
+            flop_table += (slots[flop.q], slots[flop.d],
+                           1 if flop.init else 0)
+        cell_table = []
+        extend, slot = cell_table.extend, slots.__getitem__
+        for cell in cells:
+            extend((GATE_CODES[cell.kind], slot(cell.output),
+                    len(cell.inputs)))
+            extend(map(slot, cell.inputs))
+        program = cls(inputs, flop_table, cell_table, len(slots))
+        return program, dict(slots)
+
+    def __del__(self):
+        handle = getattr(self, "_handle", None)
+        if handle:
+            self._lib.rsat_program_free(handle)
+            self._handle = None
+
+
+class NativeGateHasher:
+    """:class:`~repro.sat.tseitin.GateHasher`'s folding and hashing, in
+    the kernel, one whole frame per call.
+
+    The memo is a hash table in the kernel, keyed exactly as the Python
+    hasher's (kind, canonically ordered input literals), and shared by
+    every unrolling that shares this object. ``len()`` is its number of
+    gates.
+    """
+
+    def __init__(self, true_lit):
+        if true_lit <= 0:
+            raise EncodingError("the true literal must be positive")
+        lib = _load_library()
+        if lib is None:
+            raise SolverError("native SAT backend unavailable")
+        self._lib = lib
+        self._handle = lib.rsat_gates_new(true_lit)
+        self.true_lit = true_lit
+
+    def __del__(self):
+        handle = getattr(self, "_handle", None)
+        if handle:
+            self._lib.rsat_gates_free(handle)
+            self._handle = None
+
+    def __len__(self):
+        return int(self._lib.rsat_gates_count(self._handle))
+
+    def encode_frame(self, program, sink, lits, prev=None, supplied=None,
+                     state=None, free=False):
+        """Encode one frame of ``program`` into ``sink``; returns the
+        number of variables it added.
+
+        ``lits`` (an ``array("i")`` of ``program.n_slots``) receives the
+        frame's literal per slot; ``prev`` is the previous frame's, None
+        for frame 0. ``supplied`` gives one literal per input bit (0 for
+        none), and frame 0's flop Qs are ``state`` (one literal per
+        flop), else fresh variables when ``free``, else the reset
+        values. A :class:`NativeSolver` sink receives the frame inside
+        the kernel call; any other sink through a
+        :class:`~repro.sat.tseitin.ClauseBuffer` flush, with the same
+        variables and clauses.
+        """
+        sizes = ((lits, program.n_slots), (prev, program.n_slots),
+                 (supplied, program.n_inputs), (state, program.n_flops))
+        for buf, size in sizes:
+            if buf is not None and (not isinstance(buf, array)
+                                    or buf.typecode != "i" or len(buf) != size):
+                raise EncodingError("frame encoder: an array of {} "
+                                    "int32s expected".format(size))
+        native = isinstance(sink, NativeSolver)
+        count = self._lib.rsat_encode_frame(
+            self._handle, program._handle,
+            sink._handle if native else None,
+            0 if native else sink.num_vars,
+            _int_ptr(lits), _int_ptr(prev), _int_ptr(supplied),
+            _int_ptr(state),
+            _S_GIVEN if state is not None else _S_FREE if free else _S_RESET,
+        )
+        if count == -1:
+            raise EncodingError("frame reads a net nothing drives")
+        if count < 0:
+            raise SolverError("frame encoder: a literal is zero or names "
+                              "an unallocated variable")
+        if not native:
+            buf = ClauseBuffer(sink)
+            buf.num_vars += count
+            buf.lead = int(self._lib.rsat_gates_lead(self._handle))
+            packed = array("i", bytes(
+                4 * self._lib.rsat_gates_staged_len(self._handle)))
+            self._lib.rsat_gates_staged(self._handle, _int_ptr(packed))
+            buf.packed = packed.tolist()
+            buf.flush(sink)
+        return int(count)

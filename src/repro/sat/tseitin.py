@@ -10,7 +10,10 @@ inverted output literal by :func:`encode_cell`.
 
 :class:`GateHasher` goes further for the unroller: a gate whose inputs
 are constant, repeated or complementary folds to an existing literal,
-and a gate identical to one already encoded reuses its variable.
+and a gate identical to one already encoded reuses its variable. The
+SAT kernel repeats its rules, memo keys and clause order in C for whole
+frames (:class:`~repro.sat.native.NativeGateHasher`); this module is
+that encoder's reference, and a change here is a change there.
 """
 
 from __future__ import annotations
@@ -274,17 +277,17 @@ class ClauseBuffer:
     solver validates the whole batch at :meth:`flush`.
     """
 
-    __slots__ = ("base", "num_vars", "packed", "_lead")
+    __slots__ = ("base", "num_vars", "packed", "lead")
 
     def __init__(self, solver):
         self.base = self.num_vars = solver.num_vars
         self.packed = []
-        self._lead = 0  # variables staged before the first clause
+        self.lead = 0  # variables staged before the first clause
 
     def new_var(self):
         self.num_vars += 1
         if not self.packed:
-            self._lead += 1
+            self.lead += 1
         return self.num_vars
 
     def add_clause(self, literals):
@@ -309,7 +312,7 @@ class ClauseBuffer:
         # every call crossed on its own.
         packed = self.packed
         head = packed[0] + 1 if packed else 0
-        solver.new_vars(self._lead)
+        solver.new_vars(self.lead)
         solver.add_packed_clauses(packed[:head])
-        solver.new_vars(self.num_vars - self.base - self._lead)
+        solver.new_vars(self.num_vars - self.base - self.lead)
         solver.add_packed_clauses(packed[head:])

@@ -5,13 +5,16 @@ unfolded per-clause encoding.
 unrolls, so its formula is smaller than one Tseitin group per gate per
 frame, on purpose. Two checks pin it down, for every built-in design's
 monitors: over a few frames of two monitors' union cone, with pinned
-inputs, and as k-induction's free-state step formula.
+inputs, and as k-induction's free-state step formula. Each runs on both
+frame encoders: the Python :class:`~repro.sat.tseitin.GateHasher` under
+the design's name, and the kernel's
+:class:`~repro.sat.native.NativeGateHasher` under ``<name>-native``.
 
-* *Batching.* Each frame is staged in a
-  :class:`~repro.sat.tseitin.ClauseBuffer` and flushed in one batch. The
-  solver must receive the same variable count and the same clause
-  sequence as when the same encoder writes every variable and clause on
-  its own.
+* *Batching.* Each frame is staged (in a
+  :class:`~repro.sat.tseitin.ClauseBuffer`, or in the kernel) and
+  flushed in one batch. The solver must receive the same variable count
+  and the same clause sequence as when the Python encoder writes every
+  variable and clause on its own.
 * *Equivalence.* :class:`ReferenceUnroller` below is the unfolded
   encoding: a fresh variable and its clauses for every gate in every
   frame, one call each. Built into one solver with the folded encoding,
@@ -29,7 +32,33 @@ from repro.netlist.traversal import cone_of_influence
 from repro.properties.monitors import build_corruption_monitor
 from repro.sat import SAT, UNSAT
 from repro.sat.factory import default_solver
-from repro.sat.tseitin import encode_cell, encode_xor2
+from repro.sat.native import NativeGateHasher, native_available
+from repro.sat.tseitin import GateHasher, encode_cell, encode_xor2
+
+#: Each frame encoder as a stand-in for ``repro.bmc.unroll.gate_hasher``:
+#: every unrolling then encodes with it, whatever its solver.
+ENCODERS = {
+    "python": lambda solver, true_lit: GateHasher(true_lit),
+    "native": lambda solver, true_lit: NativeGateHasher(true_lit),
+}
+
+NEEDS_NATIVE = pytest.mark.skipif(
+    not native_available(), reason="no C compiler / native backend"
+)
+
+
+def each_encoder(names):
+    """``(name, encoder)`` parameters: the Python encoder under the
+    design's name, the kernel's under ``<name>-native``."""
+    return [pytest.param(name, "python", id=name) for name in names] + [
+        pytest.param(name, "native", id=name + "-native",
+                     marks=NEEDS_NATIVE)
+        for name in names
+    ]
+
+
+def use_encoder(monkeypatch, encoder):
+    monkeypatch.setattr("repro.bmc.unroll.gate_hasher", ENCODERS[encoder])
 
 
 class RecordingSolver:
@@ -219,11 +248,14 @@ def _folded(solver, free):
 # ------------------------------------------------------------- batching
 
 
-def _assert_batched_like_direct(mode, monkeypatch):
+def _assert_batched_like_direct(mode, encoder, monkeypatch):
     _aug, _nets, frames, free, build = mode
     batched, direct = RecordingSolver(), RecordingSolver()
-    build(_folded(batched, free))
     with monkeypatch.context() as patch:
+        use_encoder(patch, encoder)
+        build(_folded(batched, free))
+    with monkeypatch.context() as patch:
+        use_encoder(patch, "python")
         patch.setattr("repro.bmc.unroll.ClauseBuffer", DirectBuffer)
         build(_folded(direct, free))
     assert batched.num_vars == direct.num_vars
@@ -233,19 +265,23 @@ def _assert_batched_like_direct(mode, monkeypatch):
     assert batched.batches >= frames
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_monitor_unrolling_batches_like_direct_writes(name, monkeypatch):
-    _assert_batched_like_direct(_union(name), monkeypatch)
+@pytest.mark.parametrize("name,encoder", each_encoder(builtin_names()))
+def test_monitor_unrolling_batches_like_direct_writes(name, encoder,
+                                                      monkeypatch):
+    _assert_batched_like_direct(_union(name), encoder, monkeypatch)
 
 
-@pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
-def test_pinned_unrolling_batches_like_direct_writes(name, monkeypatch):
-    _assert_batched_like_direct(_pinned(name), monkeypatch)
+@pytest.mark.parametrize(
+    "name,encoder", each_encoder(["mc8051-t700", "risc-fig1", "router"]))
+def test_pinned_unrolling_batches_like_direct_writes(name, encoder,
+                                                     monkeypatch):
+    _assert_batched_like_direct(_pinned(name), encoder, monkeypatch)
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_induction_step_batches_like_direct_writes(name, monkeypatch):
-    _assert_batched_like_direct(_step(name), monkeypatch)
+@pytest.mark.parametrize("name,encoder", each_encoder(builtin_names()))
+def test_induction_step_batches_like_direct_writes(name, encoder,
+                                                   monkeypatch):
+    _assert_batched_like_direct(_step(name), encoder, monkeypatch)
 
 
 # ---------------------------------------------------------- equivalence
@@ -257,10 +293,12 @@ def _xor(solver, a, b):
     return diff
 
 
-def _assert_equivalent_to_reference(mode):
+def _assert_equivalent_to_reference(mode, encoder, monkeypatch):
     aug, nets, frames, free, build = mode
     solver = default_solver()
-    unroller = build(_folded(solver, free))
+    with monkeypatch.context() as patch:
+        use_encoder(patch, encoder)
+        unroller = build(_folded(solver, free))
     reference = {}
 
     def make_reference(netlist, targets, pinned_words):
@@ -293,19 +331,24 @@ def _assert_equivalent_to_reference(mode):
     return unroller
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_monitor_unrolling_matches_per_clause_reference(name):
-    _assert_equivalent_to_reference(_union(name))
+@pytest.mark.parametrize("name,encoder", each_encoder(builtin_names()))
+def test_monitor_unrolling_matches_per_clause_reference(name, encoder,
+                                                       monkeypatch):
+    _assert_equivalent_to_reference(_union(name), encoder, monkeypatch)
 
 
-@pytest.mark.parametrize("name", ["mc8051-t700", "risc-fig1", "router"])
-def test_pinned_unrolling_matches_per_clause_reference(name):
-    _assert_equivalent_to_reference(_pinned(name))
+@pytest.mark.parametrize(
+    "name,encoder", each_encoder(["mc8051-t700", "risc-fig1", "router"]))
+def test_pinned_unrolling_matches_per_clause_reference(name, encoder,
+                                                      monkeypatch):
+    _assert_equivalent_to_reference(_pinned(name), encoder, monkeypatch)
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_induction_step_formula_matches_per_clause_reference(name):
-    unroller = _assert_equivalent_to_reference(_step(name))
+@pytest.mark.parametrize("name,encoder", each_encoder(builtin_names()))
+def test_induction_step_formula_matches_per_clause_reference(name, encoder,
+                                                             monkeypatch):
+    unroller = _assert_equivalent_to_reference(_step(name), encoder,
+                                               monkeypatch)
     # the free state is real: every cone flop starts on its own variable
     free = {
         abs(unroller.lit(flop.q, 0))
