@@ -13,7 +13,6 @@ from repro.bmc.engine import (
     BmcResult,
     check_objective,
 )
-from repro.bmc.group import MultiObjectiveBmc, group_objectives_by_cone
 from repro.bmc.unroll import Unroller
 from repro.bmc.witness import (
     Witness,
@@ -32,8 +31,6 @@ __all__ = [
     "BmcEngine",
     "BmcResult",
     "check_objective",
-    "group_objectives_by_cone",
-    "MultiObjectiveBmc",
     "Unroller",
     "Witness",
     "confirms_violation",

@@ -48,8 +48,8 @@ class BmcResult:
     All solver statistics are **deltas against this ``check()`` call**:
     ``conflicts`` / ``decisions`` / ``propagations`` count search work and
     ``clauses`` / ``variables`` count formula growth attributable to this
-    check alone — consistent even when one engine (or a shared-cone group)
-    serves several ``check()`` calls from the same solver instance. The
+    check alone — consistent even when one engine serves several
+    ``check()`` calls from the same solver instance. The
     cumulative end-of-check solver totals are ``total_clauses`` /
     ``total_variables``.
     """
@@ -84,7 +84,7 @@ class BmcResult:
             self.property_name or "bmc", self.status, self.bound
         )
         # Deltas alone are misleading when one solver serves several
-        # checks (a shared-cone group's later members add few clauses),
+        # checks (a later check() on the same engine adds few clauses),
         # so the cumulative solver totals are always shown alongside.
         tail = (
             " ({:.2f}s, {} conflicts, {} vars, {} clauses,"

@@ -85,9 +85,9 @@ class Unroller:
     any other cone input is pinned or gets a fresh variable. ``gates``
     shares another unrolling's hasher (into the same solver), and with
     it its constant-true literal and every gate it has encoded. The
-    cone is fixed at construction: an unrolling serving several
-    objectives (a shared-cone group) is built over all of their target
-    nets at once. :meth:`copy` makes further unrollings of the same cone.
+    cone is fixed at construction: an unrolling serving several target
+    nets (Eq. 4's output nets, say) is built over all of them at once.
+    :meth:`copy` makes further unrollings of the same cone.
     """
 
     def __init__(self, netlist, solver, target_nets, use_coi=True,

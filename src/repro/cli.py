@@ -12,10 +12,11 @@ Commands
 
     Resource supervision (see README "Resource limits & graceful
     degradation"): ``--workers 1`` isolates each check in a worker
-    process, ``--check-timeout`` hard-kills hung checks, ``--retries``
-    re-runs crashed/exhausted checks, and ``--resume ckpt.json``
-    checkpoints completed registers so an interrupted audit picks up
-    where it left off::
+    process, ``--check-timeout`` hard-kills hung checks (an inline check
+    cannot be killed, so it needs ``--workers`` or ``--jobs``),
+    ``--retries`` re-runs crashed/exhausted checks, and ``--resume
+    ckpt.json`` checkpoints completed registers so an interrupted audit
+    picks up where it left off::
 
         python -m repro audit --design aes-t1200 --workers 1 \\
             --check-timeout 30 --retries 2 --resume aes_audit.json
@@ -337,6 +338,12 @@ def cmd_audit(args, out=sys.stdout):
         raise SystemExit("--retries must be >= 0")
     if args.check_timeout is not None and args.check_timeout <= 0:
         raise SystemExit("--check-timeout must be positive")
+    inline = not args.workers and args.jobs is None
+    if args.check_timeout is not None and inline:
+        raise SystemExit(
+            "--check-timeout needs --workers or --jobs "
+            "(an inline check cannot be killed)"
+        )
     if args.profile and not args.trace:
         raise SystemExit("--profile needs --trace (dumps live next to it)")
     profile_dir = "{}.profiles".format(args.trace) if args.profile else None
@@ -375,7 +382,6 @@ def cmd_audit(args, out=sys.stdout):
         time_budget=args.budget,
         screens=tuple(screens),
         cache_dir=cache_dir,
-        share_cones=args.share_cones,
         trace=args.trace,
         jobs=args.jobs,
     )
@@ -411,6 +417,10 @@ def cmd_bench(args, out=sys.stdout):
 
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    if args.check_timeout is not None and args.jobs is None:
+        raise SystemExit(
+            "--check-timeout needs --jobs (an inline check cannot be killed)"
+        )
     names = args.design or design_names()
     designs = []
     for name in names:
@@ -894,7 +904,7 @@ def build_parser():
     p_audit.add_argument("--check-timeout", type=float, default=None,
                          help="hard wall-clock seconds per check attempt; "
                               "a hung engine is killed, not waited on "
-                              "(needs --workers)")
+                              "(needs --workers or --jobs)")
     p_audit.add_argument("--retries", type=int, default=0,
                          help="re-run a crashed/exhausted check up to N "
                               "extra times")
@@ -911,10 +921,6 @@ def build_parser():
                               "status")
     p_audit.add_argument("--no-cache", action="store_true",
                          help="ignore --cache-dir (one-off override)")
-    p_audit.add_argument("--share-cones", action="store_true",
-                         help="batch each register's pseudo-critical "
-                              "tracking checks onto one shared unrolling "
-                              "(BMC only, bypasses the outcome cache)")
     p_audit.add_argument("--profile", action="store_true",
                          help="wrap every check attempt in cProfile and "
                               "store pstats dumps next to the trace "
@@ -936,7 +942,9 @@ def build_parser():
     p_bench.add_argument("--check-pseudo-critical", action="store_true")
     p_bench.add_argument("--check-bypass", action="store_true")
     p_bench.add_argument("--check-timeout", type=float, default=None,
-                         help="hard wall-clock seconds per check attempt")
+                         help="hard wall-clock seconds per check attempt; "
+                              "a hung engine is killed, not waited on "
+                              "(needs --jobs)")
     p_bench.add_argument("--retries", type=int, default=0,
                          help="re-run a crashed/exhausted check up to N "
                               "extra times")

@@ -56,8 +56,7 @@ class AuditConfig:
     against a one-worker baseline, since both execute checks in worker
     processes). Both modes run every check the same way: each Eq. 2
     BMC check tries the k-induction shortcut first and then a cold
-    engine, and ``share_cones`` is the one field that makes checks
-    share solver state.
+    engine; no two checks share solver state.
     """
 
     max_cycles: int = 40
@@ -70,7 +69,6 @@ class AuditConfig:
     stop_on_first: bool = True
     screens: tuple = ()
     cache_dir: str | None = None
-    share_cones: bool = False
     trace: object = None
     jobs: int | None = None
 
@@ -168,14 +166,6 @@ class TrojanDetector:
         check consults the cache before solving and writes its verdict
         back; re-audits of an unchanged design become cache hits, and
         deeper re-audits resume from the cached proved bound.
-    share_cones:
-        Batch the Eq. (3) tracking checks of each critical register into
-        shared-cone groups (BMC only): the candidates' monitors are
-        stacked on one clone and served by one unrolling per group
-        (:class:`~repro.bmc.group.MultiObjectiveBmc`). Each group is one
-        supervised check; grouped checks skip the outcome cache, trading
-        it for not re-encoding the shared cone once per candidate. This
-        is the one way an audit shares solver state between checks.
     trace:
         Structured-telemetry sink for the audit: a path (a JSONL
         :class:`~repro.obs.tracer.Tracer` is created there and closed
@@ -330,17 +320,3 @@ class TrojanDetector:
             time_budget=self.config.time_budget,
         )
         return task, "bypass({})".format(spec.register)
-
-    def tracking_group_builds(self, spec, candidates):
-        """``(base, builds)`` for the shared-cone Eq. (3) sweep: one
-        clone of the design carrying every candidate/direction tracking
-        monitor, and the builds in Algorithm 1 order."""
-        base = self.netlist.clone()
-        builds = []  # (candidate, direction, MonitorBuild)
-        for candidate in candidates:
-            for direction in ("after", "before"):
-                builds.append((candidate, direction, build_tracking_monitor(
-                    self.netlist, spec, candidate, direction=direction,
-                    into=base,
-                )))
-        return base, builds

@@ -72,8 +72,7 @@ def _valid_signals(circuit, ctx, spec):
     return valid_now, prioritized
 
 
-def build_corruption_monitor(netlist, spec, functional=False, way_delay=1,
-                             into=None):
+def build_corruption_monitor(netlist, spec, functional=False, way_delay=1):
     """Synthesize the Eq. (2) no-data-corruption monitor for one register.
 
     Returns a :class:`MonitorBuild` whose ``objective_net`` can be 1 at
@@ -86,14 +85,8 @@ def build_corruption_monitor(netlist, spec, functional=False, way_delay=1,
     used when auditing an "after"-direction pseudo-critical register (its
     contents lag the critical register by one more cycle); 0 when auditing
     a "before"-direction one.
-
-    ``into`` places the monitor on an existing augmented netlist instead
-    of a fresh clone of ``netlist`` — the shared-cone path uses this to
-    stack several monitors on one clone so a single unrolling serves all
-    their objectives. The caller owns the lifetime of ``into``; monitor
-    prefixes are globally unique so stacked monitors never collide.
     """
-    aug = netlist.clone() if into is None else into
+    aug = netlist.clone()
     circuit = Circuit.attach(aug)
     ctx = MonitorCtx(circuit)
     register = spec.register
@@ -160,8 +153,7 @@ def build_corruption_monitor(netlist, spec, functional=False, way_delay=1,
     )
 
 
-def build_tracking_monitor(netlist, spec, candidate, direction="after",
-                           into=None):
+def build_tracking_monitor(netlist, spec, candidate, direction="after"):
     """Synthesize the Eq. (3) pseudo-critical tracking monitor.
 
     Checks whether ``candidate`` (P) mirrors the spec's register (R) under
@@ -176,13 +168,10 @@ def build_tracking_monitor(netlist, spec, candidate, direction="after",
     valid sequence; an UNSAT result at bound T therefore certifies P as
     pseudo-critical (for T cycles) and Algorithm 1 promotes it to the
     critical set.
-
-    ``into`` stacks the monitor on an existing augmented netlist instead
-    of cloning ``netlist`` (see :func:`build_corruption_monitor`).
     """
     if direction not in ("after", "before"):
         raise PropertyError("direction must be 'after' or 'before'")
-    aug = netlist.clone() if into is None else into
+    aug = netlist.clone()
     circuit = Circuit.attach(aug)
     ctx = MonitorCtx(circuit)
     register = spec.register

@@ -44,7 +44,6 @@ from repro.runner.supervisor import (
 from repro.runner.tasks import (
     BypassTask,
     CallableTask,
-    GroupObjectiveTask,
     ObjectiveTask,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "CheckExecution",
     "CheckOutcome",
     "CheckRunner",
-    "GroupObjectiveTask",
     "absorb_message",
     "absorb_result",
     "strip_telemetry",

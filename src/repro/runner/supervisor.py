@@ -49,18 +49,10 @@ from repro.runner.worker import run_in_process
 INLINE = "inline"
 PROCESS = "process"
 
-#: Kept for backward compatibility; canonical home is runner.execution.
-_CONCLUSIVE = CONCLUSIVE
-
 
 def absorb_result(record, result):
     """Write an engine result object onto an :class:`AttemptRecord`."""
     record._result = result
-    if isinstance(result, list):
-        # a shared-cone group answers with one engine result per member;
-        # the members' verdicts are read off the list, not the record
-        record.status = OK
-        return
     record.bound_reached = getattr(result, "bound", 0)
     record.peak_memory = getattr(result, "peak_memory", 0)
     status = getattr(result, "status", None)

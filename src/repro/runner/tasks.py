@@ -130,53 +130,6 @@ class ObjectiveTask:
 
 
 @dataclass(frozen=True)
-class GroupObjectiveTask:
-    """One cone-shared group of Eq. (3) tracking objectives (BMC only).
-
-    Wraps :class:`~repro.bmc.group.MultiObjectiveBmc` over objectives
-    whose fan-in cones overlap: one clone, one unrolling per bound, one
-    solver serving every member via assumptions. The parallel scheduler
-    runs each group as a *single* pool task — the shared encoding is the
-    whole point, splitting the members across workers would re-pay it
-    per member. Returns the per-member result list in member order.
-
-    Grouped checks do not participate in the outcome cache (member
-    verdicts are entangled with the group's shared encoding budget),
-    in either executor mode.
-    """
-
-    netlist: object
-    objective_nets: tuple
-    max_cycles: int
-    property_names: tuple = ()
-    pinned_inputs: object = None
-    time_budget: float | None = None
-
-    @property
-    def property_name(self):
-        return "group({})".format(
-            ",".join(self.property_names) or len(self.objective_nets)
-        )
-
-    def with_bound(self, max_cycles):
-        return replace(self, max_cycles=max_cycles)
-
-    def with_budget(self, time_budget):
-        return replace(self, time_budget=time_budget)
-
-    def __call__(self):
-        from repro.bmc.group import MultiObjectiveBmc
-
-        multi = MultiObjectiveBmc(
-            self.netlist,
-            list(self.objective_nets),
-            property_names=list(self.property_names) or None,
-            pinned_inputs=self.pinned_inputs,
-        )
-        return multi.check_all(self.max_cycles, time_budget=self.time_budget)
-
-
-@dataclass(frozen=True)
 class BypassTask:
     """One Eq. (4) CEGIS bypass check for a critical register."""
 

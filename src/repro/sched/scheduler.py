@@ -30,8 +30,8 @@ killed and the node dropped, *without* waiting.
 **Same checks in both modes.** Inline and pool execution run the same
 task objects. Every Eq. 2 BMC check (corruption and pseudo-critical
 shadow) tries the k-induction shortcut before a cold engine, in this
-process, a pool worker or a process-isolated attempt alike; the only
-solver state checks share is a ``share_cones`` group's.
+process, a pool worker or a process-isolated attempt alike; no two
+checks share solver state.
 
 **Replay assembly.** In both modes a register's finding is assembled
 in one place, :meth:`AuditScheduler._try_assemble`, which walks
@@ -71,16 +71,14 @@ from repro.netlist.traversal import check_loops
 from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
-from repro.runner.execution import CONCLUSIVE, CheckExecution
-from repro.runner.outcome import AttemptRecord, CheckOutcome
-from repro.runner.policy import CRASHED, EXHAUSTED, OK
+from repro.runner.execution import CheckExecution
+from repro.runner.outcome import AttemptRecord
+from repro.runner.policy import CRASHED
 from repro.runner.supervisor import PROCESS, absorb_message
-from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
 
 #: Node kinds (one per Algorithm 1 check family).
 TRACKING = "tracking"
-GROUP = "group"
 CORRUPTION = "corruption"
 SHADOW = "shadow"
 BYPASS = "bypass"
@@ -107,13 +105,12 @@ class _Node:
     __slots__ = (
         "audit", "reg", "kind", "name", "seq", "priority", "factory",
         "task", "state", "execution", "candidate", "direction",
-        "group_members", "claim_key", "claim_registry", "claim_held",
+        "claim_key", "claim_registry", "claim_held",
         "delay_served", "tracer", "check_span", "attempt_span",
         "attempt_task", "attempt_started", "outcome", "events",
     )
 
-    def __init__(self, audit, reg, kind, name, seq, factory=None,
-                 task=None):
+    def __init__(self, audit, reg, kind, name, seq, factory):
         self.audit = audit
         self.reg = reg
         self.kind = kind
@@ -121,12 +118,11 @@ class _Node:
         self.seq = seq
         self.priority = (-reg.static_score, audit.index, reg.index, seq)
         self.factory = factory
-        self.task = task
+        self.task = None
         self.state = "waiting"
         self.execution = None
         self.candidate = None
         self.direction = None
-        self.group_members = None
         self.claim_key = None
         self.claim_registry = None
         self.claim_held = False
@@ -163,12 +159,6 @@ class _RegisterState:
         self.span = None  # inline: the open audit.register span
         self.candidates = []
         self.tracking = {}  # (candidate, direction) -> node
-        self.grouped = False
-        self.members = []  # (candidate, direction) per group member
-        self.group_nodes = []
-        self.group_pending = 0
-        self.group_results = {}  # member index -> engine result
-        self.group_failures = {}  # member index -> group node CheckOutcome
         self.decisions = {}  # candidate -> (promoted, direction|None)
         self.promoted = None  # [(candidate, direction)] once fully decided
         self.corruption = None
@@ -181,8 +171,6 @@ class _RegisterState:
 
     def nodes(self):
         for node in self.tracking.values():
-            yield node
-        for node in self.group_nodes:
             yield node
         if self.corruption is not None:
             yield self.corruption
@@ -440,11 +428,9 @@ class AuditScheduler:
 
     # --------------------------------------------------------- node plumbing
 
-    def _add_node(self, reg, kind, name, factory=None, task=None,
-                  ready=False):
+    def _add_node(self, reg, kind, name, factory, ready=False):
         self._seq += 1
-        node = _Node(reg.audit, reg, kind, name, self._seq,
-                     factory=factory, task=task)
+        node = _Node(reg.audit, reg, kind, name, self._seq, factory)
         if ready:
             self._make_ready(node)
         return node
@@ -456,9 +442,9 @@ class AuditScheduler:
 
     def _run_inline(self, node):
         """Run one demanded node in this process, through the runner."""
-        task = node.task if node.task is not None else node.factory()
+        task = node.factory()
         # the verdict is all assembly needs: drop the monitor netlists
-        node.task = node.factory = None
+        node.factory = None
         node.outcome = node.audit.detector.runner.run(task, name=node.name)
         node.state = "done"
         self.stats["checks"] += 1
@@ -471,8 +457,7 @@ class AuditScheduler:
         — the node is completed in place.
         """
         runner = node.audit.detector.runner
-        if node.task is None:
-            node.task = node.factory()
+        node.task = node.factory()
         cache = runner.cache_for(getattr(node.task, "cache_dir", None))
         node.execution = CheckExecution(
             node.task, node.name, runner.retry, cache=cache
@@ -562,8 +547,6 @@ class AuditScheduler:
         stop = node.audit.detector.config.stop_on_first
         if node.kind == TRACKING:
             self._tracking_done(node)
-        elif node.kind == GROUP:
-            self._group_done(node)
         elif self.inline or not (stop and node.verdict.detected):
             return  # nothing speculative in flight to cancel
         elif node.kind == CORRUPTION:
@@ -611,33 +594,6 @@ class AuditScheduler:
                 for name in reg.candidates
                 if reg.decisions[name][0]
             ]
-
-    def _group_done(self, node):
-        reg = node.reg
-        result = node.outcome.result if node.outcome.ok else None
-        if isinstance(result, list):
-            for member, member_result in zip(node.group_members, result):
-                reg.group_results[member] = member_result
-        else:
-            for member in node.group_members:
-                reg.group_failures[member] = node.outcome
-        reg.group_pending -= 1
-        if reg.group_pending > 0:
-            return
-        # all groups answered: replay the promotion scan, where "after"
-        # beats "before" because it comes first in member order
-        found = []
-        seen = set()
-        for index, (candidate, direction) in enumerate(reg.members):
-            member = reg.group_results.get(index)
-            if member is not None and member.status == "proved" and (
-                candidate not in seen
-            ):
-                seen.add(candidate)
-                found.append((candidate, direction))
-        reg.promoted = found
-        for candidate, direction in found:
-            self._spawn_shadow(reg, candidate, direction)
 
     def _spawn_shadow(self, reg, candidate, direction):
         """Dynamic DAG growth: a promoted register enqueues its own
@@ -745,26 +701,21 @@ class AuditScheduler:
             reg.candidates = list(pseudo_critical_candidates(
                 det.netlist, det.spec, reg.register
             ))
-            if config.share_cones and config.engine == "bmc" and (
-                reg.candidates
-            ):
-                self._init_grouped_tracking(reg)
-            else:
-                for candidate in reg.candidates:
-                    for direction in ("after", "before"):
-                        node = self._add_node(
-                            reg, TRACKING,
-                            "tracking({}->{},{})".format(
-                                reg.register, candidate, direction
-                            ),
-                            factory=lambda c=candidate, d=direction: (
-                                det.tracking_task(reg.spec, c, d)[0]
-                            ),
-                            ready=(direction == "after"),
-                        )
-                        node.candidate = candidate
-                        node.direction = direction
-                        reg.tracking[(candidate, direction)] = node
+            for candidate in reg.candidates:
+                for direction in ("after", "before"):
+                    node = self._add_node(
+                        reg, TRACKING,
+                        "tracking({}->{},{})".format(
+                            reg.register, candidate, direction
+                        ),
+                        factory=lambda c=candidate, d=direction: (
+                            det.tracking_task(reg.spec, c, d)[0]
+                        ),
+                        ready=(direction == "after"),
+                    )
+                    node.candidate = candidate
+                    node.direction = direction
+                    reg.tracking[(candidate, direction)] = node
             if not reg.candidates:
                 reg.promoted = []
         else:
@@ -775,37 +726,6 @@ class AuditScheduler:
                 factory=lambda: det.bypass_task(reg.spec)[0],
                 ready=True,
             )
-
-    def _init_grouped_tracking(self, reg):
-        """Shared-cone Eq. (3) sweep (BMC only): every candidate/direction
-        tracking monitor on *one* clone, one GROUP node per set of
-        objectives whose cones overlap (a single
-        :class:`~repro.bmc.group.MultiObjectiveBmc` unrolling each).
-        ``time_budget`` covers each group, not each objective."""
-        from repro.bmc.group import group_objectives_by_cone
-
-        det = reg.audit.detector
-        reg.grouped = True
-        base, builds = det.tracking_group_builds(reg.spec, reg.candidates)
-        reg.members = [(candidate, direction)
-                       for candidate, direction, _build in builds]
-        nets = [build.objective_net for _, _, build in builds]
-        names = [build.property_name for _, _, build in builds]
-        for group in group_objectives_by_cone(base, nets):
-            task = GroupObjectiveTask(
-                netlist=base,
-                objective_nets=tuple(nets[i] for i in group),
-                max_cycles=det.pseudo_critical_cycles,
-                property_names=tuple(names[i] for i in group),
-                pinned_inputs=det.spec.pinned_inputs,
-                time_budget=det.config.time_budget,
-            )
-            node = self._add_node(
-                reg, GROUP, task.property_name, task=task, ready=True
-            )
-            node.group_members = list(group)
-            reg.group_nodes.append(node)
-        reg.group_pending = len(reg.group_nodes)
 
     def _advance(self, audit):
         """Commit loop: commit frontier registers whose Algorithm 1
@@ -860,25 +780,18 @@ class AuditScheduler:
         config = det.config
         stop = config.stop_on_first
         kept = []
-        promoted = []
-        if reg.grouped:
-            for node in reg.group_nodes:
-                if not node.done:
-                    return node
-            kept.extend(reg.group_nodes)
-            promoted = reg.promoted
-        elif reg.candidates:
-            for candidate in reg.candidates:
-                after = reg.tracking[(candidate, "after")]
-                if not after.done:
-                    return after
-                kept.append(after)
-                if after.verdict.status != "proved":
-                    before = reg.tracking[(candidate, "before")]
-                    if not before.done:
-                        return before
-                    kept.append(before)
-            promoted = reg.promoted
+        for candidate in reg.candidates:
+            after = reg.tracking[(candidate, "after")]
+            if not after.done:
+                return after
+            kept.append(after)
+            if after.verdict.status != "proved":
+                before = reg.tracking[(candidate, "before")]
+                if not before.done:
+                    return before
+                kept.append(before)
+        # every candidate is decided: _decide set the promotion list
+        promoted = reg.promoted
         corruption = reg.corruption
         if not corruption.done:
             return corruption
@@ -912,17 +825,8 @@ class AuditScheduler:
                     f.to_dict() for f in found
                 ]
         finding.pseudo_criticals = list(promoted)
-        for index, (candidate, direction) in enumerate(reg.members):
-            name = "tracking({}->{},{})".format(
-                reg.register, candidate, direction
-            )
-            finding.check_outcomes[name] = _member_outcome(
-                name, reg.group_results.get(index),
-                reg.group_failures.get(index),
-            )
         for node in kept:
-            if node.kind != GROUP:
-                finding.check_outcomes[node.name] = node.outcome
+            finding.check_outcomes[node.name] = node.outcome
         finding.corruption = corruption_verdict
         if corruption_verdict.detected:
             monitor = det._monitor_for(reg.spec)
@@ -998,36 +902,3 @@ class AuditScheduler:
             if not self.inline:
                 self.tracer.absorb(audit.buf.drain())
             audit.buf = None
-
-
-def _member_outcome(name, member, group_outcome):
-    """The :class:`CheckOutcome` of one shared-cone group member.
-
-    Synthesized from the member's engine result when the group answered;
-    otherwise the group died without per-member verdicts, and the member
-    takes the group's failure as an unconcluded outcome so the rest of
-    the audit survives, like any other supervised check failure.
-    """
-    if member is not None:
-        outcome = CheckOutcome(
-            name=name,
-            status=OK if member.status in CONCLUSIVE else EXHAUSTED,
-            result=member,
-            bound_reached=member.bound,
-            elapsed=member.elapsed,
-        )
-        if outcome.status != OK:
-            outcome.error = "engine returned {!r} at bound {}".format(
-                member.status, member.bound
-            )
-        return outcome
-    if group_outcome is None:
-        return CheckOutcome(name=name, status=CRASHED,
-                            error="group check produced no result")
-    return CheckOutcome(
-        name=name,
-        status=group_outcome.status,
-        bound_reached=0,
-        elapsed=group_outcome.elapsed,
-        error=group_outcome.error or "group check failed",
-    )

@@ -6,7 +6,6 @@ clauses, silently dropping the learnt database.
 """
 
 from repro.bmc import BmcEngine
-from repro.bmc.group import MultiObjectiveBmc
 from repro.netlist import Circuit
 
 from tests.conftest import build_counter
@@ -40,19 +39,3 @@ class TestEngineCounts:
         assert result.total_learnt_clauses > 0
         assert result.total_clauses > result.total_problem_clauses
 
-
-class TestGroupCounts:
-    def test_group_results_share_solver_totals(self):
-        nl = build_counter(4)
-        c = Circuit.attach(nl)
-        bits = nl.register_q_nets("count")
-        objectives = [
-            c.bv(bits).eq_const(9).nets[0],
-            c.bv(bits).eq_const(12).nets[0],
-        ]
-        results = MultiObjectiveBmc(nl, objectives).check_all(8)
-        for result in results:
-            assert result.total_clauses == (
-                result.total_problem_clauses + result.total_learnt_clauses
-            )
-            assert result.total_problem_clauses > 0

@@ -176,15 +176,16 @@ class ReferenceUnroller:
 
 def _monitors(design):
     """Corruption monitors of the design's first two critical registers,
-    stacked on one clone (as a shared-cone group stacks its monitors)."""
-    aug = design.netlist.clone()
-    return aug, [
-        build_corruption_monitor(
-            design.netlist, design.spec.critical[register], functional=True,
-            into=aug,
+    the second built on the first's netlist, which returns holding both
+    (a clone keeps net ids, so the first monitor's nets stay valid)."""
+    netlist, monitors = design.netlist, []
+    for register in sorted(design.spec.critical)[:2]:
+        monitor = build_corruption_monitor(
+            netlist, design.spec.critical[register], functional=True
         )
-        for register in sorted(design.spec.critical)[:2]
-    ]
+        netlist = monitor.netlist
+        monitors.append(monitor)
+    return netlist, monitors
 
 
 # ------------------------------------------------------------ the modes

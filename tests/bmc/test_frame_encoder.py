@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bmc import BmcEngine, Unroller
-from repro.bmc.group import MultiObjectiveBmc
 from repro.bmc.induction import prove_by_induction
 from repro.bmc.unroll import FREE, RESET
 from repro.errors import EncodingError
@@ -343,10 +342,6 @@ def test_native_unrolling_never_calls_the_python_hasher(monkeypatch):
     proof = prove_by_induction(monitor.netlist, monitor.violation_net,
                                max_k=2, pinned_inputs=pinned)
     assert proof.status in ("proved-unbounded", "violated", "unknown")
-    group = MultiObjectiveBmc(monitor.netlist,
-                              [monitor.objective_net, monitor.violation_net],
-                              pinned_inputs=pinned)
-    assert len(group.check_all(4)) == 2
 
 
 # ------------------------------------------------------------ safety

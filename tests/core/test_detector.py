@@ -47,12 +47,18 @@ class TestCorruptionPath:
 
 
 class TestPseudoCriticalPath:
-    def test_pseudo_critical_promoted_and_checked(self):
+    # ATPG proves the 4-cycle tracking property (max_cycles 8) within the
+    # budget but not the 5-cycle one (max_cycles 10)
+    @pytest.mark.parametrize(
+        "engine,max_cycles", [("bmc", 10), ("atpg", 8)], ids=["bmc", "atpg"]
+    )
+    def test_pseudo_critical_promoted_and_checked(self, engine, max_cycles):
         nl, spec = design_spec_for("pseudo")
         detector = TrojanDetector(
             nl, spec,
             config=AuditConfig(
-                max_cycles=10, check_pseudo_critical=True, time_budget=60,
+                max_cycles=max_cycles, engine=engine,
+                check_pseudo_critical=True, time_budget=60,
             ),
         )
         report = detector.run()
@@ -95,6 +101,25 @@ class TestPseudoCriticalPath:
         )
         rejected = ("pseudo_secret", "after") not in finding.pseudo_criticals
         assert corrupted_copy or rejected
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "jobs2"])
+    def test_tracking_before_never_runs_once_after_proves(self, jobs):
+        # Algorithm 1 short-circuits: a candidate promoted by its "after"
+        # check never gets a "before" check, inline or on a pool
+        nl, spec = design_spec_for("pseudo")
+        report = TrojanDetector(
+            nl, spec,
+            config=AuditConfig(
+                max_cycles=8, check_pseudo_critical=True,
+                stop_on_first=False, time_budget=60, jobs=jobs,
+            ),
+        ).run()
+        outcomes = report.findings["secret"].check_outcomes
+        after = outcomes["tracking(secret->pseudo_secret,after)"]
+        assert after.status == "ok"
+        assert after.result.status == "proved"
+        assert after.result.bound == 4  # pseudo_critical_cycles: max(4, 8 // 2)
+        assert "tracking(secret->pseudo_secret,before)" not in outcomes
 
 
 class TestBypassPath:

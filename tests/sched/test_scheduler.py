@@ -70,11 +70,6 @@ class TestSerialParity:
             variant, check_pseudo_critical=True, check_bypass=True
         )
 
-    def test_share_cones_parity(self):
-        assert_modes_agree(
-            "pseudo", check_pseudo_critical=True, share_cones=True
-        )
-
     def test_no_stop_on_first_parity(self):
         assert_modes_agree(
             "trojan", check_pseudo_critical=True, stop_on_first=False

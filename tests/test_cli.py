@@ -112,14 +112,35 @@ def test_audit_no_cache_overrides_cache_dir(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
-def test_audit_share_cones_same_verdict():
+def test_audit_check_timeout_needs_a_killable_check():
+    # an inline check cannot be hard-killed: the timeout would be ignored
+    with pytest.raises(SystemExit, match="--check-timeout needs --workers"):
+        run_cli([
+            "audit", "--design", "mc8051", "--max-cycles", "24",
+            "--check-timeout", "0.01",
+        ])
+    with pytest.raises(SystemExit, match="--check-timeout needs --workers"):
+        run_cli([
+            "audit", "--design", "router", "--max-cycles", "6",
+            "--workers", "0", "--check-timeout", "30",
+        ])
+
+
+def test_audit_check_timeout_accepted_on_a_pool():
     code, text = run_cli([
-        "audit", "--design", "mc8051-t800", "--engine", "bmc",
-        "--max-cycles", "8", "--register", "stack_pointer",
-        "--check-pseudo-critical", "--share-cones",
+        "audit", "--design", "router", "--max-cycles", "6",
+        "--jobs", "1", "--check-timeout", "60",
     ])
-    assert code == 1
-    assert "TROJAN FOUND" in text
+    assert code == 0
+    assert "no data-corruption Trojan" in text
+
+
+def test_bench_check_timeout_needs_jobs():
+    with pytest.raises(SystemExit, match="--check-timeout needs --jobs"):
+        run_cli([
+            "bench", "--design", "router", "--max-cycles", "6",
+            "--check-timeout", "30",
+        ])
 
 
 def test_cache_stats_gc_clear(tmp_path):
