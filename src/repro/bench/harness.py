@@ -342,9 +342,7 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     from repro.sched import AuditRequest, AuditScheduler
 
     requests = [AuditRequest(detector) for detector in detectors]
-    reports = AuditScheduler(
-        requests, jobs=detectors[0].scheduler_jobs
-    ).run()
+    reports = AuditScheduler(requests, jobs=jobs).run()
     rows = []
     for (label, _netlist, spec), report, screened in zip(
         designs, reports, screen_rows

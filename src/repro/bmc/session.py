@@ -10,11 +10,11 @@ an unbounded proof in a few milliseconds.
 :func:`~repro.core.backends.run_objective` makes the attempt for every
 BMC task that carries its monitor's per-cycle violation net, which
 only Eq. 2 tasks (a register's corruption check and its pseudo-critical
-shadows) do, so inline audits, pool workers and process-isolated
-attempts all prove clean Eq. 2 properties the same way. Eq. 3 tracking
-checks never get the attempt: their properties are not inductive in
-practice (0 proofs in 841 attempts over the built-in designs), so it
-would only add a solve to each of them.
+shadows) do, so inline audits and pool workers prove clean Eq. 2
+properties the same way. Eq. 3 tracking checks never get the attempt:
+their properties are not inductive in practice (0 proofs in 841
+attempts over the built-in designs), so it would only add a solve to
+each of them.
 
 Only a ``proved-unbounded`` outcome is used. It implies "proved at every
 bound", so the reported :class:`~repro.bmc.engine.BmcResult` is the one

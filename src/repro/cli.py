@@ -10,22 +10,22 @@ Commands
         python -m repro audit --design risc-t100 --engine atpg \\
             --max-cycles 24 --budget 120 --check-bypass
 
-    Resource supervision (see README "Resource limits & graceful
-    degradation"): ``--workers 1`` isolates each check in a worker
-    process, ``--check-timeout`` hard-kills hung checks (an inline check
-    cannot be killed, so it needs ``--workers`` or ``--jobs``),
-    ``--retries`` re-runs crashed/exhausted checks, and ``--resume
-    ckpt.json`` checkpoints completed registers so an interrupted audit
-    picks up where it left off::
-
-        python -m repro audit --design aes-t1200 --workers 1 \\
-            --check-timeout 30 --retries 2 --resume aes_audit.json
-
-    ``--jobs N`` runs the audit's independent property checks on a
-    persistent pool of N worker processes (see README "Parallel
-    audits"); the report is byte-identical to the inline one::
+    ``--jobs N`` runs the audit's property checks on a persistent pool
+    of N worker processes (see README "Parallel audits"); the printed
+    report is byte-identical to the inline one::
 
         python -m repro audit --design mc8051-t800 --jobs 4
+
+    Resource supervision (see README "Resource limits & graceful
+    degradation"): a pool worker is the only place a check can be
+    killed, so ``--check-timeout`` (hard-kill a hung check attempt)
+    needs ``--jobs``; ``--jobs 1`` runs one check at a time, in one
+    worker. ``--retries`` re-runs crashed/exhausted checks, and
+    ``--resume ckpt.json`` checkpoints completed registers so an
+    interrupted audit picks up where it left off::
+
+        python -m repro audit --design aes-t1200 --jobs 1 \\
+            --check-timeout 30 --retries 2 --resume aes_audit.json
 
 ``bench``
     Audit many designs on **one** scheduler pool and score every
@@ -37,7 +37,8 @@ Commands
             --jobs 4 --max-cycles 12
 
     ``--jobs``, ``--cache-dir`` and ``--trace`` are spelled the same
-    on ``audit``, ``bench`` and ``screen`` (one shared parent parser).
+    on ``audit``, ``bench`` and ``screen`` (one shared parent parser);
+    ``--check-timeout`` and ``--retries`` on ``audit`` and ``bench``.
 
 ``screen``
     Run the solver-free screens of the screen registry (see README
@@ -323,36 +324,38 @@ def cmd_screen(args, out=sys.stdout):
     return 1 if failing else 0
 
 
-def cmd_audit(args, out=sys.stdout):
-    from repro.errors import CheckpointError
-    from repro.report.screen import SCREENS
+def _supervised_runner(args, profile_dir=None):
+    """Check the supervision flags ``audit`` and ``bench`` share and
+    build their :class:`~repro.runner.CheckRunner`."""
     from repro.runner import CheckRunner
 
-    netlist, spec = _load(args.design)
-    registers = args.register or None
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     if args.retries < 0:
         raise SystemExit("--retries must be >= 0")
     if args.check_timeout is not None and args.check_timeout <= 0:
         raise SystemExit("--check-timeout must be positive")
-    inline = not args.workers and args.jobs is None
-    if args.check_timeout is not None and inline:
+    if args.check_timeout is not None and args.jobs is None:
         raise SystemExit(
-            "--check-timeout needs --workers or --jobs "
-            "(an inline check cannot be killed)"
+            "--check-timeout needs --jobs (an inline check cannot be killed)"
         )
-    if args.profile and not args.trace:
-        raise SystemExit("--profile needs --trace (dumps live next to it)")
-    profile_dir = "{}.profiles".format(args.trace) if args.profile else None
-    runner = CheckRunner.configure(
-        workers=args.workers,
+    return CheckRunner.configure(
         check_timeout=args.check_timeout,
         retries=args.retries,
         profile_dir=profile_dir,
     )
+
+
+def cmd_audit(args, out=sys.stdout):
+    from repro.errors import CheckpointError
+    from repro.report.screen import SCREENS
+
+    netlist, spec = _load(args.design)
+    registers = args.register or None
+    if args.profile and not args.trace:
+        raise SystemExit("--profile needs --trace (dumps live next to it)")
+    profile_dir = "{}.profiles".format(args.trace) if args.profile else None
+    runner = _supervised_runner(args, profile_dir)
     screens = []
     for name in args.screens:
         screen_report = SCREENS[name].run(netlist, spec, args.design)
@@ -413,22 +416,13 @@ def cmd_bench(args, out=sys.stdout):
     import time as time_mod
 
     from repro.bench.harness import audit_sweep
-    from repro.runner import CheckRunner
 
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.check_timeout is not None and args.jobs is None:
-        raise SystemExit(
-            "--check-timeout needs --jobs (an inline check cannot be killed)"
-        )
+    runner = _supervised_runner(args)
     names = args.design or design_names()
     designs = []
     for name in names:
         netlist, spec = _load(name)
         designs.append((name, netlist, spec))
-    runner = CheckRunner.configure(
-        check_timeout=args.check_timeout, retries=args.retries
-    )
     import contextlib
 
     start = time_mod.perf_counter()
@@ -858,6 +852,21 @@ def _shared_parent():
     return parent
 
 
+def _supervision_parent():
+    """``audit`` and ``bench``'s hard-timeout and retry flags."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("supervision options")
+    group.add_argument("--check-timeout", type=float, default=None,
+                       help="hard wall-clock seconds per check attempt; "
+                            "a hung engine is killed, not waited on "
+                            "(needs --jobs: only a pool worker can be "
+                            "killed)")
+    group.add_argument("--retries", type=int, default=0,
+                       help="re-run a crashed/exhausted check up to N "
+                            "extra times")
+    return parent
+
+
 def build_parser():
     from repro.report.screen import SCREENS
 
@@ -867,6 +876,7 @@ def build_parser():
                     "(DAC'15 reproduction)",
     )
     shared = _shared_parent()
+    supervision = _supervision_parent()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser(
@@ -882,7 +892,7 @@ def build_parser():
     p_stats.add_argument("--design", required=True)
 
     p_audit = sub.add_parser("audit", help="run Algorithm 1",
-                             parents=[shared])
+                             parents=[shared, supervision])
     p_audit.add_argument("--design", required=True)
     p_audit.add_argument("--engine", default="bmc",
                          choices=["bmc", "atpg", "atpg-backward",
@@ -898,16 +908,6 @@ def build_parser():
                          help="authorization-only Eq.(2), skip value checks")
     p_audit.add_argument("--witness", action="store_true",
                          help="print counterexample input sequences")
-    p_audit.add_argument("--workers", type=int, default=0,
-                         help="run each property check in an isolated "
-                              "worker process (0 = in-process)")
-    p_audit.add_argument("--check-timeout", type=float, default=None,
-                         help="hard wall-clock seconds per check attempt; "
-                              "a hung engine is killed, not waited on "
-                              "(needs --workers or --jobs)")
-    p_audit.add_argument("--retries", type=int, default=0,
-                         help="re-run a crashed/exhausted check up to N "
-                              "extra times")
     p_audit.add_argument("--resume", metavar="CHECKPOINT.json", default=None,
                          help="persist completed register findings here and "
                               "resume from them if the file exists")
@@ -927,7 +927,7 @@ def build_parser():
                               "(needs --trace; slows the engines)")
 
     p_bench = sub.add_parser(
-        "bench", parents=[shared],
+        "bench", parents=[shared, supervision],
         help="audit many designs on one scheduler, scored vs ground truth",
     )
     p_bench.add_argument("--design", action="append",
@@ -941,13 +941,6 @@ def build_parser():
                          help="seconds per property check")
     p_bench.add_argument("--check-pseudo-critical", action="store_true")
     p_bench.add_argument("--check-bypass", action="store_true")
-    p_bench.add_argument("--check-timeout", type=float, default=None,
-                         help="hard wall-clock seconds per check attempt; "
-                              "a hung engine is killed, not waited on "
-                              "(needs --jobs)")
-    p_bench.add_argument("--retries", type=int, default=0,
-                         help="re-run a crashed/exhausted check up to N "
-                              "extra times")
     p_bench.add_argument("--json", action="store_true",
                          help="machine-readable output")
     p_bench.add_argument("--screens", type=_screen_list, default=(),

@@ -18,8 +18,7 @@ sharing the ``status`` / ``bound`` / ``witness`` / ``detected`` /
 
 Every BMC check that carries its monitor's violation net (the Eq. 2
 tasks) goes through :func:`run_objective`'s k-induction shortcut
-first, wherever the task runs: inline, in a pool worker or in a
-process-isolated attempt.
+first, wherever the task runs: inline or in a pool worker.
 """
 
 from __future__ import annotations

@@ -51,12 +51,11 @@ class AuditConfig:
     picks the executor's mode: ``None`` (default) runs every check in
     this process, one at a time and only when Algorithm 1 needs it;
     any integer ``N >= 1`` runs the same task DAG on a persistent pool
-    of ``N`` worker processes (``jobs=1`` is the inline *schedule* on
-    pool infrastructure — useful for byte-comparing parallel runs
-    against a one-worker baseline, since both execute checks in worker
-    processes). Both modes run every check the same way: each Eq. 2
-    BMC check tries the k-induction shortcut first and then a cold
-    engine; no two checks share solver state.
+    of ``N`` worker processes, the only place a check can be killed at
+    a hard timeout or capped in memory (``jobs=1`` runs one check at a
+    time, in one worker). Both modes run every check the same way:
+    each Eq. 2 BMC check tries the k-induction shortcut first and then
+    a cold engine; no two checks share solver state.
     """
 
     max_cycles: int = 40
@@ -127,9 +126,9 @@ class TrojanDetector:
         ``jobs`` field picks inline or pool execution (see
         :mod:`repro.sched`).
     runner:
-        A :class:`~repro.runner.supervisor.CheckRunner` controlling
-        isolation, hard limits and retries. The default runs checks
-        in-process with a single attempt.
+        A :class:`~repro.runner.supervisor.CheckRunner` holding the
+        hard limits (enforced on a pool), the retry policy and the
+        outcome cache. The default makes a single attempt per check.
 
     Configuration fields
     --------------------
@@ -197,17 +196,6 @@ class TrojanDetector:
             return self.config.pseudo_critical_cycles
         return max(4, self.config.max_cycles // 2)
 
-    @property
-    def scheduler_jobs(self):
-        """Worker-pool size for this audit, or ``None`` to run inline.
-        ``config.jobs`` wins; otherwise a pool-backed runner
-        (``configure(workers=N)``, ``N >= 2``) implies its own size."""
-        if self.config.jobs is not None:
-            return self.config.jobs
-        if self.runner.jobs > 1:
-            return self.runner.jobs
-        return None
-
     def run(self, registers=None, checkpoint=None):
         """Run Algorithm 1; returns a :class:`DetectionReport`.
 
@@ -235,7 +223,7 @@ class TrojanDetector:
 
         request = AuditRequest(self, registers=registers,
                                checkpoint=checkpoint)
-        return AuditScheduler([request], jobs=self.scheduler_jobs).run()[0]
+        return AuditScheduler([request], jobs=self.config.jobs).run()[0]
 
     # ------------------------------------------------------- task builders
     #

@@ -1,12 +1,15 @@
 """Supervised execution layer for Algorithm 1's property checks.
 
 Everything the detector and the benchmark harness need to survive
-hostile workloads: crash-isolated workers with hard timeouts and memory
-caps (:mod:`~repro.runner.worker`), retry policies with escalating
-budgets (:mod:`~repro.runner.policy`), structured per-check outcomes
-(:mod:`~repro.runner.outcome`), audit checkpoint/resume
-(:mod:`~repro.runner.checkpoint`) and deterministic fault injection for
-testing all of it (:mod:`~repro.runner.faultinject`).
+hostile workloads: the per-check runner (:mod:`~repro.runner.supervisor`)
+and its state machine (:mod:`~repro.runner.execution`), hard limits and
+retry policies with escalating budgets (:mod:`~repro.runner.policy`),
+structured per-check outcomes (:mod:`~repro.runner.outcome`), audit
+checkpoint/resume (:mod:`~repro.runner.checkpoint`) and deterministic
+fault injection for testing all of it (:mod:`~repro.runner.faultinject`).
+A check leaves the audit's process in one place only: a worker of the
+scheduler's pool (:mod:`repro.sched.pool`), which enforces the hard
+timeout and the memory cap.
 """
 
 from repro.runner.checkpoint import (
@@ -17,6 +20,8 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.faultinject import FaultInjector, FaultSpec, InjectedFault
 from repro.runner.outcome import (
+    INLINE,
+    PROCESS,
     AttemptRecord,
     CachedResult,
     CheckOutcome,
@@ -33,14 +38,7 @@ from repro.runner.policy import (
     RetryPolicy,
 )
 from repro.runner.execution import CheckExecution
-from repro.runner.supervisor import (
-    INLINE,
-    PROCESS,
-    CheckRunner,
-    absorb_message,
-    absorb_result,
-    strip_telemetry,
-)
+from repro.runner.supervisor import CheckRunner, absorb_result
 from repro.runner.tasks import (
     BypassTask,
     CallableTask,
@@ -57,9 +55,7 @@ __all__ = [
     "CheckExecution",
     "CheckOutcome",
     "CheckRunner",
-    "absorb_message",
     "absorb_result",
-    "strip_telemetry",
     "CRASHED",
     "DEGRADED_STATUSES",
     "EXHAUSTED",

@@ -8,9 +8,9 @@ resumed run's relative bounds back into absolute claims.
 
 It deliberately performs **no execution and no tracing**: the caller
 runs the attempt however it likes — :class:`~repro.runner.supervisor.
-CheckRunner` synchronously (inline or one worker per attempt), the
-parallel scheduler (:mod:`repro.sched`) by dispatching to a persistent
-worker pool — and feeds the resulting :class:`AttemptRecord` back in.
+CheckRunner` synchronously in this process, the scheduler
+(:mod:`repro.sched`) by dispatching to a persistent worker pool — and
+feeds the resulting :class:`AttemptRecord` back in.
 Keeping the state machine in one place is what makes a check behave
 identically whether it ran inline or on a pool: same cache
 disposition, same retry ladder, same final :class:`CheckOutcome`.

@@ -4,10 +4,10 @@ Proving the runner's crash isolation, hard timeouts, retry policy and
 checkpoint/resume requires engines that fail *on demand*: the real
 engines are deterministic and (deliberately) hard to crash. A
 :class:`FaultInjector` carries a list of :class:`FaultSpec` rules; the
-supervisor consults it inside the execution context — in the worker
-process under process isolation, inline otherwise — immediately before
-a check runs, so an injected hang really does stall the worker and an
-injected hard crash really does kill it.
+supervisor consults it inside the execution context — in the pool
+worker on a pool, in this process inline — immediately before a check
+runs, so an injected hang really does stall the worker and an injected
+hard crash really does kill it.
 
 Determinism: a rule fires based only on the check *name* and the
 0-based *attempt index* (``first_attempts`` = inject on attempts

@@ -18,6 +18,11 @@ from repro.runner.policy import BUDGET, CRASHED, EXHAUSTED, OK, TIMEOUT
 
 UNKNOWN_STATUS = "unknown"
 
+#: Where an attempt ran (:attr:`AttemptRecord.mode`): in the
+#: supervisor's own process, or in a worker of the scheduler's pool.
+INLINE = "inline"
+PROCESS = "process"
+
 
 @dataclass
 class PartialVerdict:
@@ -88,7 +93,7 @@ class AttemptRecord:
     status: str  # ok / exhausted / budget / timeout / crashed
     bound_reached: int = 0
     elapsed: float = 0.0
-    mode: str = "inline"  # inline / process
+    mode: str = INLINE  # INLINE / PROCESS
     max_cycles: int = 0
     time_budget: float | None = None
     peak_memory: int = 0
@@ -207,7 +212,7 @@ class CheckOutcome:
                 status=a["status"],
                 bound_reached=a.get("bound_reached", 0),
                 elapsed=a.get("elapsed", 0.0),
-                mode=a.get("mode", "inline"),
+                mode=a.get("mode", INLINE),
                 max_cycles=a.get("max_cycles", 0),
                 time_budget=a.get("time_budget"),
                 error=a.get("error"),

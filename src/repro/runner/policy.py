@@ -6,11 +6,12 @@ service additionally has to survive engines that hang, crash, or blow
 through memory. Two small policy objects describe how the supervisor
 (:class:`repro.runner.supervisor.CheckRunner`) reacts:
 
-* :class:`ResourceLimits` — the *hard* envelope around one attempt: a
-  wall-clock timeout enforced by killing the worker process, and an
-  address-space cap installed in the worker via ``setrlimit``. These are
-  distinct from the engines' cooperative ``time_budget``, which a stuck
-  implication loop can simply fail to check.
+* :class:`ResourceLimits` — the *hard* envelope around one attempt on
+  the scheduler's worker pool: a wall-clock timeout enforced by killing
+  the worker process, and an address-space cap installed in the worker
+  via ``setrlimit``. These are distinct from the engines' cooperative
+  ``time_budget``, which a stuck implication loop can simply fail to
+  check.
 * :class:`RetryPolicy` — how many attempts a check gets, how long to
   back off between them, and how the bound / budget are rescaled on each
   retry (the classic mitigation for a solver blow-up at depth ``t`` is

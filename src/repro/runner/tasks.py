@@ -22,19 +22,19 @@ class ObjectiveTask:
     """One Eq. (2)/(3) bounded check of a 1-bit objective net.
 
     The task runs the same way wherever it executes: the supervisor's
-    own process, a pool worker or a process-isolated attempt. An Eq. 2
-    task carries its monitor's ``violation_net`` and so tries the
-    k-induction shortcut first in each of them.
+    own process or a pool worker. An Eq. 2 task carries its monitor's
+    ``violation_net`` and so tries the k-induction shortcut first in
+    both.
 
     With ``cache_dir`` set, the task participates in the outcome cache
     (:mod:`repro.cache`): the supervisor consults the store before the
     task runs, and the task writes its verdict back *from wherever it
-    executes* — the worker process under process isolation, the calling
-    process inline — so a crash-killed supervisor still keeps the
-    worker's finished proofs. ``cache_resume_base`` is the cached proved
-    bound a resumed check continues from; the write-back path refuses to
-    extend a proof across a gap (a hand-set ``start_cycle`` without a
-    certified prefix stores nothing but violations).
+    executes* — a pool worker, or the calling process inline — so a
+    crash-killed supervisor still keeps the worker's finished proofs.
+    ``cache_resume_base`` is the cached proved bound a resumed check
+    continues from; the write-back path refuses to extend a proof across
+    a gap (a hand-set ``start_cycle`` without a certified prefix stores
+    nothing but violations).
     """
 
     engine: str
@@ -165,16 +165,14 @@ class BypassTask:
 class CallableTask:
     """Adapter for arbitrary callables (tests, custom engines).
 
-    ``fn`` is called as ``fn(max_cycles=..., time_budget=...)`` when it
-    accepts those keywords, else bare — keeping ad-hoc tasks compatible
-    with the retry policy's rescaling.
+    ``fn`` is called bare; ``max_cycles`` and ``time_budget`` only feed
+    the retry policy's rescaling and the attempt records.
     """
 
     fn: object
     max_cycles: int = 0
     time_budget: float | None = None
     property_name: str = ""
-    pass_limits: bool = False
 
     def with_bound(self, max_cycles):
         return replace(self, max_cycles=max_cycles)
@@ -183,8 +181,4 @@ class CallableTask:
         return replace(self, time_budget=time_budget)
 
     def __call__(self):
-        if self.pass_limits:
-            return self.fn(
-                max_cycles=self.max_cycles, time_budget=self.time_budget
-            )
         return self.fn()

@@ -3,9 +3,10 @@
 Two layers:
 
 * :mod:`~repro.sched.pool` — :class:`PersistentWorkerPool`: N check
-  workers spawned once, each serving tasks over its own pipe with the
-  crash-isolation guarantees of the fork-per-attempt runner (hard
-  timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash).
+  workers spawned once, each serving tasks over its own pipe (hard
+  timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash), and
+  the worker protocol they speak. It is the only place a check runs
+  outside the audit's process.
 * :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: Algorithm 1
   as a dynamic task DAG with one replay assembly for both of its modes.
   Inline (``jobs=None``), it runs each check Algorithm 1 needs next in
@@ -14,10 +15,9 @@ Two layers:
   cancellation, and per-design telemetry subtrees.
 
 Entry points: ``TrojanDetector.run()`` hands every audit to the
-scheduler — inline by default, on a pool with
-``config=AuditConfig(jobs=N)`` (or ``CheckRunner.configure(workers=N)``);
-:class:`AuditScheduler` directly schedules many designs at once (the
-``repro bench`` path).
+scheduler — inline by default, on a pool of ``config.jobs`` workers
+with ``config=AuditConfig(jobs=N)``; :class:`AuditScheduler` directly
+schedules many designs at once (the ``repro bench`` path).
 """
 
 from repro.sched.pool import PersistentWorkerPool, PoolEvent

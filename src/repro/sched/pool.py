@@ -1,18 +1,32 @@
-"""Persistent worker pool: spawn once, feed tasks over pipes.
+"""Persistent worker pool: the one place a check leaves the audit's process.
 
-PR 1's :func:`~repro.runner.worker.run_in_process` pays one ``fork`` +
-interpreter teardown per *attempt* — fine for isolating a dozen checks,
-ruinous for an audit fleet running thousands. :class:`PersistentWorkerPool`
-spawns its workers **once**; each worker loops on its own duplex pipe,
-pulling one task at a time and sending back the same tagged-tuple
-protocol the fork-per-attempt worker speaks (``("ok", result)`` /
-``("budget", msg, bound)`` / ``("crashed", msg)``, plus the optional
-trailing telemetry dict). The crash-isolation guarantees carry over:
+:class:`PersistentWorkerPool` spawns its workers **once**; each worker
+loops on its own duplex pipe, pulling one task at a time. Every attempt,
+in a persistent worker or a one-shot fork child, runs through
+:func:`run_attempt`, and the reply is a tagged tuple:
+
+* ``("ok", result)`` — the engine returned a result object;
+* ``("budget", message, bound_reached)`` — it raised
+  :class:`ResourceBudgetExceeded`;
+* ``("crashed", message)`` — it raised anything else (including
+  ``MemoryError`` from the ``RLIMIT_AS`` cap), or the worker died
+  without replying (segfault, ``os._exit``, OOM-kill), seen as EOF;
+* ``("timeout", message)`` — the pool killed the worker at the hard
+  deadline.
+
+When the pool collects events, a worker buffers each attempt's
+telemetry in a fresh :class:`~repro.obs.tracer.BufferTracer` and
+appends it to the tuple as a trailing ``{"events": [...], "counters":
+{...}}`` dict; :func:`strip_telemetry` grafts it under the supervisor's
+attempt span and :func:`absorb_message` writes the rest onto an
+:class:`~repro.runner.outcome.AttemptRecord`. A killed worker loses its
+buffer by construction.
+
+The crash-isolation guarantees:
 
 * a task that raises is caught *inside* the worker, reported as a
   protocol tuple, and the worker lives on to serve the next task;
-* a worker that dies outright (segfault, ``os._exit``, OOM-kill) is
-  detected as EOF on its pipe, reported as ``("crashed", ...)``, and
+* a worker that dies outright is reported as ``("crashed", ...)`` and
   **respawned** so the pool never shrinks;
 * a task that overruns its hard deadline gets its worker killed
   (terminate → kill) and respawned, reported as ``("timeout", ...)``;
@@ -24,11 +38,6 @@ Scheduling stays on the supervisor side: the pool exposes *assignment*
 (:meth:`wait` blocks until results, deaths or deadlines) and nothing
 else. Priorities, retries, caching and DAG bookkeeping belong to
 :class:`~repro.sched.scheduler.AuditScheduler`.
-
-Telemetry: when ``collect_events`` is set, each worker buffers its spans
-in a fresh :class:`~repro.obs.tracer.BufferTracer` per task and ships
-them with the result, exactly like the fork-per-attempt protocol; a
-killed worker loses the in-flight buffer by construction.
 """
 
 from __future__ import annotations
@@ -42,12 +51,97 @@ from multiprocessing.connection import wait as _conn_wait
 from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.obs.profiling import profiled
 from repro.obs.tracer import NULL_TRACER, BufferTracer, set_tracer
-from repro.runner.worker import _apply_memory_cap
+from repro.runner.policy import BUDGET, CRASHED, TIMEOUT
+from repro.runner.supervisor import absorb_result
 
 _KILL_GRACE = 5.0  # seconds to wait after terminate() before SIGKILL
 
 EXIT = "exit"
 TASK = "task"
+
+
+def _apply_memory_cap(memory_bytes):
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    new_hard = hard if hard != resource.RLIM_INFINITY else memory_bytes
+    resource.setrlimit(
+        resource.RLIMIT_AS, (min(memory_bytes, new_hard), new_hard)
+    )
+
+
+def run_attempt(task, name, attempt_index, injector, collect_events,
+                profile_dir):
+    """Run one attempt of ``task`` in this worker; returns its protocol
+    tuple (see the module doc), with the telemetry dict appended when
+    ``collect_events`` is set."""
+    buffer = BufferTracer() if collect_events else None
+    set_tracer(buffer if collect_events else NULL_TRACER)
+    try:
+        if injector is not None:
+            injector.fire(name, attempt_index, in_worker=True)
+        with profiled(profile_dir,
+                      "{}.attempt{}".format(name, attempt_index)):
+            result = task()
+        out = ("ok", result)
+    except ResourceBudgetExceeded as exc:
+        out = ("budget", str(exc), getattr(exc, "bound_reached", 0))
+    except MemoryError as exc:
+        # building the telemetry payload may itself need memory the
+        # rlimit no longer grants; report bare
+        return ("crashed", "MemoryError: {}".format(exc))
+    except BaseException as exc:  # noqa: BLE001 - isolation boundary
+        out = ("crashed", "{}: {}".format(type(exc).__name__, exc))
+    finally:
+        set_tracer(NULL_TRACER)
+    if buffer is None:
+        return out
+    return out + ({
+        "events": buffer.drain(),
+        "counters": buffer.metrics.snapshot()["counters"],
+    },)
+
+
+def strip_telemetry(tracer, message):
+    """Strip a worker's trailing telemetry element off a protocol
+    tuple, grafting its events under the current (attempt) span and
+    folding its counters into ``tracer``'s registry. Pool-generated
+    tuples (timeout, EOF-crash) carry none."""
+    if message and isinstance(message[-1], dict) and (
+        "events" in message[-1]
+    ):
+        telemetry = message[-1]
+        tracer.absorb(telemetry.get("events"))
+        tracer.metrics.merge_counters(telemetry.get("counters") or {})
+        message = message[:-1]
+    return message
+
+
+def absorb_message(record, message, name, tracer):
+    """Interpret a protocol tuple (telemetry stripped) onto an
+    :class:`~repro.runner.outcome.AttemptRecord`."""
+    kind = message[0]
+    if kind == "ok":
+        absorb_result(record, message[1])
+    elif kind == "budget":
+        record.status = BUDGET
+        record.error = message[1]
+        record.bound_reached = message[2]
+    elif kind == "timeout":
+        record.status = TIMEOUT
+        record.error = message[1]
+        if tracer.enabled:
+            # the worker was killed: its event buffer died with it
+            tracer.point("runner.kill", check=name, reason="timeout")
+            tracer.metrics.counter("runner.kills").inc()
+    else:  # crashed
+        record.status = CRASHED
+        record.error = message[1]
+        if tracer.enabled:
+            tracer.point("runner.crash", check=name, error=message[1])
+            tracer.metrics.counter("runner.crashes").inc()
 
 
 def _pool_worker_main(conn, memory_bytes, injector):
@@ -69,37 +163,8 @@ def _pool_worker_main(conn, memory_bytes, injector):
             break
         (_kind, task_id, task, name, attempt_index, collect_events,
          profile_dir) = message
-        buffer = BufferTracer() if collect_events else None
-        set_tracer(buffer if collect_events else NULL_TRACER)
-
-        def payload(base):
-            if buffer is None:
-                return base
-            return base + ({
-                "events": buffer.drain(),
-                "counters": buffer.metrics.snapshot()["counters"],
-            },)
-
-        try:
-            if injector is not None:
-                injector.fire(name, attempt_index, in_worker=True)
-            with profiled(profile_dir,
-                          "{}.attempt{}".format(name, attempt_index)):
-                result = task()
-            out = payload(("ok", result))
-        except ResourceBudgetExceeded as exc:
-            out = payload(
-                ("budget", str(exc), getattr(exc, "bound_reached", 0))
-            )
-        except MemoryError as exc:
-            # building the telemetry payload may itself need memory the
-            # rlimit no longer grants; report bare
-            out = ("crashed", "MemoryError: {}".format(exc))
-        except BaseException as exc:  # noqa: BLE001 - isolation boundary
-            out = payload(
-                ("crashed", "{}: {}".format(type(exc).__name__, exc))
-            )
-        set_tracer(NULL_TRACER)
+        out = run_attempt(task, name, attempt_index, injector,
+                          collect_events, profile_dir)
         try:
             conn.send((task_id, out))
         except (OSError, ValueError):
@@ -117,38 +182,15 @@ def _ephemeral_main(conn, task_id, task, name, attempt_index, memory_bytes,
     Pool tasks are normally pickled into a persistent worker; a task
     holding an unpicklable object (e.g. a ``RegisterSpec`` whose valid
     ways are lambdas) instead rides a ``fork`` into a single-use child
-    that inherits it by copy-on-write — the same trick PR 1's
-    fork-per-attempt worker relies on. Protocol and crash semantics are
-    identical to :func:`_pool_worker_main`; the child serves exactly one
-    task and exits.
+    that inherits it by copy-on-write. It runs the same
+    :func:`run_attempt` as :func:`_pool_worker_main`, serves exactly
+    one task and exits.
     """
     set_tracer(NULL_TRACER)
     if memory_bytes is not None:
         _apply_memory_cap(memory_bytes)
-    buffer = BufferTracer() if collect_events else None
-    set_tracer(buffer if collect_events else NULL_TRACER)
-
-    def payload(base):
-        if buffer is None:
-            return base
-        return base + ({
-            "events": buffer.drain(),
-            "counters": buffer.metrics.snapshot()["counters"],
-        },)
-
-    try:
-        if injector is not None:
-            injector.fire(name, attempt_index, in_worker=True)
-        with profiled(profile_dir,
-                      "{}.attempt{}".format(name, attempt_index)):
-            result = task()
-        out = payload(("ok", result))
-    except ResourceBudgetExceeded as exc:
-        out = payload(("budget", str(exc), getattr(exc, "bound_reached", 0)))
-    except MemoryError as exc:
-        out = ("crashed", "MemoryError: {}".format(exc))
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        out = payload(("crashed", "{}: {}".format(type(exc).__name__, exc)))
+    out = run_attempt(task, name, attempt_index, injector, collect_events,
+                      profile_dir)
     try:
         conn.send((task_id, out))
     except (OSError, ValueError):
@@ -227,13 +269,13 @@ class PersistentWorkerPool:
     """
 
     def __init__(self, size, memory_bytes=None, injector=None,
-                 mp_context=None, collect_events=False, profile_dir=None):
+                 collect_events=False, profile_dir=None):
         if size < 1:
             raise ReproError("pool size must be >= 1, got {}".format(size))
         self.size = size
         self.memory_bytes = memory_bytes
         self.injector = injector
-        self.ctx = mp_context if mp_context is not None else _context()
+        self.ctx = _context()
         self.collect_events = collect_events
         self.profile_dir = profile_dir
         self._workers = []

@@ -8,12 +8,15 @@ as a DAG of check nodes, in one of two modes.
 asks the frontier register for the first check Algorithm 1 still lacks
 and runs exactly that node in this process, through the detector's
 :class:`~repro.runner.supervisor.CheckRunner` (retries, outcome cache,
-inline or process isolation, spans). Execution therefore follows
-Algorithm 1's order and never runs a check whose result would be
-dropped. A register is set up when the frontier first reaches it.
+spans). Execution therefore follows Algorithm 1's order and never runs
+a check whose result would be dropped. A register is set up when the
+frontier first reaches it.
 
 **Pool** (``jobs=N``). Checks run concurrently across registers *and*
-across designs on one :class:`~repro.sched.pool.PersistentWorkerPool`.
+across designs on one :class:`~repro.sched.pool.PersistentWorkerPool`,
+the only place a check runs outside this process: a hard timeout, a
+memory cap and crash containment need a worker (``jobs=1`` runs one
+check at a time, in one worker).
 Within a register, ``tracking(after)`` nodes are ready immediately;
 each ``tracking(before)`` node is gated on its ``after`` sibling
 finishing *without* a proof (Algorithm 1 never runs ``before`` once
@@ -30,8 +33,7 @@ killed and the node dropped, *without* waiting.
 **Same checks in both modes.** Inline and pool execution run the same
 task objects. Every Eq. 2 BMC check (corruption and pseudo-critical
 shadow) tries the k-induction shortcut before a cold engine, in this
-process, a pool worker or a process-isolated attempt alike; no two
-checks share solver state.
+process or a pool worker alike; no two checks share solver state.
 
 **Replay assembly.** In both modes a register's finding is assembled
 in one place, :meth:`AuditScheduler._try_assemble`, which walks
@@ -72,10 +74,13 @@ from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
 from repro.runner.execution import CheckExecution
-from repro.runner.outcome import AttemptRecord
+from repro.runner.outcome import PROCESS, AttemptRecord
 from repro.runner.policy import CRASHED
-from repro.runner.supervisor import PROCESS, absorb_message
-from repro.sched.pool import PersistentWorkerPool
+from repro.sched.pool import (
+    PersistentWorkerPool,
+    absorb_message,
+    strip_telemetry,
+)
 
 #: Node kinds (one per Algorithm 1 check family).
 TRACKING = "tracking"
@@ -204,13 +209,13 @@ class AuditScheduler:
     persistent pool of ``jobs`` workers. The :attr:`jobs` attribute is
     the pool size, ``0`` when running inline.
 
-    Pool-wide settings (memory cap, fault injector, profile dir,
-    multiprocessing context) come from the **first** request's runner;
-    per-node settings (retry policy, hard timeouts, cache directory)
-    honour each request's own runner and detector.
+    Pool-wide settings (memory cap, fault injector, profile dir) come
+    from the **first** request's runner; per-node settings (retry
+    policy, hard timeouts, cache directory) honour each request's own
+    runner and detector.
     """
 
-    def __init__(self, requests, jobs=None, mp_context=None):
+    def __init__(self, requests, jobs=None):
         if not requests:
             raise ReproError("no audits to schedule")
         if jobs is not None and jobs < 1:
@@ -219,7 +224,6 @@ class AuditScheduler:
             )
         self.requests = list(requests)
         self.jobs = 0 if jobs is None else jobs  # pool size; 0 = inline
-        self.mp_context = mp_context
         self.audits = []
         self.pool = None
         self.tracer = get_tracer()
@@ -264,7 +268,6 @@ class AuditScheduler:
             self.jobs,
             memory_bytes=first.limits.memory_bytes,
             injector=first.fault_injector,
-            mp_context=self.mp_context or first.mp_context,
             collect_events=self.tracer.enabled,
             profile_dir=first.profile_dir,
         )
@@ -385,20 +388,9 @@ class AuditScheduler:
             time_budget=getattr(task, "time_budget", None),
         )
         record._result = None
-        message = event.message
-        if node.tracer is not None and message and isinstance(
-            message[-1], dict
-        ) and "events" in message[-1]:
-            telemetry = message[-1]
-            node.tracer.absorb(telemetry.get("events"))
-            node.tracer.metrics.merge_counters(
-                telemetry.get("counters") or {}
-            )
-            message = message[:-1]
-        absorb_message(
-            record, message, node.name,
-            node.tracer if node.tracer is not None else NULL_TRACER,
-        )
+        tracer = node.tracer if node.tracer is not None else NULL_TRACER
+        message = strip_telemetry(tracer, event.message)
+        absorb_message(record, message, node.name, tracer)
         record.elapsed = time.perf_counter() - node.attempt_started
         if node.tracer is not None:
             node.tracer.end(

@@ -55,7 +55,6 @@ class TestDetectionRun:
 
         netlist, spec = design_and_spec()
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("toy:bmc"),
         )
         row = detection_run(

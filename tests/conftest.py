@@ -71,6 +71,19 @@ def secret_spec():
     )
 
 
+def pooled_secret_outcome(runner=None, trace=None):
+    """Audit the Trojaned secret design on a one-worker pool and return
+    its Eq. 2 check's outcome (the design violates at cycle 7)."""
+    from repro.core import AuditConfig, TrojanDetector
+    from repro.properties import DesignSpec
+
+    netlist = build_secret_design(trojan=True)
+    spec = DesignSpec(name=netlist.name, critical={"secret": secret_spec()})
+    config = AuditConfig(max_cycles=10, time_budget=30, jobs=1, trace=trace)
+    report = TrojanDetector(netlist, spec, config=config, runner=runner).run()
+    return report.findings["secret"].check_outcomes["corruption(secret)"]
+
+
 @pytest.fixture
 def trojan_design():
     return build_secret_design(trojan=True)

@@ -1,7 +1,7 @@
 """Supervisor telemetry integration: worker event shipping, cache points.
 
 Exercises the real supervision stack under an installed tracer — the
-structural re-parenting path (worker BufferTracer -> result pipe ->
+structural re-parenting path (pool worker BufferTracer -> result pipe ->
 Tracer.absorb under the attempt span) and the cache disposition points.
 """
 
@@ -9,9 +9,8 @@ from repro.netlist import Circuit
 from repro.obs import Tracer, get_tracer, tracing
 from repro.obs.summary import build_tree, load_trace, summarize
 from repro.runner import CheckRunner, ObjectiveTask
-from repro.runner.supervisor import PROCESS
 
-from tests.conftest import build_counter
+from tests.conftest import build_counter, pooled_secret_outcome
 
 
 def counter_task(max_cycles=8, cache_dir=None):
@@ -66,8 +65,7 @@ class TestInlineTelemetry:
 class TestProcessTelemetry:
     def test_worker_events_reparented_under_attempt(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        runner = CheckRunner(isolation=PROCESS)
-        outcome = run_traced(path, runner, counter_task(), "count")
+        outcome = pooled_secret_outcome(trace=str(path))
         assert outcome.ok
         events, _meta, bad = load_trace(path)
         assert bad == 0
@@ -88,19 +86,15 @@ class TestProcessTelemetry:
     def test_worker_payload_not_leaked_into_outcome(self, tmp_path):
         # The telemetry trailing element is stripped before the message
         # is interpreted; the verdict must be the engine result.
-        path = tmp_path / "t.jsonl"
-        runner = CheckRunner(isolation=PROCESS)
-        outcome = run_traced(path, runner, counter_task(), "count")
+        outcome = pooled_secret_outcome(trace=str(tmp_path / "t.jsonl"))
         assert outcome.result.status == "violated"
-        assert outcome.result.bound == 4
+        assert outcome.result.bound == 7
 
     def test_untraced_process_run_ships_no_events(self):
         # collect_events is off when tracing is disabled: same verdict,
         # no telemetry machinery in the child.
         assert get_tracer().enabled is False
-        outcome = CheckRunner(isolation=PROCESS).run(
-            counter_task(), name="count"
-        )
+        outcome = pooled_secret_outcome()
         assert outcome.ok
         assert outcome.result.status == "violated"
 

@@ -45,12 +45,11 @@ class TestCrashIsolation:
     def test_engine_crash_yields_partial_verdict(self):
         nl, spec = secret_setup(trojan=True)
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("corruption(secret)"),
         )
         report = TrojanDetector(
             nl, spec,
-            config=AuditConfig(max_cycles=15, time_budget=60),
+            config=AuditConfig(max_cycles=15, time_budget=60, jobs=1),
             runner=runner,
         ).run()
         finding = report.findings["secret"]
@@ -65,12 +64,11 @@ class TestCrashIsolation:
     def test_crash_on_one_register_spares_the_others(self):
         nl, spec = dual_setup()
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("corruption(rega)"),
         )
         report = TrojanDetector(
             nl, spec,
-            config=AuditConfig(max_cycles=6, time_budget=30),
+            config=AuditConfig(max_cycles=6, time_budget=30, jobs=1),
             runner=runner,
         ).run()
         assert report.findings["rega"].status == "degraded"
@@ -94,7 +92,6 @@ class TestHardTimeout:
     def test_hang_past_timeout_yields_timeout_verdict(self):
         nl, spec = secret_setup(trojan=True)
         runner = CheckRunner(
-            isolation="process",
             limits=ResourceLimits(wall_timeout=0.5),
             fault_injector=FaultInjector.stall_on(
                 "corruption(secret)", seconds=120.0
@@ -102,7 +99,7 @@ class TestHardTimeout:
         )
         report = TrojanDetector(
             nl, spec,
-            config=AuditConfig(max_cycles=15, time_budget=60),
+            config=AuditConfig(max_cycles=15, time_budget=60, jobs=1),
             runner=runner,
         ).run()
         outcome = report.findings["secret"].check_outcomes[

@@ -1,10 +1,9 @@
-"""CheckRunner supervision tests: isolation, budgets, retries."""
+"""CheckRunner supervision tests: inline and one-worker-pool attempts,
+budgets, retries."""
 
 import time
 
-import pytest
-
-from repro.errors import ReproError, ResourceBudgetExceeded
+from repro.errors import ResourceBudgetExceeded
 from repro.netlist import Circuit
 from repro.runner import (
     CallableTask,
@@ -16,7 +15,7 @@ from repro.runner import (
     RetryPolicy,
 )
 
-from tests.conftest import build_counter
+from tests.conftest import build_counter, pooled_secret_outcome
 
 
 def counter_task(max_cycles=8, time_budget=30.0, engine="bmc"):
@@ -80,8 +79,7 @@ class TestInlineExecution:
 
 class TestProcessIsolation:
     def test_conclusive_check_round_trips_the_witness(self):
-        runner = CheckRunner(isolation="process")
-        outcome = runner.run(counter_task(), name="count")
+        outcome = pooled_secret_outcome()
         assert outcome.ok
         assert outcome.result.status == "violated"
         assert outcome.result.witness is not None
@@ -89,21 +87,21 @@ class TestProcessIsolation:
 
     def test_worker_death_is_a_crashed_outcome(self):
         runner = CheckRunner(
-            isolation="process",
-            fault_injector=FaultInjector.crash_on("count"),
+            fault_injector=FaultInjector.crash_on("corruption(secret)"),
         )
-        outcome = runner.run(counter_task(), name="count")
+        outcome = pooled_secret_outcome(runner)
         assert outcome.status == "crashed"
         assert "exit code" in outcome.error
 
     def test_hang_is_killed_at_the_hard_timeout(self):
         runner = CheckRunner(
-            isolation="process",
             limits=ResourceLimits(wall_timeout=0.5),
-            fault_injector=FaultInjector.stall_on("count", seconds=60.0),
+            fault_injector=FaultInjector.stall_on(
+                "corruption(secret)", seconds=60.0
+            ),
         )
         start = time.perf_counter()
-        outcome = runner.run(counter_task(), name="count")
+        outcome = pooled_secret_outcome(runner)
         elapsed = time.perf_counter() - start
         assert outcome.status == "timeout"
         assert elapsed < 10.0  # killed, not waited on for 60 s
@@ -111,19 +109,19 @@ class TestProcessIsolation:
 
     def test_budget_fault_crosses_the_process_boundary(self):
         runner = CheckRunner(
-            isolation="process",
-            fault_injector=FaultInjector.budget_on("count", bound_reached=5),
+            fault_injector=FaultInjector.budget_on(
+                "corruption(secret)", bound_reached=5
+            ),
         )
-        outcome = runner.run(counter_task(), name="count")
+        outcome = pooled_secret_outcome(runner)
         assert outcome.status == "budget"
         assert outcome.bound_reached == 5
 
     def test_memory_error_reported_as_crash(self):
         runner = CheckRunner(
-            isolation="process",
-            fault_injector=FaultInjector.memory_on("count"),
+            fault_injector=FaultInjector.memory_on("corruption(secret)"),
         )
-        outcome = runner.run(counter_task(), name="count")
+        outcome = pooled_secret_outcome(runner)
         assert outcome.status == "crashed"
         assert "MemoryError" in outcome.error
 
@@ -188,19 +186,12 @@ class TestRetries:
 
 
 class TestRunnerConfig:
-    def test_unknown_isolation_rejected(self):
-        with pytest.raises(ReproError):
-            CheckRunner(isolation="thread")
-
     def test_configure_maps_flat_knobs(self):
-        runner = CheckRunner.configure(
-            workers=1, check_timeout=3.0, retries=2
-        )
-        assert runner.isolation == "process"
+        runner = CheckRunner.configure(check_timeout=3.0, retries=2)
         assert runner.limits.wall_timeout == 3.0
         assert runner.retry.attempts == 3
 
     def test_configure_default_is_inline_single_attempt(self):
         runner = CheckRunner.configure()
-        assert runner.isolation == "inline"
+        assert runner.limits.wall_timeout is None
         assert runner.retry.attempts == 1

@@ -3,8 +3,8 @@ check runs, and for no Eq. 3 check.
 
 An Eq. 2 task carries its monitor's violation net, and
 :func:`~repro.core.backends.run_objective` tries a 1-induction proof
-before it builds a BMC engine. So a pool worker and a process-isolated
-attempt certify a clean register the same way the supervisor's own
+before it builds a BMC engine. So a pool worker, one of two or the only
+one, certifies a clean register the same way the supervisor's own
 process does: one ``induction.prove`` span, no bound ascent.
 """
 
@@ -16,20 +16,18 @@ from repro.obs.summary import build_tree
 from repro.obs.tracer import BufferTracer, tracing
 from repro.properties import DesignSpec
 from repro.properties.monitors import build_corruption_monitor
-from repro.runner import CheckRunner, ObjectiveTask
+from repro.runner import ObjectiveTask
 
 from tests.conftest import build_secret_design, secret_spec
 
 
-def traced_audit(jobs=None, runner=None, trojan=False, pseudo=False,
-                 **config_kwargs):
+def traced_audit(jobs=None, trojan=False, pseudo=False, **config_kwargs):
     netlist = build_secret_design(trojan=trojan, pseudo=pseudo)
     spec = DesignSpec(name=netlist.name, critical={"secret": secret_spec()})
     buffer = BufferTracer()
     config = AuditConfig(max_cycles=10, jobs=jobs, trace=buffer,
                          **config_kwargs)
-    report = TrojanDetector(netlist, spec, config=config,
-                            runner=runner).run()
+    report = TrojanDetector(netlist, spec, config=config).run()
     return report, buffer
 
 
@@ -61,12 +59,9 @@ def assert_proved_by_the_shortcut(buffer):
             if s.name == "bmc.bound" and id(s) not in inside] == []
 
 
-@pytest.mark.parametrize("jobs, runner", [
-    (2, None),
-    (None, CheckRunner(isolation="process")),
-], ids=["pool", "process-isolated"])
-def test_clean_eq2_check_is_proved_by_induction_in_a_worker(jobs, runner):
-    report, buffer = traced_audit(jobs=jobs, runner=runner)
+@pytest.mark.parametrize("jobs", [2, 1], ids=["pool", "process-isolated"])
+def test_clean_eq2_check_is_proved_by_induction_in_a_worker(jobs):
+    report, buffer = traced_audit(jobs=jobs)
     assert not report.trojan_found
     outcome = report.findings["secret"].check_outcomes["corruption(secret)"]
     assert (outcome.verdict.status, outcome.verdict.bound) == ("proved", 10)

@@ -26,6 +26,23 @@ def _raise_task():
     raise ValueError("boom inside worker")
 
 
+def _alloc_task():
+    return len(bytearray(1 << 30))
+
+
+def _pid_task():
+    return os.getpid()
+
+
+def _vm_size():
+    """This process's address-space size in bytes (``VmSize``)."""
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmSize line")
+
+
 def drain(pool, want, timeout=30.0):
     """Collect `want` events or fail after `timeout` seconds."""
     events = []
@@ -95,6 +112,25 @@ class TestIsolation:
         assert "exit code 17" in event.message[1]
         assert pool.stats["respawned"] == 1
         assert pool.idle_count == 2  # pool never shrinks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_memory_cap_turns_an_allocation_into_a_crash(self):
+        # the worker is a fork of this process: 512 MiB of headroom over
+        # its address space leaves no room for a 1 GiB buffer
+        cap = _vm_size() + (512 << 20)
+        with PersistentWorkerPool(size=1, memory_bytes=cap) as capped:
+            capped.submit("pid", CallableTask(fn=_pid_task))
+            (event,) = drain(capped, 1)
+            pid = event.message[1]
+            capped.submit("big", CallableTask(fn=_alloc_task))
+            (event,) = drain(capped, 1)
+            assert event.message == ("crashed", "MemoryError: ")
+            # the capped worker lives on and serves the next task
+            capped.submit("again", CallableTask(fn=_pid_task))
+            (event,) = drain(capped, 1)
+            assert event.message == ("ok", pid)
+            assert capped.stats["respawned"] == 0
 
     def test_hard_timeout_kills_and_respawns(self, pool):
         pool.submit("t", CallableTask(fn=_slow_task), hard_timeout=0.3)

@@ -75,18 +75,6 @@ class TestSerialParity:
             "trojan", check_pseudo_critical=True, stop_on_first=False
         )
 
-    def test_runner_workers_n_routes_through_scheduler(self):
-        # the PR 1 bugfix: workers=N>1 must drive the pool, never be a lie
-        nl, spec = design_for("trojan")
-        runner = CheckRunner.configure(workers=3, check_timeout=120)
-        detector = TrojanDetector(
-            nl, spec, config=AuditConfig(max_cycles=10, time_budget=60),
-            runner=runner,
-        )
-        assert detector.scheduler_jobs == 3
-        report = detector.run()
-        assert report.trojan_found
-
 
 class TestCheckpointMidPool:
     def test_checkpoint_round_trips_through_scheduler(self, tmp_path):

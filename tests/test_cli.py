@@ -47,11 +47,11 @@ def test_audit_clean_design_exits_zero():
 
 
 def test_audit_with_supervision_flags():
-    # isolated worker + hard timeout + retries must not change the verdict
+    # one pool worker + hard timeout + retries must not change the verdict
     code, text = run_cli([
         "audit", "--design", "mc8051-t700", "--engine", "bmc",
         "--max-cycles", "8", "--register", "acc",
-        "--workers", "1", "--check-timeout", "60", "--retries", "1",
+        "--jobs", "1", "--check-timeout", "60", "--retries", "1",
     ])
     assert code == 1
     assert "TROJAN FOUND" in text
@@ -112,18 +112,21 @@ def test_audit_no_cache_overrides_cache_dir(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
-def test_audit_check_timeout_needs_a_killable_check():
+def test_audit_check_timeout_needs_a_killable_check(capsys):
     # an inline check cannot be hard-killed: the timeout would be ignored
-    with pytest.raises(SystemExit, match="--check-timeout needs --workers"):
+    with pytest.raises(SystemExit, match="--check-timeout needs --jobs"):
         run_cli([
             "audit", "--design", "mc8051", "--max-cycles", "24",
             "--check-timeout", "0.01",
         ])
-    with pytest.raises(SystemExit, match="--check-timeout needs --workers"):
+    # a pool worker is the only isolation: --workers is gone, no alias
+    with pytest.raises(SystemExit) as exc:
         run_cli([
             "audit", "--design", "router", "--max-cycles", "6",
-            "--workers", "0", "--check-timeout", "30",
+            "--workers", "1", "--check-timeout", "30",
         ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_audit_check_timeout_accepted_on_a_pool():
@@ -140,6 +143,23 @@ def test_bench_check_timeout_needs_jobs():
         run_cli([
             "bench", "--design", "router", "--max-cycles", "6",
             "--check-timeout", "30",
+        ])
+
+
+def test_bench_rejects_negative_retries():
+    with pytest.raises(SystemExit, match="--retries must be >= 0"):
+        run_cli([
+            "bench", "--design", "router", "--max-cycles", "6",
+            "--retries", "-1",
+        ])
+
+
+def test_bench_rejects_non_positive_check_timeout():
+    # a negative timeout would kill every check at once
+    with pytest.raises(SystemExit, match="--check-timeout must be positive"):
+        run_cli([
+            "bench", "--design", "mc8051-t700", "--max-cycles", "8",
+            "--jobs", "1", "--check-timeout", "-1",
         ])
 
 
@@ -338,14 +358,18 @@ class TestTraceCli:
                 "--max-cycles", "8", "--register", "acc", "--profile",
             ])
 
-    def test_profile_dumps_next_to_trace(self, tmp_path):
-        from pathlib import Path
-
-        code, text, trace = self.audit_with_trace(tmp_path, "--profile")
+    @pytest.mark.parametrize("extra", [(), ("--jobs", "1")],
+                             ids=["inline", "jobs1"])
+    def test_profile_dumps_next_to_trace(self, tmp_path, extra):
+        code, text, trace = self.audit_with_trace(
+            tmp_path, "--profile", *extra
+        )
         assert code == 1
         assert "profiles written to" in text
-        dumps = list(Path(trace + ".profiles").glob("*.pstats"))
-        assert dumps
+        dumps = Path(trace + ".profiles").glob("*.pstats")
+        assert [dump.name for dump in dumps] == [
+            "corruption_acc_.attempt0.pstats"
+        ]
 
 
 class TestSharedFlags:
