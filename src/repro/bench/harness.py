@@ -116,8 +116,16 @@ def detection_run(label, netlist, spec, register, engine, max_cycles,
 
     extra = {}
     if runner is not None:
+        from repro.cache import check_key, design_print
         from repro.runner import ObjectiveTask
 
+        key = None
+        if cache_dir is not None:
+            key = check_key(
+                monitor.netlist, monitor.objective_net, engine,
+                pinned_inputs=spec.pinned_inputs,
+                design=design_print(netlist),
+            )
         task = ObjectiveTask(
             engine=engine,
             netlist=monitor.netlist,
@@ -127,6 +135,7 @@ def detection_run(label, netlist, spec, register, engine, max_cycles,
             pinned_inputs=spec.pinned_inputs,
             check_kwargs={"time_budget": time_budget},
             cache_dir=cache_dir,
+            key=key,
         )
         outcome = runner.run(task, name=property_name)
         result = outcome.verdict

@@ -6,8 +6,10 @@ bound-halving attempts, across checkpoint resumes, and across every
 bench sweep. This package remembers the answers:
 
 * :mod:`~repro.cache.keys` — canonical fingerprints: a check is named by
-  the structural hash of its monitor netlist, its objective/pinned
-  inputs, the engine family and the engine configuration.
+  its design's structural hash (taken once per audit run), a hash of
+  what its monitor builder added to the design, its objective/pinned
+  inputs, the engine family and the engine configuration. The key is
+  computed once, where the task is built, and travels with it.
 * :mod:`~repro.cache.store` — a persistent, corruption-tolerant store of
   verdict records under ``--cache-dir``: deepest proved bound, earliest
   violation bound + serialized witness.
@@ -31,7 +33,7 @@ from repro.cache.backend import (
     backend_for,
 )
 from repro.cache.claims import ClaimRegistry
-from repro.cache.keys import CheckKey, check_key
+from repro.cache.keys import CheckKey, check_key, design_print
 from repro.cache.store import (
     FILENAME,
     SCHEMA_VERSION,
@@ -46,6 +48,7 @@ __all__ = [
     "CheckKey",
     "ClaimRegistry",
     "check_key",
+    "design_print",
     "FallbackBackend",
     "FILENAME",
     "LocalBackend",

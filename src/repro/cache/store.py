@@ -23,7 +23,10 @@ crash an audit. ``gc()`` compacts the log back to one merged record per
 key and drops unreadable lines.
 
 The file carries a schema version per record; records from a different
-schema are ignored (again: a miss, not an error).
+schema are ignored (again: a miss, not an error), counted as skipped in
+``stats()`` and dropped by ``gc()``. Version 2 names a check by its
+design's fingerprint plus its monitor's own part
+(:mod:`repro.cache.keys`); no version-1 key can match one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 from repro.obs.tracer import get_tracer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 FILENAME = "outcomes.jsonl"
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bmc.witness import confirms_violation  # noqa: F401 - unused; benchmarks/perf patches it by name
+from repro.cache.keys import check_key, design_print
 from repro.errors import ReproError
 from repro.obs.tracer import Tracer, tracing
 from repro.properties.monitors import (
@@ -228,14 +229,22 @@ class TrojanDetector:
     # ------------------------------------------------------- task builders
     #
     # Inline and pool execution build checks through the same code
-    # paths, so a check's content — and therefore its cache fingerprint
-    # — cannot depend on who ran it.
+    # paths, so a check's content — and therefore its cache key — cannot
+    # depend on who ran it. With a cache, the key is computed here, once
+    # per task; ``design`` is the design's print for the audit run under
+    # way (see AuditScheduler), else it is taken for this one task.
 
-    def _monitor_for(self, spec, functional=None, way_delay=1):
-        if functional is None:
-            functional = self.config.functional
-        return build_corruption_monitor(
-            self.netlist, spec, functional=functional, way_delay=way_delay
+    def _key(self, monitor, design):
+        if self.config.cache_dir is None:
+            return None
+        return check_key(
+            monitor.netlist,
+            monitor.objective_net,
+            self.config.engine,
+            pinned_inputs=self.spec.pinned_inputs,
+            design=design if design is not None else design_print(
+                self.netlist
+            ),
         )
 
     def shadow_spec(self, spec, name, direction):
@@ -250,17 +259,21 @@ class TrojanDetector:
             observe_latency=spec.observe_latency,
         )
 
-    def corruption_task(self, spec, functional=None, way_delay=1):
+    def corruption_task(self, spec, functional=None, way_delay=1,
+                        design=None):
         """``(task, check name)`` for Eq. (2) on one register spec.
 
         The task carries the monitor's per-cycle violation net, so a
         BMC check tries the k-induction shortcut before climbing its
-        bounds, wherever it runs (:func:`~repro.core.backends.run_objective`).
+        bounds, wherever it runs (:func:`~repro.core.backends.run_objective`),
+        and a violation replays on that same monitor.
         """
         config = self.config
         if functional is None:
             functional = config.functional
-        monitor = self._monitor_for(spec, functional, way_delay)
+        monitor = build_corruption_monitor(
+            self.netlist, spec, functional=functional, way_delay=way_delay
+        )
         task = ObjectiveTask(
             engine=config.engine,
             netlist=monitor.netlist,
@@ -271,10 +284,11 @@ class TrojanDetector:
             check_kwargs={"time_budget": config.time_budget},
             cache_dir=config.cache_dir,
             violation_net=monitor.violation_net,
+            key=self._key(monitor, design),
         )
         return task, "corruption({})".format(spec.register)
 
-    def tracking_task(self, spec, candidate, direction):
+    def tracking_task(self, spec, candidate, direction, design=None):
         """``(task, check name)`` for Eq. (3) on one candidate/direction.
 
         No violation net: tracking properties are not inductive in
@@ -293,6 +307,7 @@ class TrojanDetector:
             pinned_inputs=self.spec.pinned_inputs,
             check_kwargs={"time_budget": config.time_budget},
             cache_dir=config.cache_dir,
+            key=self._key(monitor, design),
         )
         name = "tracking({}->{},{})".format(
             spec.register, candidate, direction

@@ -25,17 +25,29 @@ Any structural edit — one extra gate, a rewired flop D, a changed reset
 value, a reordered port — yields a different fingerprint, which is the
 cache-invalidation story: there is none, because a modified design is a
 different key.
+
+A monitor netlist is a clone of its design plus what its builder
+appended, so ``netlist_fingerprint(monitor, cells_from, flops_from)``
+hashes only the cells and flops from those indexes on (with the counts,
+``num_nets`` and the full port, register and probe sections): the
+outcome cache pairs it with the design's own fingerprint, taken once
+per audit (:mod:`repro.cache.keys`).
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.netlist.cells import Kind
+
 _FINGERPRINT_VERSION = "nlfp1"
 # cells (or flops) serialized per ``update`` call: one call per part is
 # slow, and one string for a whole AES monitor costs megabytes of peak
 # memory; the byte stream is the same either way
 CHUNK = 256
+# kind -> its name, built once: ``Kind.name`` is an enum property, and
+# reading it per cell costs more than appending the rest of the cell
+_KIND_NAME = {kind: kind.name for kind in Kind}
 
 
 def _hash_update(h, *parts):
@@ -44,22 +56,31 @@ def _hash_update(h, *parts):
         h.update(("\x1f".join(map(str, parts)) + "\x1f").encode("utf-8"))
 
 
-def netlist_fingerprint(netlist):
-    """Stable hex digest of a netlist's structure (names excluded)."""
+def netlist_fingerprint(netlist, cells_from=0, flops_from=0):
+    """Stable hex digest of a netlist's structure (names excluded).
+
+    With ``cells_from``/``flops_from`` the cells and flops below those
+    indexes are left out of the digest (their counts are not): the part
+    of a monitor its builder added to a design whose own fingerprint
+    covers the rest. The defaults give the whole-netlist digest.
+    """
     h = hashlib.sha256()
     _hash_update(h, _FINGERPRINT_VERSION, netlist.num_nets)
+    if cells_from or flops_from:
+        _hash_update(h, "from", cells_from, flops_from)
     cells = netlist.cells
+    kind_name = _KIND_NAME
     _hash_update(h, "cells", len(cells))
-    for start in range(0, len(cells), CHUNK):
+    for start in range(cells_from, len(cells), CHUNK):
         parts = []
         for cell in cells[start:start + CHUNK]:
-            parts.append(cell.kind.name)
+            parts.append(kind_name[cell.kind])
             parts.append(cell.output)
             parts.extend(cell.inputs)
         _hash_update(h, *parts)
     flops = netlist.flops
     _hash_update(h, "flops", len(flops))
-    for start in range(0, len(flops), CHUNK):
+    for start in range(flops_from, len(flops), CHUNK):
         parts = []
         for flop in flops[start:start + CHUNK]:
             parts.extend((flop.d, flop.q, flop.init))

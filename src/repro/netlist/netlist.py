@@ -126,7 +126,9 @@ class Netlist:
             raise NetlistError(
                 "net {} ({}) already driven".format(output, self.net_name(output))
             )
-        cell = Cell(Kind(kind), tuple(inputs), output)
+        if type(kind) is not Kind:  # an enum lookup: skipped for a Kind
+            kind = Kind(kind)
+        cell = Cell(kind, tuple(inputs), output)
         self._driver[output] = ("cell", len(self.cells))
         self.cells.append(cell)
         return output

@@ -17,6 +17,10 @@ netlist carries the whole design, and a property's cone is often a
 tenth of it. One FIFO Kahn sort serves all three orderings: every cell
 (:func:`topological_cells`), a cone's cells (:func:`cone_of_influence`)
 and the cells added since the last loop check (:func:`check_loops`).
+
+The per-net walks read the netlist's driver map directly instead of
+calling :meth:`~repro.netlist.netlist.Netlist.driver_of` for every net;
+an undriven net still raises ``driver_of``'s :class:`NetlistError`.
 """
 
 from __future__ import annotations
@@ -36,15 +40,17 @@ def _kahn(netlist, indexes, first=0):
     some cells never become ready.
     """
     cells = netlist.cells
-    driver_of = netlist.driver_of
+    driver = netlist._driver
     # net -> list of cell indexes that consume it
     consumers = {}
     indegree = {}
     for idx in indexes:
         degree = 0
         for net in set(cells[idx].inputs):
-            kind, payload = driver_of(net)
-            if kind == "cell" and payload >= first:
+            record = driver.get(net)
+            if record is None:
+                netlist.driver_of(net)  # raises: the net has no driver
+            if record[0] == "cell" and record[1] >= first:
                 degree += 1
                 consumers.setdefault(net, []).append(idx)
         indegree[idx] = degree
@@ -108,6 +114,17 @@ def levelize(netlist, order=None):
     return level
 
 
+def _seeds(netlist, nets):
+    """The walk's starting stack; a seed that is not an ``int`` gets
+    ``driver_of``'s id check (every other net a walk meets comes from a
+    cell or flop pin, checked when it was added)."""
+    stack = list(nets)
+    for net in stack:
+        if type(net) is not int:
+            netlist.driver_of(net)
+    return stack
+
+
 def fanin_cone(netlist, nets, through_flops=False):
     """Set of nets in the transitive fan-in of ``nets``.
 
@@ -115,18 +132,22 @@ def fanin_cone(netlist, nets, through_flops=False):
     (i.e. crosses register boundaries); otherwise flop Q pins are frontier
     sources, which gives the purely combinational cone.
     """
+    cells, flops, driver = netlist.cells, netlist.flops, netlist._driver
     seen = set()
-    stack = list(nets)
+    stack = _seeds(netlist, nets)
     while stack:
         net = stack.pop()
         if net in seen:
             continue
         seen.add(net)
-        kind, payload = netlist.driver_of(net)
+        record = driver.get(net)
+        if record is None:
+            netlist.driver_of(net)  # raises: the net has no driver
+        kind = record[0]
         if kind == "cell":
-            stack.extend(netlist.cells[payload].inputs)
+            stack.extend(cells[record[1]].inputs)
         elif kind == "flop" and through_flops:
-            stack.append(netlist.flops[payload].d)
+            stack.append(flops[record[1]].d)
     return seen
 
 
@@ -144,9 +165,10 @@ def cone_of_influence(netlist, nets):
     """
     net_set = fanin_cone(netlist, nets, through_flops=True)
     check_loops(netlist)
+    driver = netlist._driver
     cell_indexes, flop_indexes = [], []
     for net in net_set:
-        kind, payload = netlist.driver_of(net)
+        kind, payload = driver[net]  # fanin_cone raised for undriven nets
         if kind == "cell":
             cell_indexes.append(payload)
         elif kind == "flop":

@@ -17,14 +17,15 @@ attempts one at a time, in this thread, with the engines' cooperative
 budgets only; the scheduler's inline mode runs every check through it.
 A check that must be killable at a hard deadline runs on the pool
 (``AuditConfig(jobs=N)``), which honours this runner's ``limits``,
-``retry``, ``fault_injector`` and ``profile_dir``.
+``retry``, ``fault_injector`` and ``profile_dir``; :meth:`CheckRunner.run`
+refuses a runner with hard limits rather than ignore them.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.errors import ResourceBudgetExceeded
+from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.obs.profiling import profiled
 from repro.obs.tracer import get_tracer
 from repro.runner.execution import CONCLUSIVE, CheckExecution
@@ -59,7 +60,8 @@ class CheckRunner:
     ----------
     limits:
         :class:`ResourceLimits`: the hard envelope of each attempt on
-        the scheduler's worker pool (an inline attempt cannot be killed).
+        the scheduler's worker pool (an inline attempt cannot be killed,
+        so :meth:`run` refuses a runner that sets one).
     retry:
         :class:`RetryPolicy`; the default makes a single attempt.
     fault_injector:
@@ -125,8 +127,23 @@ class CheckRunner:
     # ------------------------------------------------------------------ API
 
     def run(self, task, name=None):
-        """Run ``task`` to a :class:`CheckOutcome`; never raises for
-        engine-side failures (supervisor bugs still propagate)."""
+        """Run ``task`` to a :class:`CheckOutcome` in this process; never
+        raises for engine-side failures (supervisor bugs still propagate).
+
+        Raises :class:`ReproError` when :attr:`limits` sets a hard
+        timeout or a memory cap: a check in this process can be neither
+        killed nor capped, so such a runner belongs to a pool audit
+        (``AuditConfig(jobs=N)``).
+        """
+        limits = self.limits
+        if limits.wall_timeout is not None or limits.memory_bytes is not None:
+            raise ReproError(
+                "hard limits (wall_timeout={}, memory_bytes={}) need a "
+                "worker pool: an inline check cannot be killed or capped; "
+                "set jobs (AuditConfig(jobs=N), --jobs N)".format(
+                    limits.wall_timeout, limits.memory_bytes
+                )
+            )
         if name is None:
             name = getattr(task, "property_name", "") or "check"
         tracer = get_tracer()

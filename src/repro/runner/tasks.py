@@ -35,6 +35,13 @@ class ObjectiveTask:
     continues from; the write-back path refuses to extend a proof across
     a gap (a hand-set ``start_cycle`` without a certified prefix stores
     nothing but violations).
+
+    ``key`` is the check's :class:`~repro.cache.CheckKey`, computed once
+    where the task is built: the audit keys its monitor against the
+    design's fingerprint (:func:`~repro.cache.check_key`), and a task
+    built by hand with ``cache_dir`` and no key gets its whole netlist
+    keyed against the empty design. The cache consult, the pool's claim
+    and the write-back all read it; rescaled copies carry it along.
     """
 
     engine: str
@@ -53,6 +60,19 @@ class ObjectiveTask:
     #: proof by the shortcut reports what the full ascent would, so the
     #: cache key leaves it out.
     violation_net: int | None = None
+    key: object = None
+
+    def __post_init__(self):
+        if self.cache_dir is not None and self.key is None:
+            from repro.cache import check_key
+
+            object.__setattr__(self, "key", check_key(
+                self.netlist,
+                self.objective_net,
+                self.engine,
+                pinned_inputs=self.pinned_inputs,
+                use_coi=self.use_coi,
+            ))
 
     @property
     def time_budget(self):
@@ -80,15 +100,7 @@ class ObjectiveTask:
 
     def cache_key(self):
         """The content-addressed identity of this check (see repro.cache)."""
-        from repro.cache import check_key
-
-        return check_key(
-            self.netlist,
-            self.objective_net,
-            self.engine,
-            pinned_inputs=self.pinned_inputs,
-            use_coi=self.use_coi,
-        )
+        return self.key
 
     def _store_result(self, result):
         if self.cache_dir is None:

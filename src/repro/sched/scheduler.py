@@ -41,7 +41,15 @@ Algorithm 1's order over completed nodes and returns the first node it
 still lacks. Registers commit strictly in Algorithm 1's
 (screen-prioritized) order, so ``report.findings``, each finding's
 ``check_outcomes`` insertion order, promotion lists and stop-on-first
-truncation are the same whichever mode or worker count ran them.
+truncation are the same whichever mode or worker count ran them. A
+completed node drops its monitor netlist, except a violated corruption
+node: its witness replays on the monitor its check was keyed and solved
+on (or served from the cache for), not on a rebuilt copy.
+
+**Cache keys.** With a cache, each design's fingerprint is taken once
+per run, on first use (:attr:`_AuditState.design`), and every check of
+that design is keyed against it when its task is built. It is never
+kept past the run: the netlist may change between audits.
 
 Cross-pool coordination: cache-participating pool nodes claim their
 fingerprint in a :class:`~repro.cache.ClaimRegistry` before solving;
@@ -62,6 +70,7 @@ import heapq
 import time
 
 from repro.bmc.witness import confirms_violation
+from repro.cache.keys import design_print
 from repro.core.detector import (
     fused_register_scores,
     prioritize_registers,
@@ -92,6 +101,15 @@ BYPASS = "bypass"
 CLAIM_POLL = 0.05
 #: Idle wait when nothing is running (deferred work pending).
 IDLE_POLL = 0.2
+
+
+def _replay_task(node, task):
+    """What a completed node keeps of its task: a violated corruption
+    check keeps it, so its witness replays on the monitor the check was
+    keyed and solved on; every other node drops its monitor netlist."""
+    if node.kind == CORRUPTION and node.verdict.detected:
+        return task
+    return None
 
 
 class AuditRequest:
@@ -202,6 +220,18 @@ class _AuditState:
         # per-design BufferTracer on a pool (None when tracing is off)
         self.buf = None
         self.audit_span = None
+        self._design = None
+
+    @property
+    def design(self):
+        """The design's :class:`~repro.cache.keys.DesignPrint` that this
+        run's cache keys share (``None`` without a cache), taken on
+        first use."""
+        if self._design is None and (
+            self.detector.config.cache_dir is not None
+        ):
+            self._design = design_print(self.detector.netlist)
+        return self._design
 
 
 class AuditScheduler:
@@ -435,10 +465,10 @@ class AuditScheduler:
     def _run_inline(self, node):
         """Run one demanded node in this process, through the runner."""
         task = node.factory()
-        # the verdict is all assembly needs: drop the monitor netlists
         node.factory = None
         node.outcome = node.audit.detector.runner.run(task, name=node.name)
         node.state = "done"
+        node.task = _replay_task(node, task)
         self.stats["checks"] += 1
         self._node_finished(node)
 
@@ -484,9 +514,8 @@ class AuditScheduler:
         outcome = node.execution.finish()
         node.outcome = outcome
         node.state = "done"
-        # the verdict is all assembly needs: drop the monitor netlists
-        node.task = node.factory = node.execution = None
-        node.attempt_task = None
+        node.task = _replay_task(node, node.task)
+        node.factory = node.execution = node.attempt_task = None
         self.stats["checks"] += 1
         if node.claim_held:
             # the worker stored its verdict before sending the result,
@@ -613,6 +642,7 @@ class AuditScheduler:
             reg, SHADOW, "corruption({})".format(candidate),
             factory=lambda: det.corruption_task(
                 shadow_spec, functional=False, way_delay=way_delay,
+                design=reg.audit.design,
             )[0],
             ready=True,
         )
@@ -680,13 +710,16 @@ class AuditScheduler:
         return audit
 
     def _init_register(self, reg):
-        det = reg.audit.detector
+        audit = reg.audit
+        det = audit.detector
         config = det.config
         reg.spec = det.spec.spec_for(reg.register)
         reg.started = time.perf_counter()
         reg.corruption = self._add_node(
             reg, CORRUPTION, "corruption({})".format(reg.register),
-            factory=lambda: det.corruption_task(reg.spec)[0],
+            factory=lambda: det.corruption_task(
+                reg.spec, design=audit.design
+            )[0],
             ready=True,
         )
         if config.check_pseudo_critical:
@@ -701,7 +734,9 @@ class AuditScheduler:
                             reg.register, candidate, direction
                         ),
                         factory=lambda c=candidate, d=direction: (
-                            det.tracking_task(reg.spec, c, d)[0]
+                            det.tracking_task(
+                                reg.spec, c, d, design=audit.design
+                            )[0]
                         ),
                         ready=(direction == "after"),
                     )
@@ -821,11 +856,11 @@ class AuditScheduler:
             finding.check_outcomes[node.name] = node.outcome
         finding.corruption = corruption_verdict
         if corruption_verdict.detected:
-            monitor = det._monitor_for(reg.spec)
+            task, corruption.task = corruption.task, None
             finding.witness_confirmed = confirms_violation(
-                monitor.netlist,
+                task.netlist,
                 corruption_verdict.witness,
-                monitor.violation_net,
+                task.violation_net,
             )
         for candidate, shadow in shadows_used:
             finding.pseudo_corruptions[candidate] = shadow.verdict

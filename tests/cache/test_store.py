@@ -82,6 +82,25 @@ def test_version_mismatch_is_skipped_not_fatal(tmp_path):
     assert cache.stats()["skipped_records"] == 1
 
 
+def test_version_1_records_are_skipped_then_compacted_away(tmp_path):
+    # version 1 keyed a check by its whole monitor's fingerprint: no
+    # current key can match such a record, so it must not linger
+    cache = OutcomeCache(tmp_path)
+    cache.record(KEY, proved_bound=8)
+    with open(tmp_path / FILENAME, "a") as handle:
+        handle.write(json.dumps({
+            "v": 1, "key": OTHER, "engine": "bmc", "proved": 12,
+            "vbound": None, "witness": None, "elapsed": 0.1, "ts": 0.0,
+        }) + "\n")
+    fresh = OutcomeCache(tmp_path)
+    assert fresh.lookup(OTHER) is None
+    assert fresh.stats()["skipped_records"] == 1
+    assert fresh.gc() == (1, 1, 1)
+    lines = (tmp_path / FILENAME).read_text().splitlines()
+    assert [json.loads(line)["v"] for line in lines] == [SCHEMA_VERSION]
+    assert OutcomeCache(tmp_path).stats()["skipped_records"] == 0
+
+
 def test_gc_compacts_and_preserves_verdicts(tmp_path):
     cache = OutcomeCache(tmp_path)
     for bound in (2, 4, 8):

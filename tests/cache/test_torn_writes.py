@@ -10,14 +10,14 @@ intact record readable.
 
 import json
 
-from repro.cache import OutcomeCache
+from repro.cache import SCHEMA_VERSION, OutcomeCache
 
 PIPE_BUF = 4096  # POSIX minimum; linux uses exactly this
 
 
 def record_line(key, proved=8):
     return json.dumps({
-        "v": 1, "key": key, "engine": "bmc", "proved": proved,
+        "v": SCHEMA_VERSION, "key": key, "engine": "bmc", "proved": proved,
         "vbound": None, "witness": None, "elapsed": 0.1, "ts": 0.0,
     }, separators=(",", ":")) + "\n"
 
@@ -39,7 +39,7 @@ class TestPartialFinalLine:
         cache = OutcomeCache(tmp_path)
         cache.record("a" * 16, proved_bound=5)
         line = json.dumps({
-            "v": 1, "key": "c" * 16, "engine": "bmcé", "proved": 3,
+            "v": SCHEMA_VERSION, "key": "c" * 16, "engine": "bmcé", "proved": 3,
             "vbound": None, "witness": None, "elapsed": 0.0, "ts": 0.0,
         }, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         cut = line.rindex("é".encode("utf-8")) + 1  # inside é

@@ -109,7 +109,7 @@ class TestDifferentialSuspect:
                 time_budget=60,
                 screens=(diff_report, ift_report),
             ),
-            runner=CheckRunner.configure(check_timeout=120),
+            runner=CheckRunner(),  # inline: no hard timeout
         )
         report = detector.run()
         finding = report.findings["secret"]

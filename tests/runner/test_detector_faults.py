@@ -7,7 +7,12 @@ uncaught exception — and an interrupted multi-register audit must resume
 from its checkpoint without re-running completed registers.
 """
 
+import time
+
+import pytest
+
 from repro.core import AuditConfig, TrojanDetector
+from repro.errors import ReproError
 from repro.properties import DesignSpec
 from repro.runner import (
     CheckRunner,
@@ -107,6 +112,29 @@ class TestHardTimeout:
         ]
         assert outcome.status == "timeout"
         assert "hard timeout" in report.summary()
+
+    @pytest.mark.parametrize("limits", [
+        ResourceLimits(wall_timeout=0.5),
+        ResourceLimits(memory_bytes=1 << 30),
+    ], ids=["wall_timeout", "memory_bytes"])
+    def test_inline_audit_refuses_hard_limits(self, limits):
+        # an inline check can be neither killed nor capped: the audit
+        # must refuse the limits, not run the stalled check to its end
+        nl, spec = secret_setup(trojan=True)
+        runner = CheckRunner(
+            limits=limits,
+            fault_injector=FaultInjector.stall_on(
+                "corruption(secret)", seconds=2.0
+            ),
+        )
+        detector = TrojanDetector(
+            nl, spec, config=AuditConfig(max_cycles=15, time_budget=60),
+            runner=runner,
+        )
+        start = time.perf_counter()
+        with pytest.raises(ReproError, match="jobs"):
+            detector.run()
+        assert time.perf_counter() - start < 1.5  # refused, not stalled
 
 
 class TestBudgetExhaustion:

@@ -3,7 +3,9 @@ budgets, retries."""
 
 import time
 
-from repro.errors import ResourceBudgetExceeded
+import pytest
+
+from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.netlist import Circuit
 from repro.runner import (
     CallableTask,
@@ -75,6 +77,12 @@ class TestInlineExecution:
         runner = CheckRunner(fault_injector=FaultInjector.crash_on("*"))
         outcome = runner.run(counter_task(), name="count")
         assert outcome.status == "crashed"
+
+    def test_hard_limits_are_refused_inline(self):
+        for limits in (ResourceLimits(wall_timeout=1.0),
+                       ResourceLimits(memory_bytes=1 << 30)):
+            with pytest.raises(ReproError, match="jobs"):
+                CheckRunner(limits=limits).run(counter_task(), name="count")
 
 
 class TestProcessIsolation:

@@ -19,7 +19,9 @@ def run_audit(jobs, variant_kwargs, **config_kwargs):
     config_kwargs.setdefault("time_budget", 60)
     detector = TrojanDetector(
         nl, spec, config=AuditConfig(jobs=jobs, **config_kwargs),
-        runner=CheckRunner.configure(check_timeout=120),
+        # a hard timeout needs a pool: an inline runner refuses one
+        runner=(CheckRunner() if jobs is None
+                else CheckRunner.configure(check_timeout=120)),
     )
     return detector.run()
 

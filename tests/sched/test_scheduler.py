@@ -42,7 +42,9 @@ def audit(variant, jobs, **config_kwargs):
     config_kwargs.setdefault("max_cycles", 10)
     config_kwargs.setdefault("time_budget", 60)
     config = AuditConfig(jobs=jobs, **config_kwargs)
-    runner = CheckRunner.configure(check_timeout=120)
+    # a hard timeout needs a pool: an inline runner refuses one
+    runner = (CheckRunner() if jobs is None
+              else CheckRunner.configure(check_timeout=120))
     return TrojanDetector(nl, spec, config=config, runner=runner).run()
 
 
