@@ -1,31 +1,15 @@
-"""Test-generation substrate: SCOAP, faults, PODEM, fault simulation, and
-the sequential property-justification engines."""
+"""Sequential ATPG for property checking: SCOAP testability measures and
+the two justification engines (PODEM-style forward and backward line
+justification) that the portfolio runs on a monitor's violation output."""
 
-from repro.atpg.fault_sim import FaultSimResult, FaultSimulator
-from repro.atpg.faults import Fault, collapse_faults, full_fault_list
-from repro.atpg.podem import ABORTED, TESTABLE, UNTESTABLE, CombPodem, PodemResult
 from repro.atpg.podem_seq import PodemJustifier
 from repro.atpg.scoap import Scoap, compute_scoap
 from repro.atpg.sequential import JustifyResult, SequentialJustifier
 
 __all__ = [
-    "FaultSimResult",
-    "FaultSimulator",
-    "Fault",
-    "collapse_faults",
-    "full_fault_list",
-    "ABORTED",
-    "TESTABLE",
-    "UNTESTABLE",
-    "CombPodem",
-    "PodemResult",
     "PodemJustifier",
     "Scoap",
     "compute_scoap",
     "JustifyResult",
     "SequentialJustifier",
 ]
-
-from repro.atpg.testgen import GeneratedTests, generate_tests  # noqa: E402
-
-__all__ += ["GeneratedTests", "generate_tests"]

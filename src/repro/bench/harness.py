@@ -26,10 +26,7 @@ from repro.baselines.fanci import Fanci
 from repro.baselines.veritrust import VeriTrust
 from repro.bmc.witness import confirms_violation
 from repro.core.backends import make_engine
-from repro.properties.monitors import (
-    build_corruption_monitor,
-    build_tracking_monitor,
-)
+from repro.properties.monitors import build_corruption_monitor
 
 
 @dataclass
@@ -215,13 +212,6 @@ def max_bound_within_budget(netlist, objective_net, engine, budget,
         bound = t
         t += 1
     return bound, time.perf_counter() - start
-
-
-def tracking_objective(netlist, spec, register, candidate, direction="after"):
-    """Monitor build for the Eq. (3) depth measurements of Table 3."""
-    return build_tracking_monitor(
-        netlist, spec.critical[register], candidate, direction=direction
-    )
 
 
 @dataclass

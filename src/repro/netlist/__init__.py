@@ -15,7 +15,6 @@ from repro.netlist.traversal import (
     fanout_cone,
     fanout_map,
     levelize,
-    registers_reading,
     topological_cells,
     transitive_fanout_outputs,
 )
@@ -41,19 +40,8 @@ __all__ = [
     "fanout_cone",
     "fanout_map",
     "levelize",
-    "registers_reading",
     "topological_cells",
     "transitive_fanout_outputs",
     "ValidationReport",
     "validate",
-]
-
-from repro.netlist.equiv import EquivResult, check_equivalence  # noqa: E402
-from repro.netlist.optimize import OptimizeStats, optimize  # noqa: E402
-
-__all__ += [
-    "EquivResult",
-    "check_equivalence",
-    "OptimizeStats",
-    "optimize",
 ]

@@ -224,20 +224,3 @@ def transitive_fanout_outputs(netlist, nets, through_flops=True):
             reached.append(name)
     return reached
 
-
-def registers_reading(netlist, register_name):
-    """Register names whose D logic reads the Q of ``register_name``.
-
-    Used by the detector to rank pseudo-critical candidates: a register fed
-    combinationally by the critical register is the natural suspect.
-    """
-    q_nets = set(netlist.register_q_nets(register_name))
-    readers = []
-    for name, idxs in netlist.registers.items():
-        if name == register_name:
-            continue
-        d_nets = [netlist.flops[i].d for i in idxs]
-        cone = fanin_cone(netlist, d_nets, through_flops=False)
-        if cone & q_nets:
-            readers.append(name)
-    return readers

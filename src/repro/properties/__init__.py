@@ -42,11 +42,3 @@ __all__ = [
     "on_input",
     "on_probe",
 ]
-
-from repro.properties.coverage import (  # noqa: E402
-    CoverageReport,
-    WayCoverage,
-    measure_way_coverage,
-)
-
-__all__ += ["CoverageReport", "WayCoverage", "measure_way_coverage"]

@@ -1,22 +1,14 @@
-"""SAT layer: CNF container, DIMACS I/O, CDCL solver, Tseitin encoding."""
+"""SAT layer: CDCL solver and Tseitin encoding."""
 
-from repro.sat.cnf import Cnf
-from repro.sat.dimacs import dump, dumps, load, loads
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, SolveResult, Solver, luby
-from repro.sat.tseitin import CombEncoder, encode_cell
+from repro.sat.tseitin import encode_cell
 
 __all__ = [
-    "Cnf",
-    "dump",
-    "dumps",
-    "load",
-    "loads",
     "SAT",
     "UNSAT",
     "UNKNOWN",
     "SolveResult",
     "Solver",
     "luby",
-    "CombEncoder",
     "encode_cell",
 ]

@@ -12,7 +12,7 @@ back to the Python solver; nothing in the pipeline requires it.
 
 :class:`NativeSolver` mirrors the subset of the Python ``Solver``
 surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
-``add_packed_clauses``/``add_cnf``, ``solve(assumptions=,
+``add_packed_clauses``, ``solve(assumptions=,
 conflict_budget=, time_budget=)`` returning a
 :class:`~repro.sat.solver.SolveResult`, ``lexmin`` (canonical witness
 extraction: the Python solver's own loop, run over this kernel),
@@ -260,12 +260,6 @@ class NativeSolver:
             raise SolverError("bad literal or clause length {!r} at offset "
                               "{}".format(buf[-1 - code], -1 - code))
         return bool(code)
-
-    def add_cnf(self, cnf):
-        while self.num_vars < cnf.num_vars:
-            self.new_var()
-        for clause in cnf.clauses:
-            self.add_clause(clause)
 
     # ------------------------------------------------------------ solve
 

@@ -292,13 +292,6 @@ class Solver:
             self.add_clause(clause)
         return not self.root_unsat
 
-    def add_cnf(self, cnf):
-        """Import a :class:`~repro.sat.cnf.Cnf` (allocating variables)."""
-        while self.num_vars < cnf.num_vars:
-            self.new_var()
-        for clause in cnf.clauses:
-            self.add_clause(clause)
-
     def _alloc(self, lits, lbd):
         arena = self.arena
         cref = len(arena)

@@ -1,12 +1,12 @@
 """Tseitin encoding of netlist cells into CNF clauses.
 
 Gates become clause groups over a sink (``add_clause``/``new_var``
-interface — :class:`~repro.sat.cnf.Cnf`, both solver backends and
-:class:`ClauseBuffer` qualify). Inverters and buffers are *not*
-encoded: callers alias the output literal to (the negation of) the input
-literal, which roughly halves variable counts on typical netlists. The same
-applies to NAND/NOR/XNOR: they are encoded as their base gate with an
-inverted output literal by :func:`encode_cell`.
+interface — both solver backends and :class:`ClauseBuffer` qualify).
+Inverters and buffers are *not* encoded: callers alias the output literal
+to (the negation of) the input literal, which roughly halves variable
+counts on typical netlists. The same applies to NAND/NOR/XNOR: they are
+encoded as their base gate with an inverted output literal by
+:func:`encode_cell`.
 
 :class:`GateHasher` goes further for the unroller: a gate whose inputs
 are constant, repeated or complementary folds to an existing literal,
@@ -219,48 +219,6 @@ class GateHasher:
             out = self.memo[key] = sink.new_var()
             encode_mux(sink, out, sel, d0, d1)
         return -out if flip else out
-
-
-class CombEncoder:
-    """Encodes the combinational logic of a netlist once (single frame).
-
-    Used by the combinational checks in the test suite and the baselines.
-    Sequential unrolling lives in :mod:`repro.bmc.unroll`.
-    """
-
-    def __init__(self, netlist, sink):
-        from repro.netlist.traversal import topological_cells
-
-        self.netlist = netlist
-        self.sink = sink
-        self.true_lit = sink.new_var()
-        sink.add_clause([self.true_lit])
-        self._lit = {0: -self.true_lit, 1: self.true_lit}
-        for nets in netlist.inputs.values():
-            for net in nets:
-                self._lit[net] = sink.new_var()
-        for flop in netlist.flops:
-            self._lit[flop.q] = sink.new_var()
-        for idx in topological_cells(netlist):
-            cell = netlist.cells[idx]
-            ins = [self._lit[n] for n in cell.inputs]
-            if cell.kind is Kind.BUF:
-                self._lit[cell.output] = ins[0]
-            elif cell.kind is Kind.NOT:
-                self._lit[cell.output] = -ins[0]
-            else:
-                out = sink.new_var()
-                self._lit[cell.output] = out
-                encode_cell(sink, cell.kind, out, ins)
-
-    def lit(self, net):
-        """SAT literal of a net (inputs, flop Qs and cell outputs)."""
-        try:
-            return self._lit[net]
-        except KeyError:
-            raise EncodingError(
-                "net {} not in encoded cone".format(net)
-            ) from None
 
 
 class ClauseBuffer:

@@ -4,8 +4,7 @@ Net values are *pattern vectors*: bit ``k`` of every net's word is the
 value of that net under stimulus pattern ``k``. A :class:`CombEvaluator`
 with ``lanes = 1`` is an ordinary single-pattern simulator; with
 ``lanes = 64`` it evaluates 64 patterns per pass, which is what makes
-the differential screen, VeriTrust sampling and fault simulation
-tractable.
+the differential screen and VeriTrust sampling tractable.
 
 The evaluator levelizes once per netlist: cells are stored in
 topological order and every gate evaluates every pass — no event wheel.

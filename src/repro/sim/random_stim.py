@@ -1,8 +1,8 @@
 """Deterministic random stimulus generation.
 
-Used by the baselines (FANCI sampling, VeriTrust activation runs), the
-fault simulator, and the test suite. All generators take explicit seeds —
-results are reproducible run to run.
+Used by the baselines (FANCI sampling, VeriTrust activation runs) and
+the test suite. All generators take explicit seeds — results are
+reproducible run to run.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.netlist import (
     fanin_cone,
     fanout_cone,
     levelize,
-    registers_reading,
     topological_cells,
     transitive_fanout_outputs,
 )
@@ -100,15 +99,3 @@ class TestCones:
         nl = build_counter()
         cone = fanout_cone(nl, [nl.flops[0].q])
         assert nl.flops[0].q in cone
-
-
-class TestRegistersReading:
-    def test_pseudo_register_reads_secret(self):
-        nl = build_secret_design(pseudo=True)
-        readers = registers_reading(nl, "secret")
-        assert "pseudo_secret" in readers
-
-    def test_counter_does_not_read_secret(self):
-        nl = build_secret_design(trojan=True)
-        readers = registers_reading(nl, "troj_counter")
-        assert "secret" in readers  # trojan feeds the secret's next value

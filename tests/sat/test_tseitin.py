@@ -1,21 +1,36 @@
 """Tseitin encoding tests: every gate kind checked against simulation,
-plus a hypothesis equivalence sweep on random circuits."""
+plus a hypothesis equivalence sweep on random circuits.
+
+The simulation sweep encodes through the unroller's frame encoder, the
+one the program runs: the Python gate hasher into a ``Solver``, the
+kernel's frame encoder into a ``NativeSolver``."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bmc.unroll import Unroller
+from repro.errors import EncodingError
 from repro.netlist import Circuit, Kind
-from repro.sat import SAT, UNSAT, CombEncoder, Solver
+from repro.sat import SAT, UNSAT, Solver
+from repro.sat.native import NativeSolver, native_available
 from repro.sim import SequentialSimulator
 
+BACKENDS = [
+    pytest.param(Solver, id="python"),
+    pytest.param(NativeSolver, id="native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C compiler / native backend")),
+]
 
-def assert_circuit_equivalent(netlist, probes, trials=40, seed=0):
-    """Random-vector equivalence of SAT encoding vs simulation."""
+
+def assert_circuit_equivalent(make, netlist, probes, trials=40, seed=0):
+    """Random-vector equivalence of a one-frame unrolling vs simulation."""
     sim = SequentialSimulator(netlist)
-    solver = Solver()
-    encoder = CombEncoder(netlist, solver)
+    solver = make()
+    frame = Unroller(netlist, solver, probes, use_coi=False)
+    frame.extend_to(1)
     rng = random.Random(seed)
     for _ in range(trials):
         assumptions = []
@@ -23,20 +38,21 @@ def assert_circuit_equivalent(netlist, probes, trials=40, seed=0):
             word = rng.getrandbits(len(nets))
             sim.set_input(name, word)
             for bit, net in enumerate(nets):
-                lit = encoder.lit(net)
+                lit = frame.lit(net, 0)
                 assumptions.append(lit if (word >> bit) & 1 else -lit)
         sim.propagate()
         result = solver.solve(assumptions=assumptions)
         assert result.status == SAT
         for net in probes:
-            lit = encoder.lit(net)
+            lit = frame.lit(net, 0)
             value = result.model[abs(lit)]
             if lit < 0:
                 value = not value
             assert int(value) == sim.net_value(net), netlist.net_name(net)
 
 
-def test_every_gate_kind():
+@pytest.mark.parametrize("make", BACKENDS)
+def test_every_gate_kind(make):
     c = Circuit("gates")
     a = c.input("a", 1)
     b = c.input("b", 1)
@@ -51,10 +67,11 @@ def test_every_gate_kind():
     )
     for net in probes:
         c.output("o{}".format(net), c.bv([net]))
-    assert_circuit_equivalent(c.finalize(), probes)
+    assert_circuit_equivalent(make, c.finalize(), probes)
 
 
-def test_variadic_gates():
+@pytest.mark.parametrize("make", BACKENDS)
+def test_variadic_gates(make):
     c = Circuit("wide")
     a = c.input("a", 6)
     probes = [
@@ -64,12 +81,13 @@ def test_variadic_gates():
     ]
     for net in probes:
         c.output("o{}".format(net), c.bv([net]))
-    assert_circuit_equivalent(c.finalize(), probes)
+    assert_circuit_equivalent(make, c.finalize(), probes)
 
 
+@pytest.mark.parametrize("make", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10000))
-def test_random_word_circuits(seed):
+def test_random_word_circuits(make, seed):
     rng = random.Random(seed)
     c = Circuit("rand")
     width = rng.randint(2, 6)
@@ -93,22 +111,22 @@ def test_random_word_circuits(seed):
     out = exprs[-1]
     c.output("y", out)
     nl = c.finalize()
-    assert_circuit_equivalent(nl, list(out.nets), trials=15, seed=seed)
+    assert_circuit_equivalent(make, nl, list(out.nets), trials=15, seed=seed)
 
 
-def test_encoder_requires_cone_membership():
-    import pytest
-
-    from repro.errors import EncodingError
-
+@pytest.mark.parametrize("make", BACKENDS)
+def test_encoder_requires_cone_membership(make):
     c = Circuit("t")
     a = c.input("a", 1)
+    b = c.input("b", 1)
     c.output("y", ~a)
+    c.output("z", ~b)
     nl = c.finalize()
-    solver = Solver()
-    encoder = CombEncoder(nl, solver)
+    frame = Unroller(nl, make(), nl.outputs["y"])
+    frame.extend_to(1)
+    frame.lit(nl.outputs["y"][0], 0)
     with pytest.raises(EncodingError):
-        encoder.lit(987654)
+        frame.lit(nl.outputs["z"][0], 0)
 
 
 # ------------------------------------------------------ folding and hashing
