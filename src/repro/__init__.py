@@ -48,10 +48,8 @@ __all__ = [
     "Linter",
     "LintConfig",
     "lint_design",
-    # outcome cache + pluggable backends
+    # outcome cache
     "OutcomeCache",
-    "CacheBackend",
-    "FallbackBackend",
     # audit service
     "AuditService",
     "JobQueue",
@@ -87,8 +85,6 @@ _EXPORTS = {
     "LintConfig": ("repro.lint", "LintConfig"),
     "lint_design": ("repro.lint", "lint_design"),
     "OutcomeCache": ("repro.cache", "OutcomeCache"),
-    "CacheBackend": ("repro.cache.backend", "CacheBackend"),
-    "FallbackBackend": ("repro.cache.backend", "FallbackBackend"),
     "AuditService": ("repro.serve.server", "AuditService"),
     "JobQueue": ("repro.serve.queue", "JobQueue"),
     "ServiceClient": ("repro.serve.server", "ServiceClient"),

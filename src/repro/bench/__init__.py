@@ -9,7 +9,7 @@ from repro.bench.harness import (
     max_bound_within_budget,
     screen_run,
 )
-from repro.bench.tables import fmt_bool, fmt_memory, fmt_seconds, render_table
+from repro.bench.tables import fmt_memory, fmt_seconds, render_table
 
 __all__ = [
     "BaselineRow",
@@ -19,12 +19,11 @@ __all__ = [
     "detection_run",
     "max_bound_within_budget",
     "screen_run",
-    "fmt_bool",
     "fmt_memory",
     "fmt_seconds",
     "render_table",
 ]
 
-from repro.bench.plot import bar_chart, series_compare, sparkline  # noqa: E402
+from repro.bench.plot import series_compare, sparkline  # noqa: E402
 
-__all__ += ["bar_chart", "series_compare", "sparkline"]
+__all__ += ["series_compare", "sparkline"]

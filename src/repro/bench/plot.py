@@ -26,26 +26,6 @@ def sparkline(values):
     return "".join(out)
 
 
-def bar_chart(rows, width=40, title=None):
-    """Horizontal bar chart: rows are (label, value) pairs."""
-    rows = list(rows)
-    lines = []
-    if title:
-        lines.append(title)
-    if not rows:
-        return "\n".join(lines)
-    top = max(value for _label, value in rows) or 1
-    label_width = max(len(str(label)) for label, _ in rows)
-    for label, value in rows:
-        bar = "#" * max(1, round(width * value / top)) if value > 0 else ""
-        lines.append(
-            "{:<{lw}} |{:<{w}} {}".format(
-                label, bar, _fmt(value), lw=label_width, w=width
-            )
-        )
-    return "\n".join(lines)
-
-
 def series_compare(series_map, width=50, title=None):
     """Sparkline per named series, aligned, with min/max annotations."""
     lines = []

@@ -50,7 +50,3 @@ def fmt_memory(value_bytes):
     if mb >= 1024:
         return "{:.2f} GB".format(mb / 1024)
     return "{:.1f} MB".format(mb)
-
-
-def fmt_bool(value, yes="Yes", no="No"):
-    return yes if value else no

@@ -18,7 +18,6 @@ from repro.bmc.witness import (
     Witness,
     confirms_violation,
     replay,
-    witness_to_vcd,
 )
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "Unroller",
     "Witness",
     "confirms_violation",
-    "witness_to_vcd",
     "replay",
 ]

@@ -83,37 +83,6 @@ def replay(netlist, witness, observe_registers=(), observe_outputs=()):
     )
 
 
-def witness_to_vcd(netlist, witness, path, registers=None, outputs=None):
-    """Replay a witness and dump the trace as a VCD waveform file.
-
-    Inputs, the requested registers (default: all) and outputs (default:
-    all) appear as signals, so a counterexample can be inspected in any
-    waveform viewer. Returns the written path.
-    """
-    from repro.sim.vcd import VcdWriter
-
-    if registers is None:
-        registers = list(netlist.registers)
-    if outputs is None:
-        outputs = list(netlist.outputs)
-    trace = replay(
-        netlist, witness, observe_registers=registers,
-        observe_outputs=outputs,
-    )
-    writer = VcdWriter(netlist.name)
-    for name in netlist.inputs:
-        writer.add_signal(
-            "in_" + name,
-            len(netlist.inputs[name]),
-            [words.get(name, 0) for words in witness.inputs],
-        )
-    widths = {name: netlist.register_width(name) for name in registers}
-    widths.update({name: len(netlist.outputs[name]) for name in outputs})
-    writer.add_trace(trace, widths)
-    writer.write(path)
-    return path
-
-
 def confirms_violation(netlist, witness, violation_net):
     """True iff replaying the witness drives ``violation_net`` to 1.
 

@@ -1,9 +1,9 @@
 """Content-addressed cache of formal check outcomes.
 
 Algorithm 1 re-asks the same (design, register, property) questions over
-and over — across the three per-register properties, across retry and
-bound-halving attempts, across checkpoint resumes, and across every
-bench sweep. This package remembers the answers:
+and over — across the three per-register properties, across retry
+attempts, across checkpoint resumes, and across every bench sweep. This
+package remembers the answers:
 
 * :mod:`~repro.cache.keys` — canonical fingerprints: a check is named by
   its design's structural hash (taken once per audit run), a hash of
@@ -13,6 +13,8 @@ bench sweep. This package remembers the answers:
 * :mod:`~repro.cache.store` — a persistent, corruption-tolerant store of
   verdict records under ``--cache-dir``: deepest proved bound, earliest
   violation bound + serialized witness.
+* :mod:`~repro.cache.backend` — the handle on one cache directory: its
+  store plus the pool's solve claims (:mod:`~repro.cache.claims`).
 
 Consulting happens in :class:`~repro.runner.supervisor.CheckRunner`
 before any worker is spawned; write-back happens inside the worker
@@ -24,14 +26,6 @@ sticky and because an engine whose bound loop never runs reports
 ``unknown``, never a vacuous ``proved``.
 """
 
-from repro.cache.backend import (
-    CacheBackend,
-    FallbackBackend,
-    LocalBackend,
-    MemoryBackend,
-    NullBackend,
-    backend_for,
-)
 from repro.cache.claims import ClaimRegistry
 from repro.cache.keys import CheckKey, check_key, design_print
 from repro.cache.store import (
@@ -42,18 +36,12 @@ from repro.cache.store import (
 )
 
 __all__ = [
-    "backend_for",
-    "CacheBackend",
     "CacheEntry",
     "CheckKey",
     "ClaimRegistry",
     "check_key",
     "design_print",
-    "FallbackBackend",
     "FILENAME",
-    "LocalBackend",
-    "MemoryBackend",
-    "NullBackend",
     "OutcomeCache",
     "SCHEMA_VERSION",
 ]

@@ -1,410 +1,56 @@
-"""Pluggable cache backends: one interface over local and shared stores.
+"""The handle on one cache directory: its verdicts and its claims.
 
-PR 3's outcome store and PR 5's claim registry are both *local-directory*
-constructs: an append-only JSONL file and ``O_CREAT|O_EXCL`` claim files
-under one ``--cache-dir``. The ROADMAP's multi-host direction (many audit
-hosts sharing one verdict store, HWLoopSe-style) needs those two concerns
-behind a single seam so a network store can slot in without touching the
-supervisor or the scheduler. That seam is :class:`CacheBackend`:
+A ``--cache-dir`` holds two local constructs: the append-only outcome
+store (:class:`~repro.cache.store.OutcomeCache`) and the
+``O_CREAT|O_EXCL`` claim files of :class:`~repro.cache.claims.
+ClaimRegistry`. :class:`LocalBackend` holds both for one directory,
+with the store's session counters, so that
+:meth:`~repro.runner.supervisor.CheckRunner.cache_for` hands the
+supervisor and the scheduler one object per directory: they consult
+verdicts through :meth:`lookup` and coordinate pool workers through
+:meth:`claim` / :meth:`release`.
 
-``get(key)``
-    Merged :class:`~repro.cache.store.CacheEntry` for a fingerprint, or
-    ``None`` (a miss).
-``put(key, **fields)``
-    Append one verdict record (deepest proved bound / earliest violation
-    + witness).
-``claim(key)`` / ``release(key)``
-    Advisory exactly-one-solver coordination (see
-    :mod:`repro.cache.claims`); ``claim`` returns ``True`` when this
-    backend's owner should solve the fingerprint.
+Verdicts are written by the task that solved them
+(:meth:`~repro.runner.tasks.ObjectiveTask._store_result`), straight
+into the directory's store, from whichever process ran it.
 
-Two invariants every backend must keep, because audits *trust* them:
-
-1. **Cache trouble is never fatal.** A backend may lose records, return
-   stale entries, or refuse claims — each costs duplicate solve time,
-   never a wrong verdict (cached violations are replay-validated, proofs
-   are prefix-closed; see DESIGN.md decision 9). A backend must therefore
-   prefer degrading to raising.
-2. **Cache calls never stall an audit.** A slow or unreachable shared
-   backend must fail fast. :class:`FallbackBackend` enforces this around
-   any wrapped backend with per-call deadlines and a circuit breaker,
-   degrading to a local backend (or a null one) while the shared side is
-   sick, and probing it again after a cooldown.
-
-:class:`LocalBackend` is the default and the reference implementation:
-it delegates to the existing :class:`~repro.cache.store.OutcomeCache`
-and :class:`~repro.cache.claims.ClaimRegistry`, so single-host behaviour
-is unchanged. :class:`MemoryBackend` is a process-local dict — the
-simplest "remote" stand-in for tests and fault injection.
+Cache trouble is never fatal: the store skips unreadable lines, a
+failed write-back is swallowed by the task, a claims directory that
+cannot be written lets the check run, and a dead holder's claim is
+broken (see :mod:`repro.cache.claims`). Each costs a duplicate solve,
+never a failed audit.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.cache.claims import ClaimRegistry
-from repro.cache.store import CacheEntry, OutcomeCache
-from repro.errors import CacheBackendError
-from repro.obs.tracer import get_tracer
+from repro.cache.store import OutcomeCache
 
 
-def _digest(key):
-    return key if isinstance(key, str) else key.digest
+class LocalBackend:
+    """One local cache directory: its outcome store and claim registry."""
 
+    def __init__(self, cache_dir):
+        self.store = OutcomeCache(cache_dir)
+        self.claims = ClaimRegistry(cache_dir)
+        # the session counters CheckExecution.consult_cache bumps
+        self.counters = self.store.counters
 
-class CacheBackend:
-    """Abstract verdict store + claim coordinator (see module docstring).
-
-    Subclasses implement :meth:`get`, :meth:`put`, :meth:`claim` and
-    :meth:`release`. The base class provides the session counters and the
-    :class:`~repro.runner.execution.CheckExecution`-facing conveniences
-    (``lookup`` / ``record_result``) so any backend drops into the places
-    an :class:`OutcomeCache` used to go.
-    """
-
-    name = "abstract"
-
-    def __init__(self):
-        self.counters = {
-            "hits": 0,
-            "partial_hits": 0,
-            "misses": 0,
-            "stores": 0,
-        }
-
-    # ------------------------------------------------------- abstract ops
-
-    def get(self, key):
-        """Merged :class:`CacheEntry` for ``key``, or ``None``."""
-        raise NotImplementedError
-
-    def put(self, key, engine="", proved_bound=0, violation_bound=None,
-            witness=None, elapsed=0.0):
-        """Append one verdict record for ``key``."""
-        raise NotImplementedError
+    def lookup(self, key):
+        """Merged :class:`~repro.cache.store.CacheEntry`, or ``None``."""
+        return self.store.lookup(key)
 
     def claim(self, key):
         """Advisory claim: ``True`` when the caller should solve ``key``."""
-        raise NotImplementedError
-
-    def release(self, key):
-        """Drop a claim this backend's owner holds (no-op otherwise)."""
-        raise NotImplementedError
-
-    # ----------------------------------------------------- shared surface
-
-    def lookup(self, key):
-        """Alias for :meth:`get` (the :class:`OutcomeCache` spelling)."""
-        return self.get(key)
-
-    def record_result(self, key, result, engine="", certified_base=0):
-        """Absorb an engine result (same contract as the store's method)."""
-        status = getattr(result, "status", None)
-        bound = getattr(result, "bound", 0)
-        if status == "proved":
-            proved, violation = max(bound, certified_base), None
-        elif status == "violated":
-            proved, violation = certified_base, bound
-        elif status == "unknown" and max(bound, certified_base) > 0:
-            proved, violation = max(bound, certified_base), None
-        else:
-            return False
-        witness = getattr(result, "witness", None)
-        self.put(
-            key,
-            engine=engine,
-            proved_bound=proved,
-            violation_bound=violation,
-            witness=witness.to_dict() if witness is not None else None,
-            elapsed=getattr(result, "elapsed", 0.0),
-        )
-        return True
-
-    def release_all(self):
-        """Release every claim still held (shutdown hook)."""
-
-    def close(self):
-        """Release resources; the default just drops claims."""
-        self.release_all()
-
-
-class LocalBackend(CacheBackend):
-    """The default backend: one local cache directory.
-
-    Verdicts live in the directory's :class:`OutcomeCache`; claims in its
-    :class:`ClaimRegistry`. This is exactly the pre-backend behaviour,
-    re-expressed through the interface.
-    """
-
-    name = "local"
-
-    def __init__(self, cache_dir, claim_ttl=None):
-        super().__init__()
-        self.cache_dir = str(cache_dir)
-        self.store = OutcomeCache(cache_dir)
-        kwargs = {} if claim_ttl is None else {"ttl": claim_ttl}
-        self.claims = ClaimRegistry(cache_dir, **kwargs)
-        # one counters dict: execution bumps ours, store bumps its own on
-        # record(); mirror the store's so `stores` stays accurate
-        self.counters = self.store.counters
-
-    def get(self, key):
-        return self.store.lookup(key)
-
-    def put(self, key, **fields):
-        self.store.record(key, **fields)
-
-    def claim(self, key):
         return self.claims.acquire(key)
 
     def release(self, key):
+        """Drop a claim this process holds (no-op otherwise)."""
         self.claims.release(key)
 
     def release_all(self):
+        """Release every claim still held (shutdown hook)."""
         self.claims.release_all()
 
 
-class MemoryBackend(CacheBackend):
-    """Dict-backed backend: the minimal shared-store stand-in.
-
-    Used by tests (and the fault injector) as the "remote" side of a
-    :class:`FallbackBackend`; also handy as an ephemeral cache for runs
-    that want claim coordination without touching disk.
-    """
-
-    name = "memory"
-
-    def __init__(self):
-        super().__init__()
-        self.entries = {}  # digest -> CacheEntry
-        self.claimed = set()
-        self._owned = set()
-
-    def get(self, key):
-        return self.entries.get(_digest(key))
-
-    def put(self, key, engine="", proved_bound=0, violation_bound=None,
-            witness=None, elapsed=0.0):
-        digest = _digest(key)
-        entry = self.entries.get(digest)
-        if entry is None:
-            entry = self.entries[digest] = CacheEntry(key=digest)
-        entry.absorb({
-            "engine": engine,
-            "proved": proved_bound,
-            "vbound": violation_bound,
-            "witness": witness,
-            "elapsed": elapsed,
-        })
-        self.counters["stores"] += 1
-
-    def claim(self, key):
-        digest = _digest(key)
-        if digest in self.claimed:
-            return False
-        self.claimed.add(digest)
-        self._owned.add(digest)
-        return True
-
-    def release(self, key):
-        digest = _digest(key)
-        if digest in self._owned:
-            self._owned.discard(digest)
-            self.claimed.discard(digest)
-
-    def release_all(self):
-        for digest in list(self._owned):
-            self.release(digest)
-
-
-class NullBackend(CacheBackend):
-    """Remembers nothing, claims everything: the degraded floor.
-
-    A :class:`FallbackBackend` without a local side degrades to this —
-    every lookup misses (duplicate solves possible), every claim is
-    granted (the audit proceeds), nothing stalls.
-    """
-
-    name = "null"
-
-    def get(self, key):
-        return None
-
-    def put(self, key, **fields):
-        pass
-
-    def claim(self, key):
-        return True
-
-    def release(self, key):
-        pass
-
-
-class FallbackBackend(CacheBackend):
-    """Deadline + circuit breaker + degradation around any backend.
-
-    Wraps a ``primary`` backend (typically shared/remote) so that cache
-    trouble costs duplicate solves, never a stalled or failed audit:
-
-    * every primary call is timed; a raise *or* a completion slower than
-      ``slow_seconds`` counts as a failure;
-    * ``failures`` consecutive failures open the circuit: calls go
-      straight to ``local`` (no primary attempt) until ``cooldown``
-      seconds pass, then one probe call decides whether to close it;
-    * a degraded call is answered by the ``local`` backend (default:
-      :class:`NullBackend`), and a telemetry point
-      (``cache.backend.degraded``) records the switch.
-
-    Verdicts written while degraded go to the local side only — when the
-    primary recovers it simply re-solves or re-learns those fingerprints,
-    which is safe because the store is append-only and proofs are
-    prefix-closed. ``claim``/``release`` degrade to the local registry:
-    cross-host dedup is lost while the shared side is down, same-host
-    dedup survives.
-    """
-
-    name = "fallback"
-
-    def __init__(self, primary, local=None, slow_seconds=0.5, failures=3,
-                 cooldown=30.0, clock=time.monotonic):
-        super().__init__()
-        self.primary = primary
-        self.local = local if local is not None else NullBackend()
-        self.slow_seconds = slow_seconds
-        self.failure_threshold = failures
-        self.cooldown = cooldown
-        self.clock = clock
-        self._consecutive_failures = 0
-        self._open_until = None  # clock value; None = circuit closed
-        self.stats = {"primary_calls": 0, "primary_failures": 0,
-                      "degraded_calls": 0, "breaker_opens": 0,
-                      "breaker_closes": 0}
-
-    # ----------------------------------------------------------- breaker
-
-    @property
-    def degraded(self):
-        """True while calls are being served by the local side."""
-        return self._open_until is not None and (
-            self.clock() < self._open_until
-        )
-
-    def _record_failure(self, op, exc=None):
-        self.stats["primary_failures"] += 1
-        self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold and (
-            self._open_until is None or self.clock() >= self._open_until
-        ):
-            self._open_until = self.clock() + self.cooldown
-            self.stats["breaker_opens"] += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.point(
-                    "cache.backend.degraded",
-                    backend=self.primary.name, op=op,
-                    error=None if exc is None else str(exc),
-                    cooldown=self.cooldown,
-                )
-                tracer.metrics.counter("cache.backend.degraded").inc()
-
-    def _record_success(self):
-        self._consecutive_failures = 0
-        if self._open_until is not None:
-            self._open_until = None
-            self.stats["breaker_closes"] += 1
-
-    def _call(self, op, args, local_op=None, default=None):
-        """Try the primary under the breaker; degrade to local on trouble."""
-        if self._open_until is not None and self.clock() < self._open_until:
-            self.stats["degraded_calls"] += 1
-            return self._local_call(local_op or op, args, default)
-        started = self.clock()
-        try:
-            result = getattr(self.primary, op)(*args)
-        except Exception as exc:  # noqa: BLE001 - any backend fault degrades
-            self._record_failure(op, exc)
-            self.stats["degraded_calls"] += 1
-            return self._local_call(local_op or op, args, default)
-        if self.clock() - started > self.slow_seconds:
-            # answered, but too slowly to lean on: count toward the
-            # breaker while still using the (valid) answer
-            self._record_failure(op)
-        else:
-            self._record_success()
-        self.stats["primary_calls"] += 1
-        return result
-
-    def _local_call(self, op, args, default):
-        try:
-            return getattr(self.local, op)(*args)
-        except Exception:  # noqa: BLE001 - the floor never raises
-            return default
-
-    # ---------------------------------------------------------------- ops
-
-    def get(self, key):
-        return self._call("get", (key,), default=None)
-
-    def put(self, key, **fields):
-        # mirror every write locally so degraded-window lookups still see
-        # this process's own verdicts
-        try:
-            self.local.put(key, **fields)
-        except Exception:  # noqa: BLE001
-            pass
-        if not (self._open_until is not None
-                and self.clock() < self._open_until):
-            started = self.clock()
-            try:
-                self.primary.put(key, **fields)
-            except Exception as exc:  # noqa: BLE001
-                self._record_failure("put", exc)
-                return
-            if self.clock() - started > self.slow_seconds:
-                self._record_failure("put")
-            else:
-                self._record_success()
-                self.stats["primary_calls"] += 1
-
-    def claim(self, key):
-        return self._call("claim", (key,), default=True)
-
-    def release(self, key):
-        # release on both sides: whichever granted the claim forgets it,
-        # the other treats it as a foreign-claim no-op
-        try:
-            self.local.release(key)
-        except Exception:  # noqa: BLE001
-            pass
-        if self._open_until is None or self.clock() >= self._open_until:
-            try:
-                self.primary.release(key)
-            except Exception as exc:  # noqa: BLE001
-                self._record_failure("release", exc)
-
-    def release_all(self):
-        for side in (self.local, self.primary):
-            try:
-                side.release_all()
-            except Exception:  # noqa: BLE001
-                pass
-
-
-def backend_for(cache_dir):
-    """The default backend for a ``--cache-dir`` (``None`` stays ``None``)."""
-    if cache_dir is None:
-        return None
-    if isinstance(cache_dir, CacheBackend):
-        return cache_dir
-    return LocalBackend(cache_dir)
-
-
-__all__ = [
-    "CacheBackend",
-    "CacheBackendError",
-    "FallbackBackend",
-    "LocalBackend",
-    "MemoryBackend",
-    "NullBackend",
-    "backend_for",
-]
+__all__ = ["LocalBackend"]

@@ -86,16 +86,6 @@ class CheckpointWriteError(CheckpointError):
         )
 
 
-class CacheBackendError(ReproError):
-    """A shared cache backend misbehaved (unreachable, slow, corrupt).
-
-    Raised by backend implementations; always caught at the
-    :class:`~repro.cache.backend.FallbackBackend` seam and converted to
-    local degradation — cache trouble may cost duplicate solves but must
-    never stall or fail an audit.
-    """
-
-
 class ServiceError(ReproError):
     """The audit service refused or could not process a request."""
 

@@ -36,17 +36,6 @@ def join(a: Level, b: Level) -> Level:
     return a if a >= b else b
 
 
-def join_all(levels: "list[Level] | tuple[Level, ...]") -> Level:
-    """Least upper bound of a non-empty collection (empty -> UNTAINTED)."""
-    out = UNTAINTED
-    for level in levels:
-        if level > out:
-            out = level
-            if out == TAINTED:
-                break
-    return out
-
-
 def weaken(level: Level) -> Level:
     """Demote data taint to control taint (select-arm propagation).
 

@@ -19,8 +19,6 @@ from repro.properties.valid_ways import (
     RegisterSpec,
     TrojanInfo,
     ValidWay,
-    on_input,
-    on_probe,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "RegisterSpec",
     "TrojanInfo",
     "ValidWay",
-    "on_input",
-    "on_probe",
 ]

@@ -162,30 +162,3 @@ class DesignSpec:
             raise PropertyError(
                 "no spec for register {!r}".format(register)
             ) from None
-
-
-# Convenience condition builders -------------------------------------------
-
-
-def on_input(name, bit=None):
-    """Condition: input port (or one bit of it) is 1."""
-
-    def build(ctx):
-        value = ctx.input(name)
-        if bit is not None:
-            return value[bit]
-        return value
-
-    return build
-
-
-def on_probe(name, bit=None):
-    """Condition: probe signal (or one bit of it) is 1."""
-
-    def build(ctx):
-        value = ctx.probe(name)
-        if bit is not None:
-            return value[bit]
-        return value
-
-    return build

@@ -2,9 +2,9 @@
 
 :class:`CheckExecution` owns everything one supervised check decides
 *between* attempts: the outcome-cache consult (full hit / partial-hit
-resume / miss), the retry schedule with bound/budget rescaling, the
-best-partial-result fold, and the resume-base bookkeeping that turns a
-resumed run's relative bounds back into absolute claims.
+resume / miss), the retry decision, the best-partial-result fold, and
+the resume-base bookkeeping that turns a resumed run's relative bounds
+back into absolute claims.
 
 It deliberately performs **no execution and no tracing**: the caller
 runs the attempt however it likes — :class:`~repro.runner.supervisor.
@@ -20,8 +20,7 @@ The drive protocol::
     execution = CheckExecution(task, name, retry=policy, cache=cache)
     if not execution.consult_cache():        # full hit short-circuits
         while True:
-            task, delay = execution.next_attempt()   # rescaled, + backoff
-            record = ...run task, however...         # -> AttemptRecord
+            record = ...run execution.task, however...  # -> AttemptRecord
             if execution.record_attempt(record):
                 break
     outcome = execution.finish()
@@ -123,34 +122,6 @@ class CheckExecution:
         return False
 
     # ----------------------------------------------------------- attempts
-
-    def next_attempt(self):
-        """``(task, delay)`` for the upcoming attempt.
-
-        ``task`` has the retry policy's bound/budget schedule applied for
-        :attr:`attempt_index`; ``delay`` is the backoff in seconds the
-        caller owes before running it (sleep, or requeue-not-before).
-        """
-        return (
-            self._rescaled(self.attempt_index),
-            self.retry.delay_for(self.attempt_index),
-        )
-
-    def _rescaled(self, index):
-        task = self.task
-        if index == 0:
-            return task
-        max_cycles = getattr(task, "max_cycles", None)
-        if max_cycles is not None and hasattr(task, "with_bound"):
-            new_bound = self.retry.bound_for(index, max_cycles)
-            if new_bound != max_cycles:
-                task = task.with_bound(new_bound)
-        budget = getattr(task, "time_budget", None)
-        if budget is not None and hasattr(task, "with_budget"):
-            new_budget = self.retry.budget_for(index, budget)
-            if new_budget != budget:
-                task = task.with_budget(new_budget)
-        return task
 
     def record_attempt(self, record):
         """Fold one finished :class:`AttemptRecord` in.

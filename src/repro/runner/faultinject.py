@@ -150,7 +150,7 @@ class FaultInjector:
 
 
 # --------------------------------------------------------------------------
-# Service-level faults (durable queue + cache backends, see repro.serve)
+# Service-level faults (durable queue, see repro.serve)
 # --------------------------------------------------------------------------
 
 #: A leased worker dies silently at a named stage of a job — no release,
@@ -162,13 +162,8 @@ TORN_JOURNAL_WRITE = "torn-journal-write"
 #: The queue's clock jumps by ``skew`` seconds for one reading — the
 #: cross-host skew that makes a *live* lease look expired (or vice versa).
 CLOCK_SKEW = "stale-lease-clock-skew"
-#: A cache-backend operation hangs past its deadline / fails outright;
-#: the FallbackBackend must degrade, never stall the audit.
-BACKEND_TIMEOUT = "backend-timeout"
 
-SERVICE_KINDS = (
-    KILL_LEASE_HOLDER, TORN_JOURNAL_WRITE, CLOCK_SKEW, BACKEND_TIMEOUT,
-)
+SERVICE_KINDS = (KILL_LEASE_HOLDER, TORN_JOURNAL_WRITE, CLOCK_SKEW)
 
 
 class WorkerKilled(BaseException):
@@ -194,8 +189,7 @@ class ServiceFaultSpec:
         ``fnmatch`` pattern tested against the *subject* — for worker
         kills, ``"<job_id>@<stage>"`` (stages: ``leased``, ``mid``,
         ``pre-complete``); for torn writes, the journal record kind;
-        for backend faults, the operation name (``get``/``put``/
-        ``claim``/``release``); for clock skew, the queue operation.
+        for clock skew, the queue operation.
     first_times:
         Fire only the first N times this rule matches its subject
         (counted per ``(rule, subject)``); the default ``1`` gives
@@ -241,7 +235,7 @@ class ServiceFaultPlan:
         """Build a plan from CLI strings ``KIND[:MATCH[:TIMES]]``.
 
         Examples: ``kill-lease-holder:*@pre-complete``,
-        ``backend-timeout:get:3``, ``stale-lease-clock-skew:lease:1``.
+        ``torn-journal-write:complete``, ``stale-lease-clock-skew:lease:1``.
         """
         faults = []
         for entry in entries or ():
@@ -290,47 +284,3 @@ class ServiceFaultPlan:
         """Clock-skew seconds to add to one reading (0.0 = none)."""
         spec = self.fires(CLOCK_SKEW, operation)
         return 0.0 if spec is None else spec.skew
-
-    def backend_fault(self, operation):
-        """Raise :class:`InjectedFault` when a backend rule fires."""
-        spec = self.fires(BACKEND_TIMEOUT, operation)
-        if spec is not None:
-            raise InjectedFault(
-                "injected backend timeout on {}".format(operation)
-            )
-
-
-class FaultyBackendProxy:
-    """Wraps a cache backend so a :class:`ServiceFaultPlan` can fail it.
-
-    Sits *between* a :class:`~repro.cache.backend.FallbackBackend` and
-    its primary: each op first consults the plan (raising
-    :class:`InjectedFault` on a ``backend-timeout`` rule), then
-    delegates. Tests point a FallbackBackend at this proxy to prove the
-    breaker opens, the audit degrades to local, and nothing stalls.
-    """
-
-    name = "faulty-proxy"
-
-    def __init__(self, inner, plan):
-        self.inner = inner
-        self.plan = plan
-
-    def get(self, key):
-        self.plan.backend_fault("get")
-        return self.inner.get(key)
-
-    def put(self, key, **fields):
-        self.plan.backend_fault("put")
-        self.inner.put(key, **fields)
-
-    def claim(self, key):
-        self.plan.backend_fault("claim")
-        return self.inner.claim(key)
-
-    def release(self, key):
-        self.plan.backend_fault("release")
-        self.inner.release(key)
-
-    def release_all(self):
-        self.inner.release_all()

@@ -12,15 +12,13 @@ through memory. Two small policy objects describe how the supervisor
   via ``setrlimit``. These are distinct from the engines' cooperative
   ``time_budget``, which a stuck implication loop can simply fail to
   check.
-* :class:`RetryPolicy` — how many attempts a check gets, how long to
-  back off between them, and how the bound / budget are rescaled on each
-  retry (the classic mitigation for a solver blow-up at depth ``t`` is
-  to retry at ``t // 2`` and still certify *something*).
+* :class:`RetryPolicy` — how many attempts a check gets. A retry
+  reruns the same task, at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Attempt/outcome statuses shared across the runner package.
 OK = "ok"                  # engine returned a conclusive verdict
@@ -31,6 +29,11 @@ CRASHED = "crashed"        # engine raised / worker process died
 
 #: Statuses that mean "the check did not conclude" — candidates for retry.
 DEGRADED_STATUSES = (EXHAUSTED, BUDGET, TIMEOUT, CRASHED)
+
+#: Extra seconds granted past a task's cooperative ``time_budget`` when
+#: deriving a default hard timeout: the engine should stop itself first,
+#: the kill is the backstop.
+GRACE = 2.0
 
 
 @dataclass(frozen=True)
@@ -48,22 +51,17 @@ class ResourceLimits:
         allocation past the cap raises ``MemoryError`` in the worker,
         which the supervisor reports as ``crashed``. ``None`` leaves the
         inherited limit.
-    grace:
-        Extra seconds granted past a task's cooperative ``time_budget``
-        when deriving a default hard timeout: the engine should stop
-        itself first, the kill is the backstop.
     """
 
     wall_timeout: float | None = None
     memory_bytes: int | None = None
-    grace: float = 2.0
 
     def effective_timeout(self, cooperative_budget=None):
         """Hard timeout for one attempt, or None when unbounded."""
         if self.wall_timeout is not None:
             return self.wall_timeout
         if cooperative_budget is not None:
-            return cooperative_budget + self.grace
+            return cooperative_budget + GRACE
         return None
 
 
@@ -74,28 +72,12 @@ class RetryPolicy:
     Parameters
     ----------
     attempts:
-        Total attempts (1 = no retries).
-    backoff / backoff_factor:
-        Sleep ``backoff * backoff_factor**(n-1)`` seconds before retry
-        ``n`` (n = 1 for the first retry).
-    halve_bound:
-        Halve ``max_cycles`` on every retry (never below 1), trading
-        guarantee depth for a verdict — the paper's "largest bound
-        reached" degradation applied proactively.
-    budget_scale:
-        Multiply the cooperative ``time_budget`` by this factor on each
-        retry (> 1 escalates, < 1 shrinks).
-    retry_on:
-        Attempt statuses that trigger a retry; conclusive verdicts never
-        retry.
+        Total attempts (1 = no retries). An attempt that ends in one of
+        :data:`DEGRADED_STATUSES` is retried while attempts remain;
+        conclusive verdicts never retry.
     """
 
     attempts: int = 1
-    backoff: float = 0.0
-    backoff_factor: float = 2.0
-    halve_bound: bool = False
-    budget_scale: float = 1.0
-    retry_on: tuple = field(default=DEGRADED_STATUSES)
 
     def __post_init__(self):
         if self.attempts < 1:
@@ -105,22 +87,4 @@ class RetryPolicy:
         """Retry after attempt ``attempt_index`` (0-based) ended in ``status``?"""
         if attempt_index + 1 >= self.attempts:
             return False
-        return status in self.retry_on
-
-    def delay_for(self, attempt_index):
-        """Seconds to sleep before attempt ``attempt_index`` (0-based)."""
-        if attempt_index <= 0 or self.backoff <= 0:
-            return 0.0
-        return self.backoff * self.backoff_factor ** (attempt_index - 1)
-
-    def bound_for(self, attempt_index, max_cycles):
-        """Bound to use at attempt ``attempt_index`` (0-based)."""
-        if not self.halve_bound or attempt_index <= 0:
-            return max_cycles
-        return max(1, max_cycles >> attempt_index)
-
-    def budget_for(self, attempt_index, time_budget):
-        """Cooperative budget for attempt ``attempt_index`` (0-based)."""
-        if time_budget is None or attempt_index <= 0:
-            return time_budget
-        return time_budget * self.budget_scale ** attempt_index
+        return status in DEGRADED_STATUSES

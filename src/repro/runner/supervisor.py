@@ -69,40 +69,27 @@ class CheckRunner:
         consulted inside the execution context before each attempt.
     profile_dir:
         cProfile pstats directory, one dump per attempt.
-    backend_factory:
-        ``cache_dir -> CacheBackend`` (see :meth:`cache_for`).
     """
 
     def __init__(self, limits=None, retry=None, fault_injector=None,
-                 profile_dir=None, backend_factory=None):
+                 profile_dir=None):
         self.limits = limits if limits is not None else ResourceLimits()
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_injector = fault_injector
         self.profile_dir = profile_dir  # cProfile dumps, one per attempt
-        self.backend_factory = backend_factory  # cache_dir -> CacheBackend
-        self._caches = {}  # cache_dir -> CacheBackend
+        self._caches = {}  # cache_dir -> LocalBackend
 
     def cache_for(self, cache_dir):
-        """Memoized :class:`~repro.cache.CacheBackend` for a directory.
-
-        The default factory builds a
-        :class:`~repro.cache.backend.LocalBackend` (the pre-backend
-        behaviour, verbatim); a runner constructed with
-        ``backend_factory=`` can substitute any backend — e.g. a
-        :class:`~repro.cache.backend.FallbackBackend` wrapping a shared
-        store — without the supervisor or scheduler noticing.
-        """
+        """Memoized :class:`~repro.cache.backend.LocalBackend` for a
+        directory (``None`` stays ``None``): its outcome store, its claim
+        registry and their session counters."""
         if cache_dir is None:
             return None
         cache = self._caches.get(cache_dir)
         if cache is None:
-            if self.backend_factory is not None:
-                cache = self.backend_factory(cache_dir)
-            else:
-                from repro.cache.backend import backend_for
+            from repro.cache.backend import LocalBackend
 
-                cache = backend_for(cache_dir)
-            self._caches[cache_dir] = cache
+            cache = self._caches[cache_dir] = LocalBackend(cache_dir)
         return cache
 
     @property
@@ -175,11 +162,8 @@ class CheckRunner:
         if tracer.enabled and execution.outcome.cache is not None:
             tracer.point("cache." + execution.outcome.cache, check=name)
         while not done:
-            attempt_task, delay = execution.next_attempt()
-            if delay > 0:
-                time.sleep(delay)
             index = execution.attempt_index
-            record = self._attempt(attempt_task, name, index, tracer)
+            record = self._attempt(execution.task, name, index, tracer)
             done = execution.record_attempt(record)
             if not done and tracer.enabled:
                 tracer.point(
@@ -187,7 +171,6 @@ class CheckRunner:
                     check=name,
                     failed_status=record.status,
                     next_attempt=execution.attempt_index,
-                    backoff=self.retry.delay_for(execution.attempt_index),
                 )
                 tracer.metrics.counter("runner.retries").inc()
         return execution.finish()

@@ -3,13 +3,8 @@
 A *task* is a small callable object capturing everything one property
 check needs: the monitor netlist, the objective, the engine name and the
 check kwargs. Tasks are plain dataclasses (no closures) so they survive
-a trip into a ``multiprocessing`` worker under any start method, and
-they expose the two rescaling hooks the retry policy uses:
-
-* :meth:`with_bound` — rebuild the task at a smaller ``max_cycles``
-  (bound-halving on retry);
-* :meth:`with_budget` — rebuild with a scaled cooperative
-  ``time_budget``.
+a trip into a ``multiprocessing`` worker under any start method. A
+retry runs the same task again.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ class ObjectiveTask:
     design's fingerprint (:func:`~repro.cache.check_key`), and a task
     built by hand with ``cache_dir`` and no key gets its whole netlist
     keyed against the empty design. The cache consult, the pool's claim
-    and the write-back all read it; rescaled copies carry it along.
+    and the write-back all read it; a resumed copy carries it along.
     """
 
     engine: str
@@ -81,14 +76,6 @@ class ObjectiveTask:
     @property
     def start_cycle(self):
         return self.check_kwargs.get("start_cycle", 1)
-
-    def with_bound(self, max_cycles):
-        return replace(self, max_cycles=max_cycles)
-
-    def with_budget(self, time_budget):
-        kwargs = dict(self.check_kwargs)
-        kwargs["time_budget"] = time_budget
-        return replace(self, check_kwargs=kwargs)
 
     def with_resume(self, certified_bound):
         """Resume after a cached proof: skip bounds ``1..certified_bound``."""
@@ -156,12 +143,6 @@ class BypassTask:
     def property_name(self):
         return "no-bypass({})".format(self.spec.register)
 
-    def with_bound(self, max_cycles):
-        return replace(self, max_cycles=max_cycles)
-
-    def with_budget(self, time_budget):
-        return replace(self, time_budget=time_budget)
-
     def __call__(self):
         from repro.properties.bypass import BypassChecker
 
@@ -178,19 +159,13 @@ class CallableTask:
     """Adapter for arbitrary callables (tests, custom engines).
 
     ``fn`` is called bare; ``max_cycles`` and ``time_budget`` only feed
-    the retry policy's rescaling and the attempt records.
+    the attempt records and, on a pool, the default hard timeout.
     """
 
     fn: object
     max_cycles: int = 0
     time_budget: float | None = None
     property_name: str = ""
-
-    def with_bound(self, max_cycles):
-        return replace(self, max_cycles=max_cycles)
-
-    def with_budget(self, time_budget):
-        return replace(self, time_budget=time_budget)
 
     def __call__(self):
         return self.fn()

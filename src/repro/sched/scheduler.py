@@ -52,7 +52,9 @@ that design is keyed against it when its task is built. It is never
 kept past the run: the netlist may change between audits.
 
 Cross-pool coordination: cache-participating pool nodes claim their
-fingerprint in a :class:`~repro.cache.ClaimRegistry` before solving;
+fingerprint in the cache directory's :class:`~repro.cache.ClaimRegistry`
+(through :meth:`~repro.runner.supervisor.CheckRunner.cache_for`'s
+handle) before solving;
 losing the claim defers the node, which re-consults the cache while it
 waits — two pools sharing a ``--cache-dir`` never solve the same check
 twice. Telemetry: inline, the ``audit`` and ``audit.register`` spans
@@ -129,8 +131,8 @@ class _Node:
         "audit", "reg", "kind", "name", "seq", "priority", "factory",
         "task", "state", "execution", "candidate", "direction",
         "claim_key", "claim_registry", "claim_held",
-        "delay_served", "tracer", "check_span", "attempt_span",
-        "attempt_task", "attempt_started", "outcome", "events",
+        "tracer", "check_span", "attempt_span",
+        "attempt_started", "outcome", "events",
     )
 
     def __init__(self, audit, reg, kind, name, seq, factory):
@@ -149,11 +151,9 @@ class _Node:
         self.claim_key = None
         self.claim_registry = None
         self.claim_held = False
-        self.delay_served = False
         self.tracer = None
         self.check_span = None
         self.attempt_span = None
-        self.attempt_task = None
         self.attempt_started = 0.0
         self.outcome = None
         self.events = None
@@ -259,9 +259,9 @@ class AuditScheduler:
         self.tracer = get_tracer()
         self._seq = 0
         self._ready = []  # heap of (priority, node)
-        self._deferred = []  # heap of (not_before, seq, node, wake_kind)
+        self._deferred = []  # heap of (not_before, seq, node): claim waits
         self._running = {}  # seq -> node
-        self._claims = {}  # id(backend) -> CacheBackend (claims released at end)
+        self._claims = {}  # id(cache) -> LocalBackend (claims released at end)
         self.stats = {"checks": 0, "cache_completed": 0, "discarded": 0,
                       "canceled": 0}
 
@@ -306,8 +306,8 @@ class AuditScheduler:
             self._loop()
         finally:
             self.pool.shutdown()
-            for registry in self._claims.values():
-                registry.release_all()
+            for cache in self._claims.values():
+                cache.release_all()
         return [audit.report for audit in self.audits]
 
     # ------------------------------------------------------------ pool loop
@@ -346,19 +346,20 @@ class AuditScheduler:
 
     def _wake_deferred(self, now):
         while self._deferred and self._deferred[0][0] <= now:
-            _due, _seq, node, wake = heapq.heappop(self._deferred)
+            _due, _seq, node = heapq.heappop(self._deferred)
             if node.state != "deferred":
                 continue
-            if wake == "claim" and node.execution.consult_cache(count=False):
+            if node.execution.consult_cache(count=False):
                 self._complete(node)
                 continue
-            if wake == "backoff":
-                node.delay_served = True
             self._make_ready(node)
 
-    def _defer(self, node, until, wake):
+    def _defer(self, node):
+        """Wait out a claim held elsewhere, then re-consult the cache."""
         node.state = "deferred"
-        heapq.heappush(self._deferred, (until, node.seq, node, wake))
+        heapq.heappush(
+            self._deferred, (time.perf_counter() + CLAIM_POLL, node.seq, node)
+        )
 
     def _dispatch(self):
         while self._ready and self.pool.idle_count > 0:
@@ -369,8 +370,7 @@ class AuditScheduler:
                 continue  # answered by the cache, or swallowed an error
             if node.claim_key is not None and not node.claim_held:
                 if not node.claim_registry.claim(node.claim_key):
-                    self._defer(node, time.perf_counter() + CLAIM_POLL,
-                                "claim")
+                    self._defer(node)
                     continue
                 node.claim_held = True
                 # the previous holder may have stored a verdict between
@@ -378,17 +378,12 @@ class AuditScheduler:
                 if node.execution.consult_cache(count=False):
                     self._complete(node)
                     continue
-            task, delay = node.execution.next_attempt()
-            if delay > 0 and not node.delay_served:
-                self._defer(node, time.perf_counter() + delay, "backoff")
-                continue
-            node.delay_served = False
-            self._submit(node, task)
+            self._submit(node)
 
-    def _submit(self, node, task):
+    def _submit(self, node):
         runner = node.audit.detector.runner
+        task = node.execution.task
         index = node.execution.attempt_index
-        node.attempt_task = task
         node.attempt_started = time.perf_counter()
         if node.tracer is not None:
             node.attempt_span = node.tracer.begin(
@@ -409,7 +404,7 @@ class AuditScheduler:
         if node is None:
             return  # canceled after the result was already in flight
         execution = node.execution
-        task = node.attempt_task
+        task = execution.task
         record = AttemptRecord(
             index=execution.attempt_index,
             status=CRASHED,
@@ -431,22 +426,15 @@ class AuditScheduler:
         if execution.record_attempt(record):
             self._complete(node)
             return
-        retry = execution.retry
         if node.tracer is not None:
             node.tracer.point(
                 "runner.retry",
                 check=node.name,
                 failed_status=record.status,
                 next_attempt=execution.attempt_index,
-                backoff=retry.delay_for(execution.attempt_index),
             )
             node.tracer.metrics.counter("runner.retries").inc()
-        delay = retry.delay_for(execution.attempt_index)
-        if delay > 0:
-            self._defer(node, time.perf_counter() + delay, "backoff")
-            node.delay_served = True
-        else:
-            self._make_ready(node)
+        self._make_ready(node)
 
     # --------------------------------------------------------- node plumbing
 
@@ -499,8 +487,8 @@ class AuditScheduler:
         if cache is not None and hasattr(node.task, "cache_key") and (
             not done
         ):
-            # the backend carries both the store and the claim registry;
-            # remember it so shutdown can release whatever is still held
+            # the directory's handle carries both the store and the claim
+            # registry; remember it so shutdown can release what is held
             self._claims[id(cache)] = cache
             node.claim_registry = cache
             node.claim_key = node.task.cache_key()
@@ -515,7 +503,7 @@ class AuditScheduler:
         node.outcome = outcome
         node.state = "done"
         node.task = _replay_task(node, node.task)
-        node.factory = node.execution = node.attempt_task = None
+        node.factory = node.execution = None
         self.stats["checks"] += 1
         if node.claim_held:
             # the worker stored its verdict before sending the result,

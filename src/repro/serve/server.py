@@ -47,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import JobQueueError, ServiceError
 from repro.obs.summary import load_trace
-from repro.obs.tracer import NULL_TRACER, Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.runner.faultinject import WorkerKilled
 from repro.serve.queue import JobQueue
 
@@ -130,15 +130,13 @@ class AuditService:
     """Worker pool draining a durable queue through TrojanDetector."""
 
     def __init__(self, queue_dir, workers=2, lease_ttl=30.0, max_leases=3,
-                 fault_plan=None, clock=time.time, poll_interval=0.05,
-                 backend_factory=None):
+                 fault_plan=None, clock=time.time, poll_interval=0.05):
         self.queue = JobQueue(queue_dir, lease_ttl=lease_ttl,
                               max_leases=max_leases, clock=clock,
                               fault_plan=fault_plan)
         self.fault_plan = fault_plan
         self.workers = int(workers)
         self.poll_interval = float(poll_interval)
-        self.backend_factory = backend_factory
         self.trace_dir = os.path.join(str(queue_dir), "traces")
         os.makedirs(self.trace_dir, exist_ok=True)
         self._stop = threading.Event()      # stop leasing (drain)
@@ -266,13 +264,9 @@ class AuditService:
 
     def _audit(self, job):
         from repro.core import TrojanDetector
-        from repro.runner import CheckRunner
 
         netlist, spec, config = _build_audit(job["payload"])
-        runner = CheckRunner(backend_factory=self.backend_factory)
-        detector = TrojanDetector(netlist, spec, config=config,
-                                  runner=runner)
-        report = detector.run()
+        report = TrojanDetector(netlist, spec, config=config).run()
         return {
             "design": job["payload"].get("design"),
             "trojan_found": report.trojan_found,

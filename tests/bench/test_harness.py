@@ -3,7 +3,6 @@
 from repro.bench import (
     baseline_run,
     detection_run,
-    fmt_bool,
     fmt_memory,
     fmt_seconds,
     max_bound_within_budget,
@@ -181,4 +180,3 @@ class TestTables:
         assert fmt_memory(0) == "-"
         assert fmt_memory(2 * 1024 * 1024) == "2.0 MB"
         assert "GB" in fmt_memory(3 * 1024 ** 3)
-        assert fmt_bool(True) == "Yes"

@@ -1,6 +1,6 @@
 """ASCII plot helper tests."""
 
-from repro.bench.plot import bar_chart, series_compare, sparkline
+from repro.bench.plot import series_compare, sparkline
 
 
 def test_sparkline_shape():
@@ -13,14 +13,6 @@ def test_sparkline_shape():
 def test_sparkline_degenerate():
     assert sparkline([]) == ""
     assert sparkline([0, 0]) == "▁▁"
-
-
-def test_bar_chart():
-    text = bar_chart([("bmc", 10), ("atpg", 30)], width=10, title="depth")
-    assert text.startswith("depth")
-    lines = text.splitlines()[1:]
-    assert lines[1].count("#") > lines[0].count("#")
-    assert "30" in lines[1]
 
 
 def test_series_compare():

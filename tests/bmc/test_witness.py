@@ -57,18 +57,6 @@ def test_replay_with_probe():
     assert probe == [0, 0, 1]
 
 
-def test_witness_to_vcd(tmp_path):
-    from repro.bmc import witness_to_vcd
-
-    nl = build_counter(4)
-    w = Witness(inputs=[{"en": 1}] * 3, violation_cycle=2)
-    path = witness_to_vcd(nl, w, str(tmp_path / "cex.vcd"))
-    text = open(path).read()
-    assert "$var wire 1" in text  # the en input
-    assert "count" in text and "value" in text
-    assert "$enddefinitions" in text
-
-
 def test_probe_replay_trace_is_complete():
     nl = build_counter(4)
     w = Witness(inputs=[{"en": 1}] * 3, violation_cycle=2)

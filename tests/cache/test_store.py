@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bmc import BmcResult, Witness
 from repro.cache import FILENAME, SCHEMA_VERSION, OutcomeCache
 
@@ -163,6 +165,22 @@ def test_record_result_resume_extends_absolute_bound(tmp_path):
         certified_base=6,
     )
     assert OutcomeCache(tmp_path).lookup(KEY).proved_bound == 10
+
+
+@pytest.mark.parametrize("status,bound,base,proved,violation", [
+    ("proved", 4, 7, 7, None),      # the certified base is deeper
+    ("violated", 9, 3, 3, 9),       # a violation keeps only the base
+])
+def test_record_result_certified_base(tmp_path, status, bound, base,
+                                      proved, violation):
+    cache = OutcomeCache(tmp_path)
+    assert cache.record_result(
+        KEY, BmcResult(status=status, bound=bound), engine="bmc",
+        certified_base=base,
+    )
+    entry = OutcomeCache(tmp_path).lookup(KEY)
+    assert entry.proved_bound == proved
+    assert entry.violation_bound == violation
 
 
 def test_record_result_violation_never_claims_a_proof(tmp_path):

@@ -7,7 +7,7 @@ they are pinned exactly rather than spot-checked.
 import itertools
 
 from repro.ift import MAYBE, TAINTED, UNTAINTED, join, weaken
-from repro.ift.lattice import LEVEL_NAMES, join_all, level_name
+from repro.ift.lattice import LEVEL_NAMES, level_name
 
 LEVELS = [UNTAINTED, MAYBE, TAINTED]
 
@@ -29,12 +29,6 @@ def test_join_laws():
     for a in LEVELS:
         assert join(a, UNTAINTED) == a  # bottom is neutral
         assert join(a, TAINTED) == TAINTED  # top absorbs
-
-
-def test_join_all_folds():
-    assert join_all([]) == UNTAINTED
-    assert join_all([UNTAINTED, MAYBE]) == MAYBE
-    assert join_all([MAYBE, TAINTED, UNTAINTED]) == TAINTED
 
 
 def test_weaken_caps_at_maybe():

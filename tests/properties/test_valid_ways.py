@@ -10,8 +10,6 @@ from repro.properties import (
     RegisterSpec,
     TrojanInfo,
     ValidWay,
-    on_input,
-    on_probe,
 )
 
 from tests.conftest import build_secret_design, secret_spec
@@ -69,19 +67,6 @@ class TestValidWay:
         way = ValidWay("w", lambda m: m.input("load"))
         nl = build_secret_design()
         assert way.expected(ctx_for(nl), 8) is None
-
-    def test_on_input_and_on_probe_helpers(self):
-        nl = build_secret_design()
-        ctx = ctx_for(nl)
-        assert on_input("load")(ctx).width == 1
-        assert on_input("key_in", bit=3)(ctx).width == 1
-
-        c = Circuit("p")
-        a = c.input("a", 2)
-        c.probe("mysig", a)
-        c.output("y", a)
-        probed = ctx_for(c.finalize())
-        assert on_probe("mysig", bit=1)(probed).width == 1
 
 
 class TestSpecs:

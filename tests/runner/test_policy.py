@@ -1,4 +1,4 @@
-"""RetryPolicy / ResourceLimits schedule tests."""
+"""RetryPolicy / ResourceLimits tests."""
 
 import pytest
 
@@ -21,35 +21,6 @@ class TestRetryPolicy:
     def test_ok_never_retries(self):
         assert not RetryPolicy(attempts=5).should_retry(OK, 0)
 
-    def test_retry_on_filter(self):
-        policy = RetryPolicy(attempts=3, retry_on=(TIMEOUT,))
-        assert policy.should_retry(TIMEOUT, 0)
-        assert not policy.should_retry(CRASHED, 0)
-
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(attempts=4, backoff=0.5, backoff_factor=3.0)
-        assert policy.delay_for(0) == 0.0
-        assert policy.delay_for(1) == 0.5
-        assert policy.delay_for(2) == 1.5
-        assert policy.delay_for(3) == 4.5
-
-    def test_bound_halving_floors_at_one(self):
-        policy = RetryPolicy(attempts=6, halve_bound=True)
-        assert policy.bound_for(0, 40) == 40
-        assert policy.bound_for(1, 40) == 20
-        assert policy.bound_for(2, 40) == 10
-        assert policy.bound_for(5, 40) == 1
-
-    def test_bound_unchanged_without_halving(self):
-        assert RetryPolicy(attempts=3).bound_for(2, 40) == 40
-
-    def test_budget_scaling(self):
-        policy = RetryPolicy(attempts=3, budget_scale=2.0)
-        assert policy.budget_for(0, 10.0) == 10.0
-        assert policy.budget_for(1, 10.0) == 20.0
-        assert policy.budget_for(2, 10.0) == 40.0
-        assert policy.budget_for(1, None) is None
-
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
             RetryPolicy(attempts=0)
@@ -57,11 +28,11 @@ class TestRetryPolicy:
 
 class TestResourceLimits:
     def test_explicit_wall_timeout_wins(self):
-        limits = ResourceLimits(wall_timeout=5.0, grace=2.0)
+        limits = ResourceLimits(wall_timeout=5.0)
         assert limits.effective_timeout(60.0) == 5.0
 
     def test_derived_from_cooperative_budget_plus_grace(self):
-        limits = ResourceLimits(grace=2.0)
+        limits = ResourceLimits()
         assert limits.effective_timeout(10.0) == 12.0
 
     def test_unbounded_when_nothing_set(self):

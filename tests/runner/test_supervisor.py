@@ -156,24 +156,6 @@ class TestRetries:
         assert outcome.num_attempts == 3
         assert [a.index for a in outcome.attempts] == [0, 1, 2]
 
-    def test_bound_halving_schedule_applied(self):
-        runner = CheckRunner(
-            retry=RetryPolicy(attempts=3, halve_bound=True),
-            fault_injector=FaultInjector.raise_on("count", first_attempts=2),
-        )
-        outcome = runner.run(counter_task(max_cycles=16), name="count")
-        assert [a.max_cycles for a in outcome.attempts] == [16, 8, 4]
-        assert outcome.ok  # violation at cycle 4 still within halved bound
-
-    def test_budget_escalation_applied(self):
-        runner = CheckRunner(
-            retry=RetryPolicy(attempts=2, budget_scale=2.0),
-            fault_injector=FaultInjector.raise_on("count", first_attempts=1),
-        )
-        outcome = runner.run(counter_task(time_budget=10.0), name="count")
-        assert outcome.attempts[0].time_budget == 10.0
-        assert outcome.attempts[1].time_budget == 20.0
-
     def test_conclusive_verdict_stops_retrying(self):
         runner = CheckRunner(retry=RetryPolicy(attempts=5))
         outcome = runner.run(counter_task(), name="count")

@@ -1,15 +1,20 @@
 """Audit service: HTTP API, worker threads, graceful drain."""
 
-import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServiceError
+from repro.runner.faultinject import ServiceFaultPlan
 from repro.serve import AuditService
 from repro.serve.server import ServiceClient, run_server
 
 OPTIONS = {"max_cycles": 16, "time_budget": 30.0}
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +140,25 @@ class TestDrain:
         assert done["state"] == "done"
         assert done["result"]["trojan_found"] is False
         second.drain(timeout=30)
+
+
+class TestInjectedFaults:
+    """A fault kind that nothing in the service fires is refused, not
+    silently accepted."""
+
+    def test_backend_timeout_is_not_a_service_fault(self):
+        with pytest.raises(ValueError, match="backend-timeout"):
+            ServiceFaultPlan.parse(["backend-timeout:get:1"])
+
+    def test_serve_refuses_backend_timeout(self, tmp_path):
+        # a server that accepted the fault would serve until killed: the
+        # timeout turns that into a failure instead of a hang
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--queue-dir", str(tmp_path / "q"), "--port", "0",
+             "--inject", "backend-timeout:get:1"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode != 0
+        assert "unknown service fault kind 'backend-timeout'" in proc.stderr
