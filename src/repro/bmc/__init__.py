@@ -14,11 +14,7 @@ from repro.bmc.engine import (
     check_objective,
 )
 from repro.bmc.unroll import Unroller
-from repro.bmc.witness import (
-    Witness,
-    confirms_violation,
-    replay,
-)
+from repro.bmc.witness import Witness, confirms_violation
 
 __all__ = [
     "InductionResult",
@@ -33,5 +29,4 @@ __all__ = [
     "Unroller",
     "Witness",
     "confirms_violation",
-    "replay",
 ]

@@ -18,13 +18,16 @@ makes the canonical witness identical across full and resumed ascents
 and solver backends.
 
 The search is one ``lexmin`` call on the solver (see
-:meth:`repro.sat.solver.Solver.lexmin`, the one loop both backends
-run): a presolve with every input's phase pointed at 0, then one probe
-per input bit still 1, each extending the last probe's assumptions so
-the solver keeps their levels. Under a
-nearly-expired time budget the remaining bits keep their current values
-— the witness is then still valid, just not canonical, mirroring how
-budget exhaustion already degrades verdicts elsewhere.
+:meth:`repro.sat.solver.Solver.lexmin`, which both backends run): one
+solve that decides the input bits 0 in order, whose first model is the
+lex-min vector (DESIGN.md decision 33). Past ``ORDERED_CONFLICTS``
+conflicts it hands over to the probe loop: a presolve with every
+input's phase pointed at 0, then one probe per input bit still 1, each
+extending the last probe's assumptions so the solver keeps their
+levels. Under a nearly-expired time budget the remaining bits keep
+their current values — the witness is then still valid, just not
+canonical, mirroring how budget exhaustion already degrades verdicts
+elsewhere.
 """
 
 from __future__ import annotations

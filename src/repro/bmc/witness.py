@@ -70,19 +70,6 @@ class Witness:
         return "\n".join(lines)
 
 
-def replay(netlist, witness, observe_registers=(), observe_outputs=()):
-    """Replay a witness on the simulator.
-
-    Returns a :class:`~repro.sim.sequential.Trace` over the requested
-    registers/outputs.
-    """
-    return SequentialSimulator(netlist).run(
-        witness.inputs,
-        observe_registers=observe_registers,
-        observe_outputs=observe_outputs,
-    )
-
-
 def confirms_violation(netlist, witness, violation_net):
     """True iff replaying the witness drives ``violation_net`` to 1.
 

@@ -94,8 +94,8 @@ class CheckRunner:
 
     @property
     def cache_counters(self):
-        """Aggregated hit/partial/miss/store counters across cache dirs."""
-        totals = {"hits": 0, "partial_hits": 0, "misses": 0, "stores": 0}
+        """Aggregated hit/partial/miss counters across cache dirs."""
+        totals = {"hits": 0, "partial_hits": 0, "misses": 0}
         for cache in self._caches.values():
             for key in totals:
                 totals[key] += cache.counters.get(key, 0)

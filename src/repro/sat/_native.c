@@ -8,8 +8,9 @@
  * across solves (a solve keeps the prefix it shares with the last
  * one's), VSIDS + phase saving, Luby restarts (base 100), LBD-tagged
  * learnt clauses with a glue-protected reduce, chronological
- * backtracking, cooperative conflict/time budgets, and batched phase
- * steering for lex-min witness extraction. External literals are
+ * backtracking, cooperative conflict/time budgets, an optional decision
+ * order searched before VSIDS, and batched phase steering for lex-min
+ * witness extraction. External literals are
  * signed DIMACS ints (variable 1 is the first variable), matching the
  * Python API; internally literals are 2*var+sign.
  *
@@ -779,8 +780,15 @@ static int32_t give_up(CSolver *s, const int32_t *ext, int32_t n_assumps) {
  * read), on UNSAT under assumptions every level placed, and when a
  * budget runs out the first min(n_assumps, levels). The next call keeps
  * the longest prefix its assumptions share with them and backtracks
- * only above it. */
+ * only above it.
+ *
+ * Once the assumptions are placed, each decision sets the first
+ * unassigned literal of order[0..n_order) true, and VSIDS decides only
+ * when every one of them is assigned. The cursor into order restarts at
+ * 0 after each conflict (a backtrack may unassign any of them), so a
+ * caller bounds that rescan with conflict_budget. */
 int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
+                   const int32_t *order, int32_t n_order,
                    int64_t conflict_budget, double time_budget) {
     s->solve_calls++;
     if (s->root_unsat) {
@@ -804,6 +812,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
     int64_t conflicts_since_restart = 0;
     int64_t restart_limit = RESTART_BASE * luby(0);
     int64_t next_time_check = s->conflicts + 1;
+    int32_t cursor = 0; /* order[0..cursor) are assigned */
     int64_t adjusted_max = s->max_learnts > s->n_clauses / 3
                                ? s->max_learnts
                                : s->n_clauses / 3;
@@ -813,6 +822,7 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
         if (confl >= 0) {
             s->conflicts++;
             conflicts_since_restart++;
+            cursor = 0;
             int32_t forced;
             int32_t top = conflict_level(s, confl, &forced);
             if (top == 0) {
@@ -884,26 +894,35 @@ int32_t rsat_solve(CSolver *s, const int32_t *ext_assumps, int32_t n_assumps,
             continue;
         }
 
-        /* regular decision */
-        int32_t var = -1;
-        while (s->heap_sz > 0) {
-            int32_t v = heap_pop(s);
-            if (s->assign[v] == 0) {
-                var = v;
-                break;
+        /* regular decision: the order's first unassigned literal, else
+         * VSIDS */
+        int32_t l;
+        while (cursor < n_order && lit_value(s, ext2int(order[cursor])) != 0)
+            cursor++;
+        if (cursor < n_order) {
+            l = ext2int(order[cursor]);
+        } else {
+            int32_t var = -1;
+            while (s->heap_sz > 0) {
+                int32_t v = heap_pop(s);
+                if (s->assign[v] == 0) {
+                    var = v;
+                    break;
+                }
             }
-        }
-        if (var < 0) {
-            /* model complete; read before next call */
-            keep_levels(s, ext_assumps, n_assumps);
-            return 1;
+            if (var < 0) {
+                /* model complete; read before next call */
+                keep_levels(s, ext_assumps, n_assumps);
+                return 1;
+            }
+            l = s->phase[var] ? 2 * var : 2 * var + 1;
         }
         s->decisions++;
         if (time_budget >= 0 && (s->decisions & 1023) == 0 &&
             now_seconds() - start > time_budget)
             return give_up(s, ext_assumps, n_assumps);
         s->trail_lim[s->n_levels++] = s->trail_sz;
-        enqueue(s, s->phase[var] ? 2 * var : 2 * var + 1, -1, s->n_levels);
+        enqueue(s, l, -1, s->n_levels);
     }
 }
 

@@ -21,7 +21,8 @@ over a list of input literals, which is unique to the formula. Witness
 bytes are therefore backend-independent, because the engine
 canonicalizes every counterexample with one ``lexmin`` call (see
 :mod:`repro.bmc.canonical`), even though the two backends' searches
-take different probes. Cache fingerprints never encode the backend for
+may take different paths: an ordered solve, or past its conflict cap
+the per-input probes. Cache fingerprints never encode the backend for
 the same reason.
 """
 

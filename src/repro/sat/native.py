@@ -15,7 +15,9 @@ surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
 ``add_packed_clauses``, ``solve(assumptions=,
 conflict_budget=, time_budget=)`` returning a
 :class:`~repro.sat.solver.SolveResult`, ``lexmin`` (canonical witness
-extraction: the Python solver's own loop, run over this kernel),
+extraction: the Python solver's own steps, run over this kernel; its
+first solve passes ``rsat_solve`` a decision order, the input bits
+made false in turn, which the search follows before VSIDS),
 cumulative ``stats`` snapshots, ``num_vars``,
 ``len(clauses)``/``len(learnts)``, and ``root_unsat``. Models are
 snapshotted into an immutable byte buffer at SAT exit, so — like the
@@ -93,8 +95,8 @@ def _bind(lib):
         "rsat_new_var": ([P], i32),
         "rsat_new_vars": ([P, i32], i32),
         "rsat_add_clauses": ([P, ctypes.POINTER(i32), i32], i32),
-        "rsat_solve": ([P, ctypes.POINTER(i32), i32, i64, ctypes.c_double],
-                       i32),
+        "rsat_solve": ([P, ctypes.POINTER(i32), i32, ctypes.POINTER(i32),
+                        i32, i64, ctypes.c_double], i32),
         "rsat_phases_false": ([P, ctypes.POINTER(i32), i32], None),
         "rsat_model": ([P, ctypes.POINTER(ctypes.c_uint8)], None),
         "rsat_core_size": ([P], i32),
@@ -272,7 +274,8 @@ class NativeSolver:
         )
         return res
 
-    # canonical witness extraction: the one greedy loop, over _solve
+    # canonical witness extraction: the ordered solve, then the probe
+    # loop past its cap, over _solve
     lexmin = Solver.lexmin
     _lexmin = Solver._lexmin
 
@@ -280,14 +283,16 @@ class NativeSolver:
         buf = array("i", lits)
         self._lib.rsat_phases_false(self._handle, _int_ptr(buf), len(buf))
 
-    def _solve(self, assumptions, conflict_budget, time_budget, tracer=None):
+    def _solve(self, assumptions, conflict_budget, time_budget, tracer=None,
+               order=()):
         # tracer: the Python solver's signature; the kernel emits no points
         n = self.num_vars
-        if assumptions and (0 in assumptions or max(assumptions) > n
-                            or min(assumptions) < -n):
-            raise SolverError("bad assumption {!r}".format(next(
-                lit for lit in assumptions if lit == 0 or abs(lit) > n)))
+        for what, given in (("assumption", assumptions), ("literal", order)):
+            if given and (0 in given or max(given) > n or min(given) < -n):
+                raise SolverError("bad {} {!r}".format(what, next(
+                    lit for lit in given if lit == 0 or abs(lit) > n)))
         lits = array("i", assumptions)
+        order = array("i", order)
         lib, h = self._lib, self._handle
         pre_conflicts = int(lib.rsat_conflicts(h))
         pre_decisions = int(lib.rsat_decisions(h))
@@ -297,6 +302,8 @@ class NativeSolver:
             h,
             _int_ptr(lits),
             len(lits),
+            _int_ptr(order),
+            len(order),
             -1 if conflict_budget is None else int(conflict_budget),
             -1.0 if time_budget is None else float(time_budget),
         )

@@ -14,7 +14,8 @@ SAT core of Cadence SMV used by the paper. Features:
   same growing formula with a different "violation at frame t" assumption),
   keeping the assumption levels a solve shares with the last one,
 * :meth:`Solver.lexmin`, the lex-minimal model over a list of input
-  literals (canonical counterexamples),
+  literals (canonical counterexamples), found by one search that
+  decides those literals first, in order,
 * conflict and wall-clock budgets (the paper caps every run at a fixed
   time budget and reports the largest bound reached — engines need a solver
   that can give up cleanly with ``UNKNOWN``).
@@ -50,6 +51,10 @@ from repro.obs.tracer import get_tracer
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
+
+#: Conflicts :meth:`Solver.lexmin`'s ordered search may spend before the
+#: per-input probe loop takes over (DESIGN.md decision 33).
+ORDERED_CONFLICTS = 100
 
 
 @dataclass
@@ -342,14 +347,17 @@ class Solver:
         given the choices before it, so the answer is unique to the
         formula: not to the solver's state, history or backend. Returns
         ``(model, probes)``: the last SAT model and the number of solves
-        made (a presolve with every input's phase pointed at false, then
-        one probe per input still true). Once ``max_solves`` solves have
-        been made or ``time_budget`` seconds have passed, the remaining
-        inputs keep their current values, as does an input whose probe
-        hits a budget: the model stays valid but may not be lex-min.
-        Traced as one ``sat.solve`` span carrying ``probes``.
-        :class:`~repro.sat.native.NativeSolver` runs this same loop over
-        its kernel's ``_solve``.
+        made. The first solve decides the inputs false in order and is
+        capped at ``ORDERED_CONFLICTS`` conflicts; its model, if it
+        finds one, is the answer (``probes == 1``). Past the cap come a
+        presolve with every input's phase pointed at false and one probe
+        per input still true, all counted in ``probes``. Once
+        ``max_solves`` solves have been made or ``time_budget`` seconds
+        have passed, the remaining inputs keep their current values, as
+        does an input whose probe hits a budget: the model stays valid
+        but may not be lex-min. Traced as one ``sat.solve`` span
+        carrying ``probes``. :class:`~repro.sat.native.NativeSolver`
+        runs these same steps over its kernel's ``_solve``.
         """
         fixed = list(assumptions)
         input_lits = list(input_lits)
@@ -376,8 +384,30 @@ class Solver:
         start = time.perf_counter()
         stats = self.stats
         pre = (stats.conflicts, stats.decisions, stats.propagations)
-        self._phases_false(input_lits)
+
+        def result(model, probes):
+            stats = self.stats  # the native backend's stats are a snapshot
+            return SolveResult(
+                status=SAT,
+                model=model,
+                conflicts=stats.conflicts - pre[0],
+                decisions=stats.decisions - pre[1],
+                propagations=stats.propagations - pre[2],
+                elapsed=time.perf_counter() - start,
+            ), probes
+
         probes = 0
+        if ((max_solves is None or max_solves > 0)
+                and (time_budget is None or time_budget > 0)):
+            # One search deciding the inputs false in order: a model it
+            # finds is the lex-min vector (DESIGN.md decision 33). Past
+            # ORDERED_CONFLICTS, the probe loop below takes over.
+            probes = 1
+            res = self._solve(fixed, ORDERED_CONFLICTS, time_budget, tracer,
+                              order=[-lit for lit in input_lits])
+            if res.status == SAT:
+                return result(res.model, probes)
+        self._phases_false(input_lits)
         # i == -1 is the presolve, under the fixed assumptions alone
         for i in range(-1, len(input_lits)):
             lit = input_lits[i] if i >= 0 else 0
@@ -401,17 +431,18 @@ class Solver:
                 model = res.model
             if lit:
                 fixed.append(-lit if res.status == SAT else lit)
-        stats = self.stats  # the native backend's stats are a snapshot
-        return SolveResult(
-            status=SAT,
-            model=model,
-            conflicts=stats.conflicts - pre[0],
-            decisions=stats.decisions - pre[1],
-            propagations=stats.propagations - pre[2],
-            elapsed=time.perf_counter() - start,
-        ), probes
+        return result(model, probes)
 
-    def _solve(self, assumptions, conflict_budget, time_budget, tracer):
+    def _solve(self, assumptions, conflict_budget, time_budget, tracer,
+               order=()):
+        """One search. Once the assumptions are placed, each decision
+        sets the first unassigned literal of ``order`` true; VSIDS
+        decides only when all of them are assigned. The scan restarts
+        at the front after each conflict, since a backjump may unassign
+        any of them."""
+        for lit in order:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise SolverError("bad literal {!r}".format(lit))
         start = time.perf_counter()
         self.stats.solve_calls += 1
         base_conflicts = self.stats.conflicts
@@ -453,6 +484,8 @@ class Solver:
             return result(UNSAT, core=() if assumptions else None)
 
         n_assumptions = len(assumptions)
+        n_order = len(order)
+        cursor = 0  # order[:cursor] are assigned
         restart_round = 0
         conflicts_since_restart = 0
         restart_limit = self.restart_base * luby(1)
@@ -468,6 +501,7 @@ class Solver:
             if conflict is not None:
                 self.stats.conflicts += 1
                 conflicts_since_restart += 1
+                cursor = 0
                 if not self.trail_lim:
                     self.root_unsat = True
                     self._assump_trail = []
@@ -547,18 +581,25 @@ class Solver:
                     self._enqueue(lit, 0)
                 continue
 
-            # Regular decision.
-            var = self._pick_branch_var()
-            if var is None:
-                val = self._val
-                model = {
-                    v: val[v] == 1 for v in range(1, self.num_vars + 1)
-                }
-                self._retreat_to_assumptions(assumptions, n_assumptions)
-                return result(SAT, model)
+            # Regular decision: the order's first unassigned literal,
+            # else VSIDS.
+            val = self._val
+            while cursor < n_order and val[order[cursor]]:
+                cursor += 1
+            if cursor < n_order:
+                lit = order[cursor]
+            else:
+                var = self._pick_branch_var()
+                if var is None:
+                    model = {
+                        v: val[v] == 1 for v in range(1, self.num_vars + 1)
+                    }
+                    self._retreat_to_assumptions(assumptions, n_assumptions)
+                    return result(SAT, model)
+                lit = var if self.phase[var] else -var
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.phase[var] else -var, 0)
+            self._enqueue(lit, 0)
 
     # ----------------------------------------------------------- internals
 

@@ -60,16 +60,6 @@ class VcdWriter:
         self._vars.append((name, width, ident))
         self._series.append(series)
 
-    def add_trace(self, trace, widths):
-        """Add every series from a :class:`~repro.sim.sequential.Trace`.
-
-        ``widths`` maps signal name -> bit width.
-        """
-        for name, values in trace.registers.items():
-            self.add_signal(name, widths[name], values)
-        for name, values in trace.outputs.items():
-            self.add_signal(name, widths[name], values)
-
     def dumps(self):
         """Render the VCD document as a string."""
         out = io.StringIO()

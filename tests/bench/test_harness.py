@@ -86,7 +86,7 @@ class TestCachedDetectionRun:
         assert warm.extra["cache"] == "hit"
         assert warm.extra["cache_saved"] > 0
         assert runner.cache_counters == {
-            "hits": 1, "partial_hits": 0, "misses": 1, "stores": 0,
+            "hits": 1, "partial_hits": 0, "misses": 1,
         }
 
     def test_no_cache_dir_records_no_disposition(self):

@@ -5,12 +5,14 @@ import random
 import pytest
 
 import repro.bmc.witness as witness_module
-from repro.bmc import Witness, confirms_violation, replay
+from repro.bmc import Witness, confirms_violation
 from repro.core import AuditConfig, TrojanDetector
 from repro.errors import SimulationError
 from repro.frontend import build_builtin, builtin_names
 from repro.netlist import cone_of_influence
+from repro.obs.tracer import BufferTracer, tracing
 from repro.properties import build_corruption_monitor
+from repro.sat.native import native_available
 from repro.sim import SequentialSimulator
 
 from tests.conftest import build_counter
@@ -37,7 +39,9 @@ def test_format_truncates():
 def test_replay_trace_matches_direct_simulation():
     nl = build_counter(4)
     w = Witness(inputs=[{"en": 1}] * 4 + [{"en": 0}] * 2, violation_cycle=5)
-    trace = replay(nl, w, observe_registers=["count"], observe_outputs=["value"])
+    trace = SequentialSimulator(nl).run(
+        w.inputs, observe_registers=["count"], observe_outputs=["value"]
+    )
     assert trace.registers["count"] == [1, 2, 3, 4, 4, 4]
 
     sim = SequentialSimulator(nl)
@@ -177,3 +181,22 @@ def test_cone_missing_one_cell_raises_instead_of_confirming(
         monkeypatch.setattr(witness_module, "cone_of_influence", short_cone)
         with pytest.raises(SimulationError):
             confirms_violation(nl, witness, net)
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler / native backend")
+@pytest.mark.parametrize("name", ["mc8051-t800", "aes-t800"])
+def test_table_witness_is_one_kernel_solve(name, monkeypatch):
+    # the ordered search finds each bound-48 witness within its conflict
+    # cap; the per-input probe loop alone takes 16 and 282 kernel solves
+    monkeypatch.setenv("REPRO_SAT_BACKEND", "native")
+    netlist, spec = build_builtin(name)
+    tracer = BufferTracer()
+    with tracing(tracer):
+        report = TrojanDetector(
+            netlist, spec, config=AuditConfig(max_cycles=48)
+        ).run()
+    assert report.trojan_found
+    probes = [e["attrs"]["probes"] for e in tracer.events
+              if e["ev"] == "end" and "probes" in e.get("attrs", {})]
+    assert probes == [1]

@@ -57,6 +57,7 @@ def test_differential_properties_always_chrono(always_chrono, prop):
 
 @pytest.mark.parametrize("prop", [
     lexmin_props.test_lexmin_is_brute_force_lexmin,
+    lexmin_props.test_ordered_solve_is_brute_force_lexmin,
     lexmin_props.test_prefix_reuse_answers_like_a_fresh_solver,
 ], ids=lambda prop: prop.__name__)
 def test_lexmin_properties_always_chrono(always_chrono, prop):

@@ -1,7 +1,9 @@
 """The ``lexmin`` contract and assumption-prefix reuse, on both backends.
 
-``NativeSolver`` shares ``Solver.lexmin``'s loop, but each backend's
-search picks its own models, so the two take different probes. Both
+``NativeSolver`` shares ``Solver.lexmin``'s steps: one search that
+decides the inputs false in order, capped at ``ORDERED_CONFLICTS``,
+then the per-input probe loop when the cap is hit. Each backend's
+search picks its own models, so the two may take different paths. Both
 must return the same lex-minimal input vector: it is a property of the
 formula. Both backends also keep the assumption levels a solve shares
 with the previous solve. The soundness tests check every answer of such
@@ -11,13 +13,15 @@ propagations.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.tracer import BufferTracer, tracing
+from repro.obs.tracer import NULL_TRACER, BufferTracer, tracing
 from repro.sat import SAT, UNKNOWN, UNSAT, Solver
+from repro.sat import solver as solver_module
 from repro.sat.native import NativeSolver, native_available
 
 BACKENDS = [
@@ -79,24 +83,55 @@ def lexmin_cases(draw):
     return n, clauses, assumptions, inputs[:draw(st.integers(0, n))]
 
 
+def input_heavy_start(make, n, clauses, assumptions, inputs):
+    """(solver, first solve): a model with the inputs true when the
+    formula allows one, so the solver has searched before ``lexmin``."""
+    solver = build(make, n, clauses)
+    first = solver.solve(assumptions=assumptions + inputs)
+    if first.status != SAT:
+        first = solver.solve(assumptions=assumptions)
+    return solver, first
+
+
 @pytest.mark.parametrize("make", BACKENDS)
 @settings(max_examples=120, deadline=None)
 @given(case=lexmin_cases())
 def test_lexmin_is_brute_force_lexmin(make, case):
     n, clauses, assumptions, inputs = case
-    solver = build(make, n, clauses)
-    # an input-heavy model to start from, when the inputs allow one
-    first = solver.solve(assumptions=assumptions + inputs)
-    if first.status != SAT:
-        first = solver.solve(assumptions=assumptions)
     expected = brute_force_lexmin(n, clauses, assumptions, inputs)
-    assert (first.status == SAT) == (expected is not None)
-    if expected is None:
-        return
-    model, probes = solver.lexmin(assumptions, inputs, first.model)
-    assert tuple(model[abs(lit)] == (lit > 0) for lit in inputs) == expected
-    assert satisfies(model, clauses, assumptions)
-    assert 1 <= probes <= len(inputs) + 1
+    # the default cap, then a cap of 0: an ordered search that meets any
+    # conflict hands over to the probe loop
+    for cap in (solver_module.ORDERED_CONFLICTS, 0):
+        solver, first = input_heavy_start(make, n, clauses, assumptions,
+                                          inputs)
+        assert (first.status == SAT) == (expected is not None)
+        if expected is None:
+            return
+        with mock.patch.object(solver_module, "ORDERED_CONFLICTS", cap):
+            model, probes = solver.lexmin(assumptions, inputs, first.model)
+        assert tuple(model[abs(lit)] == (lit > 0)
+                     for lit in inputs) == expected
+        assert satisfies(model, clauses, assumptions)
+        assert 1 <= probes <= len(inputs) + 2
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+@settings(max_examples=120, deadline=None)
+@given(case=lexmin_cases())
+def test_ordered_solve_is_brute_force_lexmin(make, case):
+    # uncapped, the first model of a search that decides the inputs
+    # false in order is the lex-min vector
+    n, clauses, assumptions, inputs = case
+    solver, first = input_heavy_start(make, n, clauses, assumptions, inputs)
+    res = solver._solve(assumptions, None, None, NULL_TRACER,
+                        order=[-lit for lit in inputs])
+    expected = brute_force_lexmin(n, clauses, assumptions, inputs)
+    assert res.status == first.status
+    assert (res.status == SAT) == (expected is not None)
+    if expected is not None:
+        assert tuple(res.model[abs(lit)] == (lit > 0)
+                     for lit in inputs) == expected
+        assert satisfies(res.model, clauses, assumptions)
 
 
 def all_true_start(make):
@@ -161,22 +196,52 @@ def test_lexmin_rejects_bad_literals(make):
     solver, inputs, _clauses, start = all_true_start(make)
     with pytest.raises(SolverError):
         solver.lexmin([], inputs + [4], start)
+    with pytest.raises(SolverError):
+        solver._solve([], None, None, NULL_TRACER, order=[inputs[0], -4])
 
 
-@pytest.mark.parametrize("make", BACKENDS)
-def test_traced_lexmin_is_one_solve_span(make):
-    solver, inputs, _clauses, start = all_true_start(make)
+def traced_lexmin(solver, inputs, start):
+    """(model, probes, span begin events, span end events, kernel
+    solves) of one traced ``lexmin`` call."""
     before = solver.stats.solve_calls
     tracer = BufferTracer()
     with tracing(tracer):
         model, probes = solver.lexmin([], inputs, start)
     spans = [e for e in tracer.events if e["ev"] == "begin"]
     ends = [e for e in tracer.events if e["ev"] == "end"]
-    assert [e["name"] for e in spans] == ["sat.solve"]
-    assert ends[0]["attrs"]["probes"] == probes >= 2
-    assert ends[0]["attrs"]["status"] == SAT
     assert tracer.metrics.counter("sat.solve_calls").value == probes
-    assert solver.stats.solve_calls - before == probes
+    return model, probes, spans, ends, solver.stats.solve_calls - before
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_traced_lexmin_is_one_solve_span(make):
+    # the ordered search finds (0, 0, 1) with no conflict: one solve
+    solver, inputs, _clauses, start = all_true_start(make)
+    model, probes, spans, ends, solves = traced_lexmin(solver, inputs, start)
+    assert [model[v] for v in inputs] == [False, False, True]
+    assert [e["name"] for e in spans] == ["sat.solve"]
+    assert ends[0]["attrs"]["probes"] == probes == solves == 1
+    assert ends[0]["attrs"]["status"] == SAT
+
+
+@pytest.mark.parametrize("make", BACKENDS)
+def test_traced_capped_lexmin_is_one_solve_span(make):
+    # x must be 1, which a search deciding x = 0 first learns only from
+    # conflicts; with a cap of 0 the probe loop finds (1, 0, 0)
+    solver = make()
+    x, y, z, aux = solver.new_vars(4)
+    clauses = [[x, a, b] for a in (y, -y) for b in (aux, -aux)]
+    for clause in clauses:
+        solver.add_clause(clause)
+    start = solver.solve(assumptions=[x, y, z]).model
+    with mock.patch.object(solver_module, "ORDERED_CONFLICTS", 0):
+        model, probes, spans, ends, solves = traced_lexmin(
+            solver, [x, y, z], start)
+    assert [model[v] for v in (x, y, z)] == [True, False, False]
+    assert satisfies(model, clauses)
+    assert [e["name"] for e in spans] == ["sat.solve"]
+    assert ends[0]["attrs"]["probes"] == probes == solves >= 2
+    assert ends[0]["attrs"]["status"] == SAT
 
 
 # ------------------------------------------------------- prefix reuse

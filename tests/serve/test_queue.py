@@ -1,8 +1,5 @@
 """Durable job queue: leases, fencing, dead-letter, torn journals."""
 
-import json
-import os
-
 import pytest
 
 from repro.errors import JobQueueError

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SequentialSimulator, VcdWriter
-
-from tests.conftest import build_counter
+from repro.sim import VcdWriter
 
 
 def test_vcd_structure(tmp_path):
@@ -21,17 +19,6 @@ def test_vcd_structure(tmp_path):
     path = tmp_path / "dump.vcd"
     writer.write(str(path))
     assert path.read_text() == text
-
-
-def test_vcd_from_trace():
-    sim = SequentialSimulator(build_counter(4))
-    trace = sim.run([{"en": 1}] * 5, observe_registers=["count"],
-                    observe_outputs=["value"])
-    writer = VcdWriter("counter")
-    writer.add_trace(trace, widths={"count": 4, "value": 4})
-    text = writer.dumps()
-    assert "count" in text and "value" in text
-    assert "#5" in text
 
 
 def test_value_wider_than_declared_width_rejected():
