@@ -49,7 +49,10 @@ def eq2_on_original():
 
 def eq4_check():
     attacked, spec, _info = build_figure3()
-    checker = BypassChecker(attacked, spec.critical["stack_pointer"])
+    checker = BypassChecker(
+        attacked, "stack_pointer",
+        spec.critical["stack_pointer"].observe_latency,
+    )
     result = checker.check(CYCLES, time_budget=BUDGET)
     confirmed = result.detected and validate_bypass(
         attacked, result, "stack_pointer"
@@ -59,7 +62,10 @@ def eq4_check():
 
 def eq4_clean_design():
     netlist, spec = build_risc()
-    checker = BypassChecker(netlist, spec.critical["stack_pointer"])
+    checker = BypassChecker(
+        netlist, "stack_pointer",
+        spec.critical["stack_pointer"].observe_latency,
+    )
     return checker.check(4, time_budget=BUDGET)
 
 

@@ -92,7 +92,9 @@ def run_pseudo_cell(label, engine):
 
 def run_bypass_cell(label):
     attacked, spec, register, _info, cycles = bypass_attack_case(label)
-    checker = BypassChecker(attacked, spec.critical[register])
+    checker = BypassChecker(
+        attacked, register, spec.critical[register].observe_latency
+    )
     result = checker.check(max(4, cycles // 3), time_budget=BUDGET)
     confirmed = result.detected and validate_bypass(
         attacked, result, register

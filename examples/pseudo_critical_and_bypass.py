@@ -69,7 +69,10 @@ def attack2():
     )
     print("  inserted:", info.payload)
 
-    checker = BypassChecker(attacked, spec.critical["stack_pointer"])
+    checker = BypassChecker(
+        attacked, "stack_pointer",
+        spec.critical["stack_pointer"].observe_latency,
+    )
     result = checker.check(10, time_budget=120)
     print("  Eq.(4) CEGIS:", result.summary())
     if result.detected:

@@ -50,15 +50,15 @@ class DetectionRow:
         return "N/A" if self.status in ("proved", "unknown") else self.status
 
 
-def _row_telemetry(result, **runner_fields):
+def _row_telemetry(result):
     """Per-check engine counters for a row's ``extra["telemetry"]``.
 
     Pulls whichever search statistics the engine's result carries (SAT
-    deltas for BMC, backtrack counts for the structural engines) plus any
-    supervision fields the caller adds; ``None``-valued stats the engine
-    does not track are dropped so sweep reports can ``.get()`` uniformly.
+    deltas for BMC, backtrack counts for the structural engines);
+    ``None``-valued stats the engine does not track are dropped so sweep
+    reports can ``.get()`` uniformly.
     """
-    telemetry = dict(runner_fields)
+    telemetry = {}
     for name in ("conflicts", "decisions", "propagations", "backtracks",
                  "clauses", "variables", "total_clauses",
                  "total_problem_clauses", "total_learnt_clauses"):
@@ -73,8 +73,7 @@ def _row_telemetry(result, **runner_fields):
 
 
 def detection_run(label, netlist, spec, register, engine, max_cycles,
-                  time_budget=None, functional=True, measure_memory=True,
-                  runner=None, cache_dir=None):
+                  time_budget=None, functional=True, measure_memory=True):
     """Run one Eq. (2) detection and replay-validate any witness.
 
     The verdict run is clean; the peak-memory figure comes from a *separate
@@ -82,20 +81,6 @@ def detection_run(label, netlist, spec, register, engine, max_cycles,
     slows the structural engines by an order of magnitude, which must not
     distort the timing/budget columns. The footprint scale (a CNF database
     vs. a justification trail) shows within a couple of seconds.
-
-    With ``runner`` (a :class:`~repro.runner.supervisor.CheckRunner`) the
-    verdict check executes under supervision: an engine crash, hang or
-    budget blow-up yields a row whose ``status`` names the failure
-    (``crashed`` / ``timeout`` / ``budget``) instead of killing the whole
-    benchmark sweep — one bad (design, engine) cell no longer costs the
-    table.
-
-    ``cache_dir`` (with ``runner``) routes the check through the outcome
-    cache: the row's ``extra["cache"]`` records the disposition
-    (``hit`` / ``partial`` / ``miss``) so sweep reports can show
-    hit-rate columns, and ``extra["cache_saved"]`` the solve seconds a
-    hit avoided. Cached verdict rows skip the memory probe — there was
-    no solve to measure.
     """
     monitor = build_corruption_monitor(
         netlist, spec.critical[register], functional=functional
@@ -111,53 +96,7 @@ def detection_run(label, netlist, spec, register, engine, max_cycles,
             pinned_inputs=spec.pinned_inputs,
         )
 
-    extra = {}
-    if runner is not None:
-        from repro.cache import check_key, design_print
-        from repro.runner import ObjectiveTask
-
-        key = None
-        if cache_dir is not None:
-            key = check_key(
-                monitor.netlist, monitor.objective_net, engine,
-                pinned_inputs=spec.pinned_inputs,
-                design=design_print(netlist),
-            )
-        task = ObjectiveTask(
-            engine=engine,
-            netlist=monitor.netlist,
-            objective_net=monitor.objective_net,
-            max_cycles=max_cycles,
-            property_name=property_name,
-            pinned_inputs=spec.pinned_inputs,
-            check_kwargs={"time_budget": time_budget},
-            cache_dir=cache_dir,
-            key=key,
-        )
-        outcome = runner.run(task, name=property_name)
-        result = outcome.verdict
-        extra["outcome"] = outcome
-        extra["telemetry"] = _row_telemetry(
-            result,
-            attempts=len(outcome.attempts),
-            attempt_statuses=[a.status for a in outcome.attempts],
-            bound_reached=outcome.bound_reached,
-        )
-        if outcome.cache is not None:
-            extra["cache"] = outcome.cache
-            if outcome.cache == "hit":
-                extra["cache_saved"] = getattr(result, "saved_elapsed", 0.0)
-                measure_memory = False  # nothing was solved
-        if not outcome.ok:
-            # supervision verdicts outrank the engine's "unknown"
-            result_status = outcome.status
-            measure_memory = False
-        else:
-            result_status = result.status
-    else:
-        result = fresh_engine().check(max_cycles, time_budget=time_budget)
-        result_status = result.status
-        extra["telemetry"] = _row_telemetry(result)
+    result = fresh_engine().check(max_cycles, time_budget=time_budget)
     confirmed = bool(
         result.detected
         and confirms_violation(
@@ -175,12 +114,12 @@ def detection_run(label, netlist, spec, register, engine, max_cycles,
         label=label,
         engine=engine,
         detected=result.detected,
-        status=result_status,
+        status=result.status,
         bound=result.bound,
         elapsed=result.elapsed,
         peak_memory=peak,
         confirmed=confirmed,
-        extra=extra,
+        extra={"telemetry": _row_telemetry(result)},
     )
 
 

@@ -375,7 +375,6 @@ def cmd_audit(args, out=sys.stdout):
             file=out,
         )
         screens.append(screen_report)
-    cache_dir = None if args.no_cache else args.cache_dir
     config = AuditConfig(
         max_cycles=args.max_cycles,
         engine=args.engine,
@@ -384,7 +383,7 @@ def cmd_audit(args, out=sys.stdout):
         check_bypass=args.check_bypass,
         time_budget=args.budget,
         screens=tuple(screens),
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         trace=args.trace,
         jobs=args.jobs,
     )
@@ -398,7 +397,7 @@ def cmd_audit(args, out=sys.stdout):
         print("trace written to {}".format(args.trace), file=out)
         if profile_dir:
             print("profiles written to {}/".format(profile_dir), file=out)
-    if cache_dir is not None:
+    if args.cache_dir is not None:
         counters = runner.cache_counters
         print(
             "cache: {hits} hit(s), {partial_hits} partial, "
@@ -919,8 +918,6 @@ def build_parser():
                               "evidence, and a screen hit the dynamic "
                               "checks cannot reproduce becomes a suspect "
                               "status")
-    p_audit.add_argument("--no-cache", action="store_true",
-                         help="ignore --cache-dir (one-off override)")
     p_audit.add_argument("--profile", action="store_true",
                          help="wrap every check attempt in cProfile and "
                               "store pstats dumps next to the trace "

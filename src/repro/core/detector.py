@@ -318,7 +318,8 @@ class TrojanDetector:
         """``(task, check name)`` for Eq. (4) CEGIS on one register."""
         task = BypassTask(
             netlist=self.netlist,
-            spec=spec,
+            register=spec.register,
+            observe_latency=spec.observe_latency,
             max_cycles=self.config.max_cycles,
             time_budget=self.config.time_budget,
         )

@@ -99,17 +99,21 @@ class BypassResult:
 
 
 class BypassChecker:
-    """Checks Eq. (4) for one critical register."""
+    """Checks Eq. (4) for one critical register.
 
-    def __init__(self, netlist, spec, outputs=None):
+    ``observe_latency`` is the register's
+    :attr:`~repro.properties.valid_ways.RegisterSpec.observe_latency`,
+    the ``L`` of the module doc; Eq. 4 reads nothing else of its spec.
+    """
+
+    def __init__(self, netlist, register, observe_latency=1, outputs=None):
         self.netlist = netlist
-        self.spec = spec
-        self.register = spec.register
-        self.r_q_nets = netlist.register_q_nets(self.register)
+        self.register = register
+        self.r_q_nets = netlist.register_q_nets(register)
         if outputs is None:
             outputs = transitive_fanout_outputs(netlist, self.r_q_nets)
         self.outputs = tuple(sorted(outputs))
-        self.latency = max(1, spec.observe_latency)
+        self.latency = max(1, observe_latency)
         # the suffix: L frames of the outputs' cone with R cut at frame 0
         self._output_nets = [
             net for name in self.outputs for net in netlist.outputs[name]

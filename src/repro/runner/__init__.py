@@ -9,7 +9,9 @@ checkpoint/resume (:mod:`~repro.runner.checkpoint`) and deterministic
 fault injection for testing all of it (:mod:`~repro.runner.faultinject`).
 A check leaves the audit's process in one place only: a worker of the
 scheduler's pool (:mod:`repro.sched.pool`), which enforces the hard
-timeout and the memory cap.
+timeout and the memory cap. It gets there one way, pickled over the
+worker's pipe, so every check task (:mod:`~repro.runner.tasks`) is
+plain data.
 """
 
 from repro.runner.checkpoint import (
@@ -39,11 +41,7 @@ from repro.runner.policy import (
 )
 from repro.runner.execution import CheckExecution
 from repro.runner.supervisor import CheckRunner, absorb_result
-from repro.runner.tasks import (
-    BypassTask,
-    CallableTask,
-    ObjectiveTask,
-)
+from repro.runner.tasks import BypassTask, ObjectiveTask
 
 __all__ = [
     "AuditCheckpoint",
@@ -51,7 +49,6 @@ __all__ = [
     "BUDGET",
     "BypassTask",
     "CachedResult",
-    "CallableTask",
     "CheckExecution",
     "CheckOutcome",
     "CheckRunner",

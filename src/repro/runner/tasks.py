@@ -3,8 +3,13 @@
 A *task* is a small callable object capturing everything one property
 check needs: the monitor netlist, the objective, the engine name and the
 check kwargs. Tasks are plain dataclasses (no closures) so they survive
-a trip into a ``multiprocessing`` worker under any start method. A
-retry runs the same task again.
+a trip into a ``multiprocessing`` worker under any start method: the
+pool pickles every task over its worker's pipe and refuses one that
+does not pickle. A retry runs the same task again.
+
+The runner and the scheduler read ``max_cycles``, ``time_budget``,
+``property_name`` and ``cache_dir`` with defaults, and the pool only
+calls the task, so any module-level function is a task as well.
 """
 
 from __future__ import annotations
@@ -130,42 +135,26 @@ class ObjectiveTask:
 
 @dataclass(frozen=True)
 class BypassTask:
-    """One Eq. (4) CEGIS bypass check for a critical register."""
+    """One Eq. (4) CEGIS bypass check for a critical register.
+
+    It carries the register's name and observe latency, not its
+    :class:`~repro.properties.valid_ways.RegisterSpec`: Eq. 4 reads no
+    valid way, and a spec's ways are closures that do not pickle.
+    """
 
     netlist: object
-    spec: object  # RegisterSpec
+    register: str
+    observe_latency: int
     max_cycles: int
     time_budget: float | None = None
-    max_cegis_iters: int = 64
-    seed: int = 0
 
     @property
     def property_name(self):
-        return "no-bypass({})".format(self.spec.register)
+        return "no-bypass({})".format(self.register)
 
     def __call__(self):
         from repro.properties.bypass import BypassChecker
 
-        return BypassChecker(self.netlist, self.spec).check(
-            self.max_cycles,
-            time_budget=self.time_budget,
-            max_cegis_iters=self.max_cegis_iters,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class CallableTask:
-    """Adapter for arbitrary callables (tests, custom engines).
-
-    ``fn`` is called bare; ``max_cycles`` and ``time_budget`` only feed
-    the attempt records and, on a pool, the default hard timeout.
-    """
-
-    fn: object
-    max_cycles: int = 0
-    time_budget: float | None = None
-    property_name: str = ""
-
-    def __call__(self):
-        return self.fn()
+        return BypassChecker(
+            self.netlist, self.register, self.observe_latency
+        ).check(self.max_cycles, time_budget=self.time_budget)

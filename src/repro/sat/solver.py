@@ -617,12 +617,6 @@ class Solver:
         self._backtrack(keep)
         self._assump_trail = list(assumptions[:keep])
 
-    def _value(self, lit):
-        return self._val[lit]
-
-    def _decision_level(self):
-        return len(self.trail_lim)
-
     def _enqueue(self, lit, reason):
         val = self._val
         v = val[lit]
@@ -776,10 +770,6 @@ class Solver:
         self.qhead = qhead
         self.stats.propagations += props
         return confl
-
-    def _clause_lits(self, cref):
-        base = cref + 2
-        return self.arena[base:base + self.arena[cref]]
 
     def _analyze(self, conflict):
         """1-UIP conflict analysis; returns (learnt clause, backjump level)."""
@@ -950,27 +940,11 @@ class Solver:
 
     # ---------------------------------------------------------- activities
 
-    def _bump_var(self, var):
-        activity = self.activity
-        activity[var] += self.var_inc
-        if activity[var] > 1e100:
-            self._rescale_activities()
-        # Lazy heap: push a fresh entry, stale ones are skipped on pop.
-        self.in_heap[var] = True
-        heappush(self.heap, (-activity[var], var))
-
     def _rescale_activities(self):
         activity = self.activity
         for v in range(1, self.num_vars + 1):
             activity[v] *= 1e-100
         self.var_inc *= 1e-100
-
-    def _decay_activities(self):
-        self.var_inc /= self.var_decay
-
-    def _heap_insert(self, var):
-        self.in_heap[var] = True
-        heappush(self.heap, (-self.activity[var], var))
 
     def _pick_branch_var(self):
         val = self._val
@@ -1070,9 +1044,3 @@ class Solver:
                     ws[i] = remap[ws[i]]
         self.arena = new_arena
         self.arena_waste = 0
-
-    # ------------------------------------------------------------- utility
-
-    def value_in_model(self, model, lit):
-        truth = model[abs(lit)]
-        return truth if lit > 0 else not truth

@@ -3,10 +3,11 @@
 Two layers:
 
 * :mod:`~repro.sched.pool` — :class:`PersistentWorkerPool`: N check
-  workers spawned once, each serving tasks over its own pipe (hard
-  timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash), and
-  the worker protocol they speak. It is the only place a check runs
-  outside the audit's process.
+  workers spawned once, each serving tasks pickled over its own pipe
+  (hard timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash),
+  and the worker protocol they speak. It is the only place a check runs
+  outside the audit's process, and a task that does not pickle is
+  refused.
 * :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: Algorithm 1
   as a dynamic task DAG with one replay assembly for both of its modes.
   Inline (``jobs=None``), it runs each check Algorithm 1 needs next in

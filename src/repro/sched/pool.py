@@ -1,8 +1,9 @@
 """Persistent worker pool: the one place a check leaves the audit's process.
 
 :class:`PersistentWorkerPool` spawns its workers **once**; each worker
-loops on its own duplex pipe, pulling one task at a time. Every attempt,
-in a persistent worker or a one-shot fork child, runs through
+loops on its own duplex pipe, pulling one task at a time. A task
+reaches a worker one way, pickled over that pipe: :meth:`submit`
+refuses one that does not pickle. Every attempt runs through
 :func:`run_attempt`, and the reply is a tagged tuple:
 
 * ``("ok", result)`` — the engine returned a result object;
@@ -175,32 +176,6 @@ def _pool_worker_main(conn, memory_bytes, injector):
         pass
 
 
-def _ephemeral_main(conn, task_id, task, name, attempt_index, memory_bytes,
-                    injector, collect_events, profile_dir):
-    """One-shot fork worker for tasks that cannot cross a pipe.
-
-    Pool tasks are normally pickled into a persistent worker; a task
-    holding an unpicklable object (e.g. a ``RegisterSpec`` whose valid
-    ways are lambdas) instead rides a ``fork`` into a single-use child
-    that inherits it by copy-on-write. It runs the same
-    :func:`run_attempt` as :func:`_pool_worker_main`, serves exactly
-    one task and exits.
-    """
-    set_tracer(NULL_TRACER)
-    if memory_bytes is not None:
-        _apply_memory_cap(memory_bytes)
-    out = run_attempt(task, name, attempt_index, injector, collect_events,
-                      profile_dir)
-    try:
-        conn.send((task_id, out))
-    except (OSError, ValueError):
-        pass
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
 def _context():
     """Prefer fork (cheap spawn, COW memory) when available."""
     try:
@@ -219,19 +194,10 @@ class _Worker:
     deadline: float | None = None  # perf_counter() kill time
     name: str = ""  # check name of the assigned task (diagnostics)
     tasks_served: int = 0
-    # an unpicklable task runs in a one-shot fork child instead of the
-    # persistent process; while it does, this slot watches the proxy's
-    # pipe and the persistent worker sits untouched behind it
-    proxy_proc: object = None
-    proxy_conn: object = None
 
     @property
     def idle(self):
         return self.task_id is None
-
-    @property
-    def watch_conn(self):
-        return self.proxy_conn if self.proxy_conn is not None else self.conn
 
 
 @dataclass
@@ -282,7 +248,6 @@ class PersistentWorkerPool:
         self.stats = {
             "spawned": 0, "respawned": 0, "tasks_submitted": 0,
             "results": 0, "kills": 0, "worker_deaths": 0, "cancels": 0,
-            "ephemeral": 0,
         }
 
     # ------------------------------------------------------------ lifecycle
@@ -322,35 +287,8 @@ class PersistentWorkerPool:
         self._workers[index] = self._spawn()
         self.stats["respawned"] += 1
 
-    def _release_proxy(self, worker, kill=False):
-        """Reap a slot's one-shot proxy child; the slot goes back idle.
-
-        The persistent worker behind the slot never saw the task, so no
-        respawn is needed — only the proxy dies.
-        """
-        proc, conn = worker.proxy_proc, worker.proxy_conn
-        worker.proxy_proc = None
-        worker.proxy_conn = None
-        worker.task_id = None
-        worker.deadline = None
-        worker.name = ""
-        if kill:
-            self.stats["kills"] += 1
-            proc.terminate()
-        proc.join(_KILL_GRACE)
-        if proc.is_alive():  # pragma: no cover - terminate sufficed
-            proc.kill()
-            proc.join()
-        try:
-            conn.close()
-        except OSError:
-            pass
-
     def shutdown(self):
         """Stop every worker: idle ones exit politely, busy ones die."""
-        for worker in self._workers:
-            if worker.proxy_proc is not None:
-                self._release_proxy(worker, kill=True)
         for worker in self._workers:
             if worker.idle:
                 try:
@@ -395,7 +333,8 @@ class PersistentWorkerPool:
 
         ``hard_timeout`` (seconds) arms the supervisor-side kill clock
         for this assignment; ``None`` trusts the task's cooperative
-        budget.
+        budget. A task that does not pickle raises :class:`ReproError`
+        naming the check, and no worker is assigned.
         """
         worker = next((w for w in self._workers if w.idle), None)
         if worker is None:
@@ -405,26 +344,13 @@ class PersistentWorkerPool:
                 TASK, task_id, task, name, attempt_index,
                 self.collect_events, self.profile_dir,
             ))
-        except (pickle.PicklingError, AttributeError, TypeError):
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
             # Connection.send pickles the whole message before writing a
-            # single byte, so the persistent worker's pipe is still
-            # clean — fall back to a one-shot fork child that inherits
-            # the task instead of pickling it.
-            if self.ctx.get_start_method() != "fork":
-                raise
-            parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-            proc = self.ctx.Process(
-                target=_ephemeral_main,
-                args=(child_conn, task_id, task, name, attempt_index,
-                      self.memory_bytes, self.injector,
-                      self.collect_events, self.profile_dir),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            worker.proxy_proc = proc
-            worker.proxy_conn = parent_conn
-            self.stats["ephemeral"] += 1
+            # single byte, so the worker's pipe is still clean
+            raise ReproError(
+                "check {!r} cannot reach a pool worker: its task does "
+                "not pickle ({}: {})".format(name, type(exc).__name__, exc)
+            ) from exc
         worker.task_id = task_id
         worker.name = name
         worker.deadline = (
@@ -445,10 +371,7 @@ class PersistentWorkerPool:
         for worker in self._workers:
             if worker.task_id == task_id:
                 self.stats["cancels"] += 1
-                if worker.proxy_proc is not None:
-                    self._release_proxy(worker, kill=True)
-                else:
-                    self._replace(worker)
+                self._replace(worker)
                 return True
         return False
 
@@ -480,26 +403,18 @@ class PersistentWorkerPool:
         if wake is not None:
             until_kill = max(0.0, wake - now)
             poll = until_kill if poll is None else min(poll, until_kill)
-        busy = {w.watch_conn: w for w in self._workers if not w.idle}
+        busy = {w.conn: w for w in self._workers if not w.idle}
         ready = _conn_wait(list(busy), timeout=poll)
         for conn in ready:
             worker = busy[conn]
             task_id = worker.task_id
-            proxied = worker.proxy_conn is not None
             try:
                 payload = conn.recv()
             except (EOFError, OSError):
-                if proxied:
-                    proc = worker.proxy_proc
-                    proc.join(_KILL_GRACE)
-                    exitcode = proc.exitcode
-                    self.stats["worker_deaths"] += 1
-                    self._release_proxy(worker)
-                else:
-                    worker.proc.join(_KILL_GRACE)
-                    exitcode = worker.proc.exitcode
-                    self.stats["worker_deaths"] += 1
-                    self._replace(worker)
+                worker.proc.join(_KILL_GRACE)
+                exitcode = worker.proc.exitcode
+                self.stats["worker_deaths"] += 1
+                self._replace(worker)
                 events.append(PoolEvent(task_id, (
                     "crashed",
                     "worker died without a result (exit code {})".format(
@@ -507,8 +422,6 @@ class PersistentWorkerPool:
                     ),
                 )))
                 continue
-            if proxied:
-                self._release_proxy(worker)
             worker.task_id = None
             worker.deadline = None
             worker.name = ""
@@ -531,10 +444,7 @@ class PersistentWorkerPool:
             if now >= worker.deadline:
                 task_id = worker.task_id
                 overrun = now - worker.deadline
-                if worker.proxy_proc is not None:
-                    self._release_proxy(worker, kill=True)
-                else:
-                    self._replace(worker)
+                self._replace(worker)
                 events.append(PoolEvent(task_id, (
                     "timeout",
                     "hard timeout: worker killed {:.1f}s past "

@@ -9,9 +9,9 @@ the stdlib only:
   append-only, CRC-framed journal plus atomic snapshots. Ownership is
   lease-based: a worker that stops heartbeating loses its lease after a
   TTL and the job is re-run, with a bounded re-lease count before the
-  job is dead-lettered (carrying whatever partial outcomes its failed
-  attempts produced). Completion is fenced by the lease token, so a
-  resurrected stale worker cannot double-complete a job.
+  job is dead-lettered (carrying the error of each failed attempt).
+  Completion is fenced by the lease token, so a resurrected stale
+  worker cannot double-complete a job.
 * :mod:`~repro.serve.server` — :class:`AuditService` (worker threads
   draining the queue through the real :class:`~repro.core.TrojanDetector`)
   and an ``http.server``-based JSON API (``repro serve``) with

@@ -25,9 +25,8 @@ the next worker gets a new token. Any ``complete``/``fail``/
 ``heartbeat`` presenting a stale token is rejected: the slow first
 worker that wakes up after its lease was reclaimed cannot finish the
 job twice. A job reclaimed or failed ``max_leases`` times is moved to
-the **dead-letter** state, keeping the error and any partial
-:class:`~repro.runner.result.CheckOutcome`-shaped payloads its attempts
-reported, so an operator can inspect why it kept dying.
+the **dead-letter** state, keeping the error of every attempt, so an
+operator can inspect why it kept dying.
 
 Clocks are injectable (``clock=time.time``) and a
 :class:`~repro.runner.faultinject.ServiceFaultPlan` may deterministically
@@ -49,7 +48,7 @@ QUEUED = "queued"
 LEASED = "leased"
 DONE = "done"
 FAILED = "failed"   # attempt failed, will be re-leased
-DEAD = "dead"       # exhausted max_leases; terminal, carries partials
+DEAD = "dead"       # exhausted max_leases; terminal, carries errors
 
 TERMINAL = (DONE, DEAD)
 
@@ -83,7 +82,7 @@ class Job:
     """One submitted audit job and its full lifecycle state."""
 
     __slots__ = ("id", "payload", "state", "lease", "attempts", "result",
-                 "errors", "partials", "submitted_seq")
+                 "errors", "submitted_seq")
 
     def __init__(self, job_id, payload, submitted_seq=0):
         self.id = job_id
@@ -93,7 +92,6 @@ class Job:
         self.attempts = 0        # leases granted so far
         self.result = None       # terminal verdict payload (DONE)
         self.errors = []         # one entry per failed/reclaimed attempt
-        self.partials = []       # partial outcomes surviving dead attempts
         self.submitted_seq = submitted_seq
 
     def to_dict(self):
@@ -105,7 +103,6 @@ class Job:
             "attempts": self.attempts,
             "result": self.result,
             "errors": list(self.errors),
-            "partials": list(self.partials),
             "submitted_seq": self.submitted_seq,
         }
 
@@ -119,7 +116,6 @@ class Job:
         job.attempts = data.get("attempts", 0)
         job.result = data.get("result")
         job.errors = list(data.get("errors") or [])
-        job.partials = list(data.get("partials") or [])
         return job
 
 
@@ -291,15 +287,11 @@ class JobQueue:
             job.lease = None
             if record.get("error"):
                 job.errors.append(record["error"])
-            if record.get("partial") is not None:
-                job.partials.append(record["partial"])
         elif kind == "dead":
             job.state = DEAD
             job.lease = None
             if record.get("error"):
                 job.errors.append(record["error"])
-            if record.get("partial") is not None:
-                job.partials.append(record["partial"])
 
     # --------------------------------------------------------- journal
 
@@ -393,7 +385,7 @@ class JobQueue:
                 job.lease = None
                 job.errors.append(error)
                 self._append({"kind": "dead", "job": job_id,
-                              "error": error, "partial": None})
+                              "error": error})
             else:
                 job.state = QUEUED
                 job.lease = None
@@ -474,7 +466,7 @@ class JobQueue:
                           "result": result})
             return True
 
-    def fail(self, job_id, token, error, partial=None):
+    def fail(self, job_id, token, error):
         """One attempt failed. Requeues the job, or dead-letters it
         when ``max_leases`` attempts are spent; stale tokens are
         rejected with ``False``."""
@@ -484,16 +476,14 @@ class JobQueue:
                 return False
             job.lease = None
             job.errors.append(str(error))
-            if partial is not None:
-                job.partials.append(partial)
             if job.attempts >= self.max_leases:
                 job.state = DEAD
                 self._append({"kind": "dead", "job": job_id,
-                              "error": str(error), "partial": partial})
+                              "error": str(error)})
             else:
                 job.state = QUEUED
                 self._append({"kind": "fail", "job": job_id,
-                              "error": str(error), "partial": partial})
+                              "error": str(error)})
             return True
 
     # ------------------------------------------------------- inspection

@@ -10,8 +10,8 @@ are coordinators, not compute). Each worker:
 3. runs the real :class:`~repro.core.TrojanDetector` with a per-job
    file tracer (installed thread-locally, so concurrent jobs get
    separate streams),
-4. completes the job with the full report dict — or fails it, shipping
-   the per-register findings completed so far as the partial payload.
+4. completes the job with the full report dict — or fails it with the
+   audit's error.
 
 Crash behaviour is the load-bearing part: a worker "killed" by the
 fault plan (:class:`~repro.runner.faultinject.WorkerKilled`) abandons
@@ -58,8 +58,7 @@ class _KillPointTracer:
     """Tracer proxy that fires the ``mid`` kill point from *inside* an
     audit: the first ``audit.register`` span a killed-at-mid worker
     opens raises :class:`WorkerKilled` through the detector — the job
-    dies with real partial state (registers already checkpointed by
-    earlier spans), not at a polite boundary."""
+    dies inside a running audit, not at a polite boundary."""
 
     def __init__(self, inner, plan, job_id):
         self._inner = inner
@@ -239,7 +238,6 @@ class AuditService:
             tracer = Tracer(trace_path)
             report = None
             error = None
-            partial = None
             try:
                 with tracing(_KillPointTracer(tracer, plan, job_id)):
                     report = self._audit(job)
@@ -247,13 +245,12 @@ class AuditService:
                 raise  # propagate to the worker loop: abandon
             except Exception as exc:  # noqa: BLE001 - job boundary
                 error = "{}: {}".format(type(exc).__name__, exc)
-                partial = getattr(exc, "partial_findings", None)
             finally:
                 tracer.close()
             if plan is not None:
                 plan.kill_worker(job_id, "pre-complete")
             if error is not None:
-                self.queue.fail(job_id, token, error, partial=partial)
+                self.queue.fail(job_id, token, error)
                 return
             self.jobs_run += 1
             self.queue.complete(job_id, token, report)

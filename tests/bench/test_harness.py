@@ -38,67 +38,6 @@ class TestDetectionRun:
         assert not row.detected
         assert row.verdict == "N/A"
 
-    def test_supervised_run_same_verdict(self):
-        from repro.runner import CheckRunner
-
-        netlist, spec = design_and_spec()
-        row = detection_run(
-            "toy", netlist, spec, "secret", "bmc", 15, time_budget=30,
-            runner=CheckRunner(), measure_memory=False,
-        )
-        assert row.detected and row.confirmed
-        assert row.extra["outcome"].ok
-
-    def test_supervised_crash_yields_row_not_exception(self):
-        from repro.runner import CheckRunner, FaultInjector
-
-        netlist, spec = design_and_spec()
-        runner = CheckRunner(
-            fault_injector=FaultInjector.crash_on("toy:bmc"),
-        )
-        row = detection_run(
-            "toy", netlist, spec, "secret", "bmc", 15, time_budget=30,
-            runner=runner,
-        )
-        assert not row.detected
-        assert row.status == "crashed"
-        assert row.verdict == "crashed"
-        assert not row.extra["outcome"].ok
-
-
-class TestCachedDetectionRun:
-    def test_cold_then_warm_rows(self, tmp_path):
-        from repro.runner import CheckRunner
-
-        netlist, spec = design_and_spec()
-        runner = CheckRunner()
-        kwargs = dict(
-            time_budget=30, runner=runner, measure_memory=False,
-            cache_dir=str(tmp_path),
-        )
-        cold = detection_run("toy", netlist, spec, "secret", "bmc", 15,
-                             **kwargs)
-        assert cold.detected and cold.confirmed
-        assert cold.extra["cache"] == "miss"
-        warm = detection_run("toy", netlist, spec, "secret", "bmc", 15,
-                             **kwargs)
-        assert warm.detected and warm.confirmed  # witness replayed + confirmed
-        assert warm.extra["cache"] == "hit"
-        assert warm.extra["cache_saved"] > 0
-        assert runner.cache_counters == {
-            "hits": 1, "partial_hits": 0, "misses": 1,
-        }
-
-    def test_no_cache_dir_records_no_disposition(self):
-        from repro.runner import CheckRunner
-
-        netlist, spec = design_and_spec()
-        row = detection_run(
-            "toy", netlist, spec, "secret", "bmc", 15, time_budget=30,
-            runner=CheckRunner(), measure_memory=False,
-        )
-        assert "cache" not in row.extra
-
 
 class TestDepthRamp:
     def test_continues_past_detection(self):

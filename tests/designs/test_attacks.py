@@ -69,7 +69,9 @@ class TestAttack2:
 
     def test_bypass_caught_by_eq4(self, base, spec):
         attacked, _info = add_bypass(base, "secret", trigger_input="key_in")
-        result = BypassChecker(attacked, spec).check(6, time_budget=60)
+        result = BypassChecker(
+            attacked, spec.register, spec.observe_latency
+        ).check(6, time_budget=60)
         assert result.detected
         assert validate_bypass(attacked, result, "secret")
 

@@ -1,15 +1,14 @@
 """Eq. (4) bypass checker tests."""
 
 from repro.properties import BypassChecker, validate_bypass
-from repro.properties.valid_ways import RegisterSpec, ValidWay
 from repro.netlist import Circuit
 
-from tests.conftest import build_secret_design, secret_spec
+from tests.conftest import build_secret_design
 
 
 def test_bypassed_register_found():
     nl = build_secret_design(trojan=False, bypass=True)
-    checker = BypassChecker(nl, secret_spec())
+    checker = BypassChecker(nl, "secret")
     result = checker.check(max_cycles=6, time_budget=60)
     assert result.detected
     assert result.p_value != result.q_value
@@ -19,7 +18,7 @@ def test_bypassed_register_found():
 
 def test_clean_design_proved():
     nl = build_secret_design(trojan=False, bypass=False)
-    checker = BypassChecker(nl, secret_spec())
+    checker = BypassChecker(nl, "secret")
     result = checker.check(max_cycles=4, time_budget=60)
     assert result.status == "proved"
 
@@ -32,11 +31,7 @@ def test_unobservable_register_trivially_bypassed():
     r.hold_unless((load, data))
     c.output("out", data)  # output ignores the register entirely
     nl = c.finalize()
-    spec = RegisterSpec(
-        register="critical",
-        ways=[ValidWay("load", lambda m: m.input("load"), expression="load")],
-    )
-    result = BypassChecker(nl, spec).check(max_cycles=3)
+    result = BypassChecker(nl, "critical").check(max_cycles=3)
     assert result.detected
     assert result.bound == 0  # no prefix needed
 
@@ -53,18 +48,15 @@ def test_latency_matters():
     stage.drive(r.q)
     c.output("out", stage.q)
     nl = c.finalize()
-    spec = RegisterSpec(
-        register="critical",
-        ways=[ValidWay("load", lambda m: m.input("load"), expression="load")],
-        observe_latency=2,
+    result = BypassChecker(nl, "critical", observe_latency=2).check(
+        max_cycles=3, time_budget=60
     )
-    result = BypassChecker(nl, spec).check(max_cycles=3, time_budget=60)
     assert result.status == "proved"  # register observable: no bypass
 
 
 def test_witness_prefix_arms_trigger():
     nl = build_secret_design(trojan=False, bypass=True)
-    result = BypassChecker(nl, secret_spec()).check(
+    result = BypassChecker(nl, "secret").check(
         max_cycles=6, time_budget=60
     )
     assert result.detected
@@ -100,7 +92,7 @@ def test_no_solve_outlives_the_check_budget(monkeypatch):
     monkeypatch.setattr(bypass, "Solver", RecordingSolver)
     monkeypatch.setattr(bypass.BypassChecker, "_synthesize", slow_synthesize)
     nl = build_secret_design(trojan=False, bypass=True)
-    checker = BypassChecker(nl, secret_spec())
+    checker = BypassChecker(nl, "secret")
     start = time.perf_counter()
     checker.check(max_cycles=6, time_budget=2.0)
     assert len(grants) >= 2  # a synthesis solve and a verification solve

@@ -12,11 +12,7 @@ from repro.bmc.engine import BmcEngine
 from repro.netlist import Circuit
 from repro.properties.bypass import BypassChecker
 
-from tests.conftest import (
-    build_counter,
-    build_secret_design,
-    secret_spec,
-)
+from tests.conftest import build_counter, build_secret_design
 
 
 def counter_objective(width=3, target=None):
@@ -74,7 +70,7 @@ class TestPortfolioBudget:
 class TestBypassBudget:
     def test_zero_budget_returns_unknown_not_raise(self):
         nl = build_secret_design(trojan=False, bypass=True)
-        result = BypassChecker(nl, secret_spec()).check(
+        result = BypassChecker(nl, "secret").check(
             6, time_budget=0.0
         )
         assert result.status == "unknown"
@@ -83,7 +79,7 @@ class TestBypassBudget:
 
     def test_partial_verdict_reports_cleared_prefix_bound(self):
         nl = build_secret_design(trojan=False, bypass=True)
-        result = BypassChecker(nl, secret_spec()).check(
+        result = BypassChecker(nl, "secret").check(
             40, time_budget=1.0
         )
         assert result.status in ("unknown", "violated")
@@ -91,6 +87,6 @@ class TestBypassBudget:
 
     def test_adequate_budget_finds_bypass(self):
         nl = build_secret_design(trojan=False, bypass=True)
-        result = BypassChecker(nl, secret_spec()).check(6, time_budget=60.0)
+        result = BypassChecker(nl, "secret").check(6, time_budget=60.0)
         assert result.detected
         assert result.p_value != result.q_value

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.netlist import Circuit
 from repro.runner import (
-    CallableTask,
     CheckRunner,
     FaultInjector,
     ObjectiveTask,
@@ -48,7 +47,7 @@ class TestInlineExecution:
         def explode():
             raise RuntimeError("solver ate itself")
 
-        outcome = CheckRunner().run(CallableTask(fn=explode), name="bad")
+        outcome = CheckRunner().run(explode, name="bad")
         assert outcome.status == "crashed"
         assert "solver ate itself" in outcome.error
         assert isinstance(outcome.verdict, PartialVerdict)
@@ -59,7 +58,7 @@ class TestInlineExecution:
         def exhaust():
             raise ResourceBudgetExceeded("deep bound", bound_reached=11)
 
-        outcome = CheckRunner().run(CallableTask(fn=exhaust), name="deep")
+        outcome = CheckRunner().run(exhaust, name="deep")
         assert outcome.status == "budget"
         assert outcome.bound_reached == 11
         assert outcome.verdict.bound == 11  # largest certified bound survives

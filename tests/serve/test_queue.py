@@ -136,22 +136,17 @@ class TestLeaseRecovery:
         assert len(dead["errors"]) == 2
         assert "expired" in dead["errors"][0]
 
-    def test_fail_requeues_then_dead_letters_with_partials(
-        self, tmp_path, clock
-    ):
+    def test_fail_requeues_then_dead_letters(self, tmp_path, clock):
         q = make_queue(tmp_path, clock, max_leases=2)
         job_id = q.submit({})
         _job, token = q.lease("w0")
-        assert q.fail(job_id, token, "engine crashed",
-                      partial={"register": "secret", "status": "unknown"})
+        assert q.fail(job_id, token, "engine crashed")
         assert q.job(job_id)["state"] == QUEUED
         _job, token = q.lease("w0")
-        assert q.fail(job_id, token, "engine crashed again",
-                      partial={"register": "secret", "status": "unknown"})
+        assert q.fail(job_id, token, "engine crashed again")
         dead = q.job(job_id)
         assert dead["state"] == DEAD
         assert dead["errors"] == ["engine crashed", "engine crashed again"]
-        assert len(dead["partials"]) == 2
 
 
 class TestDurability:

@@ -102,16 +102,6 @@ def test_audit_cache_dir_cold_then_warm(tmp_path):
     assert "1 hit(s)" in text
 
 
-def test_audit_no_cache_overrides_cache_dir(tmp_path):
-    code, text = run_cli([
-        "audit", "--design", "router", "--max-cycles", "6",
-        "--cache-dir", str(tmp_path / "cache"), "--no-cache",
-    ])
-    assert code == 0
-    assert "cache:" not in text
-    assert not (tmp_path / "cache").exists()
-
-
 def test_audit_check_timeout_needs_a_killable_check(capsys):
     # an inline check cannot be hard-killed: the timeout would be ignored
     with pytest.raises(SystemExit, match="--check-timeout needs --jobs"):
