@@ -37,6 +37,10 @@ share its constant-true literal and gate memo, so logic R cannot reach
 is encoded once for both copies, and a concrete state or sample folds
 the suffix down to what depends on R. One deadline bounds a check:
 synthesis and verification both draw on what is left of it.
+
+Traced, a check is one ``bypass.check`` span (its status, bound and
+CEGIS iterations) holding a ``bypass.synthesize`` and, for a candidate,
+a ``bypass.verify`` span per iteration, each ending with its outcome.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.netlist.traversal import (
     cone_of_influence,
     transitive_fanout_outputs,
 )
+from repro.obs.tracer import get_tracer
 from repro.sat.solver import SAT, UNSAT, Solver
 from repro.sat.tseitin import encode_xor2
 from repro.sim.sequential import SequentialSimulator
@@ -134,6 +139,19 @@ class BypassChecker:
 
     def check(self, max_cycles, time_budget=None, max_cegis_iters=64, seed=0):
         """Search prefixes of length 1..max_cycles for a bypass condition."""
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return self._check(max_cycles, time_budget, max_cegis_iters,
+                               seed, tracer)
+        with tracer.span("bypass.check", register=self.register,
+                         max_cycles=max_cycles) as extra:
+            result = self._check(max_cycles, time_budget, max_cegis_iters,
+                                 seed, tracer)
+            extra.update(status=result.status, bound=result.bound,
+                         cegis_iterations=result.cegis_iterations)
+        return result
+
+    def _check(self, max_cycles, time_budget, max_cegis_iters, seed, tracer):
         start = time.perf_counter()
         deadline = None if time_budget is None else start + time_budget
         name = "no-bypass({})".format(self.register)
@@ -157,7 +175,8 @@ class BypassChecker:
             if deadline is not None and time.perf_counter() >= deadline:
                 status = UNKNOWN_STATUS
                 break
-            outcome = self._check_prefix(t, samples, max_cegis_iters, deadline)
+            outcome = self._check_prefix(t, samples, max_cegis_iters,
+                                         deadline, tracer)
             iterations += outcome["iterations"]
             if outcome["status"] == VIOLATED:
                 return BypassResult(
@@ -203,7 +222,7 @@ class BypassChecker:
     # the solving time, so the budget must bound it too.
     MAX_SAMPLES = 12
 
-    def _check_prefix(self, t, samples, max_iters, deadline):
+    def _check_prefix(self, t, samples, max_iters, deadline, tracer):
         """One CEGIS loop at prefix length ``t``. ``deadline`` (a
         ``perf_counter`` time, or None) bounds synthesis and
         verification together."""
@@ -218,13 +237,23 @@ class BypassChecker:
             if deadline is not None and time.perf_counter() >= deadline:
                 return {"status": UNKNOWN_STATUS, "iterations": iterations}
             iterations += 1
-            candidate = self._synthesize(t, samples, deadline)
+            with tracer.span("bypass.synthesize", t=t,
+                             samples=len(samples)) as extra:
+                candidate = self._synthesize(t, samples, deadline)
+                extra["outcome"] = (
+                    "none" if candidate is None else
+                    "unknown" if candidate == "unknown" else "candidate")
             if candidate is None:
                 return {"status": PROVED, "iterations": iterations}
             if candidate == "unknown":
                 return {"status": UNKNOWN_STATUS, "iterations": iterations}
             inputs, p, q = candidate
-            counterexample = self._verify(inputs, p, q, deadline)
+            with tracer.span("bypass.verify", t=t) as extra:
+                counterexample = self._verify(inputs, p, q, deadline)
+                extra["outcome"] = (
+                    "bypass" if counterexample is None else
+                    "unknown" if counterexample == "unknown" else
+                    "counterexample")
             if counterexample is None:
                 return {
                     "status": VIOLATED,

@@ -1011,6 +1011,10 @@ typedef struct {
     int64_t *slot_off;
     uint32_t *slot_hash;
     int64_t table_cap, count;
+    /* per variable, the arena offset + 1 of its MUX entry (0 = not a
+     * MUX), for gate_xor's XOR-over-MUX rule */
+    int64_t *mux_at;
+    int64_t mux_cap;
     /* the staged frame: clauses [k, l_1 .. l_k, k, ...] and variables
      * base+1 .. base+staged, lead of them staged before the first
      * clause */
@@ -1132,6 +1136,7 @@ void rsat_gates_free(RGates *g) {
     free(g->keys);
     free(g->slot_off);
     free(g->slot_hash);
+    free(g->mux_at);
     free(g->packed);
     free(g->ins);
     free(g->key);
@@ -1261,12 +1266,29 @@ static int32_t memo_gate(RGates *g, int32_t tag, const int32_t *key,
     memcpy(e + 3, key, (size_t)n * sizeof(int32_t));
     g->slot_off[i] = g->keys_sz + 1;
     g->slot_hash[i] = h;
+    if (tag == M_MUX) {
+        if (out >= g->mux_cap) {
+            int64_t cap = g->mux_cap ? g->mux_cap : 1 << 10;
+            while (cap <= out) cap *= 2;
+            g->mux_at = (int64_t *)xrealloc(g->mux_at, cap * sizeof(int64_t));
+            memset(g->mux_at + g->mux_cap, 0,
+                   (size_t)(cap - g->mux_cap) * sizeof(int64_t));
+            g->mux_cap = cap;
+        }
+        g->mux_at[out] = g->keys_sz + 1;
+    }
     g->keys_sz += n + 3;
     g->count++;
     if (tag == M_AND) encode_and(g, out, key, n);
     else if (tag == M_XOR) encode_xor(g, out, key, n);
     else encode_mux(g, out, key[0], key[1], key[2]);
     return out;
+}
+
+/* the key (sel, d0, d1) of the MUX whose variable is v, else NULL */
+static const int32_t *mux_key(const RGates *g, int32_t v) {
+    return v < g->mux_cap && g->mux_at[v] ? g->keys + g->mux_at[v] + 2
+                                          : NULL;
 }
 
 static int int_cmp(const void *a, const void *b) {
@@ -1313,8 +1335,40 @@ static int32_t gate_and(RGates *g, const int32_t *ins, int32_t n) {
     return memo_gate(g, M_AND, k, w);
 }
 
+static int32_t gate_mux(RGates *g, int32_t sel, int32_t d0, int32_t d1);
+static int32_t gate_xor(RGates *g, const int32_t *ins, int32_t n);
+
+/* GateHasher._xor_mux: XOR(a, b) as MUX(sel, XOR(d0, x), XOR(d1, x))
+ * when one of a, b is a MUX m and the other, x, is the variable of a
+ * data input of m or of a data input of a MUX that is one of m's data
+ * inputs; 0 when neither is. The key is copied out first: the
+ * recursion may grow the arena. */
+static int32_t xor_mux(RGates *g, int32_t a, int32_t b) {
+    const int32_t pairs[2][2] = {{a, b}, {b, a}};
+    for (int i = 0; i < 2; i++) {
+        int32_t x = pairs[i][1];
+        const int32_t *key = mux_key(g, pairs[i][0]);
+        if (!key) continue;
+        int32_t sel = key[0], d0 = key[1], d1 = key[2];
+        int32_t near[2] = {d0, abs(d1)};
+        int hit = x == near[0] || x == near[1];
+        for (int j = 0; j < 2 && !hit; j++) {
+            const int32_t *inner = mux_key(g, near[j]);
+            hit = inner && (x == inner[1] || x == abs(inner[2]));
+        }
+        if (hit) {
+            int32_t p0[2] = {d0, x}, p1[2] = {d1, x};
+            int32_t r0 = gate_xor(g, p0, 2);
+            int32_t r1 = gate_xor(g, p1, 2);
+            return gate_mux(g, sel, r0, r1);
+        }
+    }
+    return 0;
+}
+
 /* GateHasher.xor: signs and constants fold into one output flip, and a
- * variable seen an even number of times cancels */
+ * variable seen an even number of times cancels; two variables left
+ * may fold through a MUX (xor_mux), else the rest is the key */
 static int32_t gate_xor(RGates *g, const int32_t *ins, int32_t n) {
     int32_t t = g->true_lit, *k = g->key, m = 0, w = 0, flip = 0;
     for (int32_t i = 0; i < n; i++) {
@@ -1331,7 +1385,9 @@ static int32_t gate_xor(RGates *g, const int32_t *ins, int32_t n) {
         for (j = i; j < m && k[j] == k[i]; j++) {}
         if ((j - i) & 1) k[w++] = k[i];
     }
-    int32_t out = w < 2 ? (w ? k[0] : -t) : memo_gate(g, M_XOR, k, w);
+    /* k is g->key, which the fold's recursion reuses: pass it copied */
+    int32_t out = w == 2 ? xor_mux(g, k[0], k[1]) : 0;
+    if (!out) out = w < 2 ? (w ? k[0] : -t) : memo_gate(g, M_XOR, k, w);
     return flip ? -out : out;
 }
 

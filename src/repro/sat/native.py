@@ -430,7 +430,8 @@ class NativeGateHasher:
     The memo is a hash table in the kernel, keyed exactly as the Python
     hasher's (kind, canonically ordered input literals), and shared by
     every unrolling that shares this object. ``len()`` is its number of
-    gates.
+    gates. Beside it, a table indexed by variable finds each MUX's key,
+    as ``GateHasher.muxes`` does, for the XOR-over-MUX fold.
     """
 
     def __init__(self, true_lit):

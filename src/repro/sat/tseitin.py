@@ -10,7 +10,8 @@ encoded as their base gate with an inverted output literal by
 
 :class:`GateHasher` goes further for the unroller: a gate whose inputs
 are constant, repeated or complementary folds to an existing literal,
-and a gate identical to one already encoded reuses its variable. The
+a gate identical to one already encoded reuses its variable, and an XOR
+of a MUX with a variable that MUX holds is rebuilt through the MUX. The
 SAT kernel repeats its rules, memo keys and clause order in C for whole
 frames (:class:`~repro.sat.native.NativeGateHasher`); this module is
 that encoder's reference, and a change here is a change there.
@@ -108,18 +109,29 @@ class GateHasher:
       output variable of every gate encoded so far, so an identical gate
       (in any frame, in any copy of the design sharing this hasher)
       returns that variable.
+    * *XOR over a MUX.* ``muxes`` maps the variable of every MUX in the
+      memo to its key ``(sel, d0, d1)``. A two-variable XOR of a MUX
+      ``m`` and a partner ``x`` that is the variable of one of ``m``'s
+      data inputs, or of a data input of a MUX that is one of ``m``'s
+      data inputs, is ``MUX(sel, XOR(d0, x), XOR(d1, x))``, encoded
+      through :meth:`mux` and :meth:`xor` so that every other rule
+      applies to the parts. A register compared with its own next-state
+      MUX becomes the AND of the load select and the difference of the
+      loaded value, which unit propagation refutes from the select
+      alone.
 
     Only gate outputs merge: an input literal is never replaced. The
     constant-true literal must be positive.
     """
 
-    __slots__ = ("true_lit", "memo")
+    __slots__ = ("true_lit", "memo", "muxes")
 
     def __init__(self, true_lit):
         if true_lit <= 0:
             raise EncodingError("the true literal must be positive")
         self.true_lit = true_lit
         self.memo = {}
+        self.muxes = {}
 
     def gate(self, sink, kind, ins):
         """Literal of ``kind(ins)``; new variables and clauses go to
@@ -186,12 +198,32 @@ class GateHasher:
             out = odd[0] if odd else -true
         else:
             odd.sort()
-            key = (Kind.XOR, *odd)
-            out = self.memo.get(key)
-            if out is None:
-                out = self.memo[key] = sink.new_var()
-                encode_xor(sink, out, odd)
+            out = self._xor_mux(sink, *odd) if len(odd) == 2 else 0
+            if not out:
+                key = (Kind.XOR, *odd)
+                out = self.memo.get(key)
+                if out is None:
+                    out = self.memo[key] = sink.new_var()
+                    encode_xor(sink, out, odd)
         return -out if flip else out
+
+    def _xor_mux(self, sink, a, b):
+        """Literal of XOR(a, b) pushed through a MUX, or 0 unless one
+        variable is a MUX holding the other as a data input, directly
+        or through a data input that is a MUX."""
+        muxes = self.muxes
+        for m, x in ((a, b), (b, a)):
+            key = muxes.get(m)
+            if key is None:
+                continue
+            sel, d0, d1 = key
+            near = (d0, abs(d1))
+            below = [abs(lit) for d in near if d in muxes
+                     for lit in muxes[d][1:]]
+            if x in near or x in below:
+                return self.mux(sink, sel, self.xor(sink, (d0, x)),
+                                self.xor(sink, (d1, x)))
+        return 0
 
     def mux(self, sink, sel, d0, d1):
         """Literal of ``sel ? d1 : d0``."""
@@ -217,6 +249,7 @@ class GateHasher:
         out = self.memo.get(key)
         if out is None:
             out = self.memo[key] = sink.new_var()
+            self.muxes[out] = key[1:]
             encode_mux(sink, out, sel, d0, d1)
         return -out if flip else out
 

@@ -272,10 +272,54 @@ def netlists(draw):
     return netlist, pinned
 
 
-@settings(max_examples=150, deadline=None,
+@st.composite
+def comparator_netlists(draw):
+    """Eq. 2's comparators at random: registers whose next state is a
+    MUX holding their own Q (sometimes under a second MUX), shadow
+    flops one cycle behind them, and, last, XOR and XNOR cells comparing
+    a MUX with a net it holds one or two levels down, or a register with
+    its shadow, so that the hashers' XOR-over-MUX fold fires within a
+    frame and across frames. Returns ``(netlist, pinned_inputs)``."""
+    netlist = Netlist("comparators")
+    selects = netlist.add_input("s", draw(st.integers(1, 2)))
+    pool = list(netlist.add_input("a", draw(st.integers(1, 3))))
+    pool += netlist.add_input("b", draw(st.integers(1, 2)))
+    data = {}  # MUX output -> its data inputs
+    compared = []
+    for _ in range(draw(st.integers(1, 3))):
+        q, shadow = netlist.new_net(), netlist.new_net()
+        d = q
+        for _level in range(draw(st.integers(1, 2))):
+            other = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                other = netlist.add_cell(Kind.NOT, [other])
+            ins = [d, other] if draw(st.booleans()) else [other, d]
+            d = netlist.add_cell(Kind.MUX,
+                                 [draw(st.sampled_from(selects)), *ins])
+            data[d] = ins
+        netlist.add_flop(d, q=q, init=draw(st.integers(0, 1)))
+        netlist.add_flop(q, q=shadow, init=draw(st.integers(0, 1)))
+        pool += [q, shadow]
+        compared.append([q, shadow])
+    for _ in range(draw(st.integers(1, 4))):
+        mux = draw(st.sampled_from(sorted(data)))
+        held = list(data[mux])
+        held += [x for d in held if d in data for x in data[d]]
+        compared.append([mux, draw(st.sampled_from(held))])
+    for pair in draw(st.permutations(compared)):
+        ins = draw(st.permutations(pair))
+        if draw(st.booleans()):
+            ins.append(draw(st.sampled_from([CONST0, CONST1])))
+        netlist.add_cell(draw(st.sampled_from([Kind.XOR, Kind.XNOR])), ins)
+    pinned = draw(st.sampled_from([{}, {"b": 0}, {"b": 1}]))
+    return netlist, pinned
+
+
+@settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(drawn=netlists(), free=st.booleans(), use_coi=st.booleans())
+@given(drawn=st.one_of(netlists(), comparator_netlists()),
+       free=st.booleans(), use_coi=st.booleans())
 def test_random_netlists_encode_identically(drawn, free, use_coi):
     netlist, pinned = drawn
     targets = [cell.output for cell in netlist.cells[-3:]]

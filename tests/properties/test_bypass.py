@@ -1,5 +1,7 @@
 """Eq. (4) bypass checker tests."""
 
+from repro.obs.summary import build_tree
+from repro.obs.tracer import BufferTracer, tracing
 from repro.properties import BypassChecker, validate_bypass
 from repro.netlist import Circuit
 
@@ -14,6 +16,31 @@ def test_bypassed_register_found():
     assert result.p_value != result.q_value
     assert validate_bypass(nl, result, "secret")
     assert "no-bypass(secret)" in result.summary()
+
+
+def test_traced_check_spans_each_cegis_iteration():
+    nl = build_secret_design(trojan=False, bypass=True)
+    tracer = BufferTracer()
+    with tracing(tracer):
+        result = BypassChecker(nl, "secret").check(
+            max_cycles=6, time_budget=60)
+    assert result.detected
+    roots, _spans, _dropped = build_tree(tracer.drain())
+    check, = roots
+    assert check.name == "bypass.check"
+    assert check.end_attrs == {
+        "status": "violated", "bound": result.bound,
+        "cegis_iterations": result.cegis_iterations}
+    steps = [(span.name, span.attrs["t"], span.end_attrs["outcome"])
+             for span in check.children]
+    synthesized = [step for step in steps if step[0] == "bypass.synthesize"]
+    assert len(synthesized) == result.cegis_iterations
+    # the last iteration's candidate survives verification
+    assert steps[-2:] == [("bypass.synthesize", result.bound, "candidate"),
+                          ("bypass.verify", result.bound, "bypass")]
+    # every other verify turns up a counterexample, the next sample
+    assert {outcome for name, _t, outcome in steps[:-2]
+            if name == "bypass.verify"} <= {"counterexample"}
 
 
 def test_clean_design_proved():

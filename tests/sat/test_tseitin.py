@@ -177,50 +177,164 @@ def gates(draw):
     return kind, draw(st.lists(LITERALS, min_size=count, max_size=count))
 
 
-def hashed_solver():
+def hashed_solver(free=FREE_VARS):
+    """A solver over ``free`` variables and the true variable after
+    them, and a hasher over that true literal."""
     from repro.sat.tseitin import GateHasher
 
     solver = Solver()
-    for _ in range(TRUE):
+    for _ in range(free + 1):
         solver.new_var()
-    solver.add_clause([TRUE])
-    return solver, GateHasher(TRUE)
+    solver.add_clause([free + 1])
+    return solver, GateHasher(free + 1)
+
+# A gate program's input is a literal over the free variables, or
+# ``(j, sign)``: earlier gate j's output, negated when sign is -1.
 
 
-@settings(max_examples=300, deadline=None)
-@given(drawn=st.lists(gates(), min_size=1, max_size=4))
-@example(drawn=[(Kind.AND, [1, 2]), (Kind.XOR, [1, 2]),
-                (Kind.AND, [1, 2, 3]), (Kind.MUX, [1, 2, 3])])
-def test_folded_gates_match_truth_tables(drawn):
+@st.composite
+def gate_programs(draw):
+    """Gates over free variables and earlier gates' outputs, where a
+    MUX often appears and a later XOR often reads a MUX together with
+    one of its data inputs, or with a data input of a MUX that is one
+    of its data inputs (either polarity, sometimes with a constant)."""
+    program = []
+    for _ in range(draw(st.integers(1, 8))):
+        earlier = st.tuples(st.integers(0, len(program) - 1),
+                            st.sampled_from([1, -1]))
+        source = st.one_of(LITERALS, earlier) if program else LITERALS
+        muxes = [j for j, (kind, _ins) in enumerate(program)
+                 if kind is Kind.MUX]
+        if muxes and draw(st.booleans()):
+            j = draw(st.sampled_from(muxes))
+            near = list(program[j][1][1:])
+            below = [x for d in near if isinstance(d, tuple)
+                     and program[d[0]][0] is Kind.MUX
+                     for x in program[d[0]][1][1:]]
+            partner = draw(st.sampled_from(near + below))
+            if isinstance(partner, tuple):
+                partner = (partner[0], partner[1] * draw(
+                    st.sampled_from([1, -1])))
+            else:
+                partner *= draw(st.sampled_from([1, -1]))
+            ins = [(j, draw(st.sampled_from([1, -1]))), partner]
+            if draw(st.booleans()):
+                ins.append(draw(st.sampled_from([TRUE, -TRUE])))
+            program.append((draw(st.sampled_from([Kind.XOR, Kind.XNOR])),
+                            draw(st.permutations(ins))))
+            continue
+        kind = draw(st.sampled_from([Kind.MUX, Kind.MUX] + GATE_KINDS))
+        count = 3 if kind is Kind.MUX else 1 if kind in (
+            Kind.NOT, Kind.BUF) else draw(st.integers(1, 3))
+        program.append((kind, draw(st.lists(source, min_size=count,
+                                            max_size=count))))
+    return program
+
+
+def resolve(ins, outs):
+    """A gate program's inputs as literals, given earlier outputs."""
+    return [outs[x[0]] * x[1] if isinstance(x, tuple) else x for x in ins]
+
+
+def encode_program(solver, hasher, program):
+    outs = []
+    for kind, ins in program:
+        outs.append(hasher.gate(solver, kind, resolve(ins, outs)))
+    return outs
+
+
+def program_truths(program, bits):
+    values = []
+    for kind, ins in program:
+        values.append(truth(kind, [
+            values[x[0]] == (x[1] > 0) if isinstance(x, tuple)
+            else literal_value(x, bits) for x in ins]))
+    return values
+
+
+# a list of gates over free variables alone is a gate program too
+PROGRAMS = st.one_of(st.lists(gates(), min_size=1, max_size=4),
+                     gate_programs())
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=PROGRAMS)
+@example(program=[(Kind.AND, [1, 2]), (Kind.XOR, [1, 2]),
+                  (Kind.AND, [1, 2, 3]), (Kind.MUX, [1, 2, 3])])
+def test_folded_gates_match_truth_tables(program):
     # several gates through one hasher: a memo entry of one kind must
     # never answer for another
     solver, hasher = hashed_solver()
-    outs = [hasher.gate(solver, kind, ins) for kind, ins in drawn]
+    outs = encode_program(solver, hasher, program)
     for word in range(1 << FREE_VARS):
         bits = [(word >> i) & 1 for i in range(FREE_VARS)]
         fixed = [var if bit else -var
                  for var, bit in zip(range(1, TRUE), bits)]
         assert solver.solve(assumptions=fixed).status == SAT
-        for (kind, ins), out in zip(drawn, outs):
-            expected = truth(kind, [literal_value(lit, bits) for lit in ins])
+        for expected, out in zip(program_truths(program, bits), outs):
             wrong = -out if expected else out
             assert solver.solve(assumptions=fixed + [wrong]).status == UNSAT
+    # no XOR is hashed over a MUX and a variable the MUX holds one or
+    # two levels down: each such XOR went through the MUX
+    muxes = {out: key[1:] for key, out in hasher.memo.items()
+             if key[0] is Kind.MUX}  # variable -> (sel, d0, d1)
+    for key in hasher.memo:
+        if key[0] is Kind.XOR and len(key) == 3:
+            a, b = key[1:]
+            for m, x in ((a, b), (b, a)):
+                near = [abs(d) for d in muxes.get(m, ())[1:]]
+                below = [abs(d) for n in near for d in muxes.get(n, ())[1:]]
+                assert x not in near + below, (key, muxes)
 
 
-@settings(max_examples=300, deadline=None)
-@given(drawn=st.lists(gates(), min_size=1, max_size=4), data=st.data())
-def test_reencoded_gates_allocate_nothing(drawn, data):
+@settings(max_examples=400, deadline=None)
+@given(program=PROGRAMS, data=st.data())
+def test_reencoded_gates_allocate_nothing(program, data):
     solver, hasher = hashed_solver()
-    outs = [hasher.gate(solver, kind, ins) for kind, ins in drawn]
+    outs = encode_program(solver, hasher, program)
     variables, clauses = solver.num_vars, len(solver.clauses)
-    for (kind, ins), out in zip(drawn, outs):
+    for (kind, ins), out in zip(program, outs):
+        lits = resolve(ins, outs)
         if kind in PERMUTABLE:
-            again = data.draw(st.permutations(ins))
+            lits = data.draw(st.permutations(lits))
         elif kind is Kind.MUX:
             # sel ? d1 : d0 is also -sel ? d0 : d1
-            sel, d0, d1 = ins
-            again = data.draw(st.sampled_from([ins, [-sel, d1, d0]]))
-        else:
-            again = ins
-        assert hasher.gate(solver, kind, again) == out
+            sel, d0, d1 = lits
+            lits = data.draw(st.sampled_from([lits, [-sel, d1, d0]]))
+        assert hasher.gate(solver, kind, lits) == out
     assert (solver.num_vars, len(solver.clauses)) == (variables, clauses)
+
+
+# --------------------------------------------------- XOR over a MUX
+
+
+def test_xor_of_a_mux_and_its_data_input_is_an_and():
+    solver, hasher = hashed_solver()
+    s, a, b = 1, 2, 3
+    m = hasher.mux(solver, s, a, b)
+    diff = hasher.xor(solver, (a, b))
+    assert hasher.xor(solver, (m, a)) == hasher.and_(solver, (s, diff))
+    assert hasher.xor(solver, (b, m)) == hasher.and_(solver, (-s, diff))
+    # signs fold into the output, and so do constants
+    assert hasher.xor(solver, (-m, a)) == -hasher.and_(solver, (s, diff))
+    assert hasher.xor(solver, (m, -a, TRUE)) == hasher.and_(solver, (s, diff))
+    assert (Kind.XOR, a, m) not in hasher.memo
+
+
+def test_xor_folds_one_mux_level_down_and_no_further():
+    solver, hasher = hashed_solver(free=5)
+    s, a, b, t, c = 1, 2, 3, 4, 5
+    inner = hasher.mux(solver, s, a, b)
+    outer = hasher.mux(solver, t, inner, c)
+    folded = hasher.xor(solver, (outer, a))
+    variables = solver.num_vars
+    # MUX(t, XOR(inner, a), XOR(c, a)), and XOR(inner, a) folds again
+    assert folded == hasher.mux(
+        solver, t, hasher.and_(solver, (s, hasher.xor(solver, (a, b)))),
+        hasher.xor(solver, (a, c)))
+    assert solver.num_vars == variables
+    top = hasher.mux(solver, -t, c, outer)  # hashed as MUX(t, outer, c)
+    hasher.xor(solver, (top, inner))
+    assert (Kind.XOR, inner, top) not in hasher.memo
+    # a is two MUX levels below top: hashed as a plain XOR
+    assert hasher.xor(solver, (top, a)) == hasher.memo[(Kind.XOR, a, top)]

@@ -337,6 +337,39 @@ class TestTraceCli:
         assert summary["phases"][0]["name"] == "audit"
         assert summary["metrics"]["counters"]["sat.solve_calls"] >= 1
 
+    def test_bypass_check_spans_nest_under_its_attempt(self, tmp_path):
+        from repro.obs.summary import build_tree, load_trace
+
+        trace = str(tmp_path / "bypass.jsonl")
+        code, _text = run_cli([
+            "audit", "--design", "router", "--max-cycles", "16",
+            "--check-bypass", "--trace", trace,
+        ])
+        assert code == 0
+        _roots, spans, _dropped = build_tree(load_trace(trace)[0])
+        attempt, = [span for span in spans.values()
+                    if span.name == "runner.attempt"
+                    and span.attrs["check"] == "bypass(dest_register)"]
+        check, = [span for span in attempt.children
+                  if span.name == "bypass.check"]
+        assert check.attrs["register"] == "dest_register"
+        # router is clean: every prefix length's synthesis finds no
+        # candidate, so there is nothing to verify
+        assert check.end_attrs == {"status": "proved", "bound": 16,
+                                   "cegis_iterations": 16}
+        synthesized = [span for span in check.children
+                       if span.name == "bypass.synthesize"]
+        assert [span.attrs["t"] for span in synthesized] == list(
+            range(1, 17))
+        assert {span.end_attrs["outcome"] for span in synthesized} == {
+            "none"}
+        assert all(child.name == "sat.solve" for span in synthesized
+                   for child in span.children)
+        code, text = run_cli(["trace", "summarize", trace])
+        assert code == 0
+        assert "1x bypass.check:" in text
+        assert "16x bypass.synthesize:" in text
+
     def test_trace_summarize_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read trace"):
             run_cli(["trace", "summarize", str(tmp_path / "nope.jsonl")])
